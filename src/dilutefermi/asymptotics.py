@@ -240,7 +240,12 @@ _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 
 
 def _cell_masses(rho_fn, centers, pitch, chunk=8192):
-    """Per-cell integrals of the density by tensor 5-point Gauss, chunked."""
+    """Per-cell integrals of the density by tensor 5-point Gauss, chunked.
+
+    ``rho_fn`` sees only the radii of the Gauss nodes, so the mass of a
+    cell is a function of its orbit under the cube's 48 symmetries;
+    ``box_estimate`` passes one representative center per orbit.
+    """
     half = 0.5 * pitch
     offs = half * _GL5_X
     wts = half * _GL5_W
@@ -258,7 +263,13 @@ def _cell_masses(rho_fn, centers, pitch, chunk=8192):
 
 
 def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimate:
-    """Evaluate the box-decomposition sums for box side l."""
+    """Evaluate the box-decomposition sums for box side l.
+
+    Cell masses are integrated once per orbit of the cube's 48
+    symmetries (about 1/48 of the cells) on a fixed representative and
+    copied to the other cells of the orbit, so mirror cells always get
+    the same mass and the same ceiling M_i.
+    """
     if tf is None:
         tf = tf_solve(v)
     if l <= 0:
@@ -279,7 +290,14 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
     near = np.sqrt(np.sum(centers**2, axis=-1)) <= R + pitch
     centers = centers[near]
 
-    masses = _cell_masses(tf.rho_fn, centers, pitch)
+    # The lattice and rho_TF are invariant under the cube's 48 symmetries,
+    # so fold each cell's indices to the wedge 0 <= i <= j <= k <= (n-1)/2
+    # and integrate once per orbit: mirror cells share one mass exactly.
+    idx = np.argwhere(near.reshape((n_side,) * 3))
+    folded = np.sort(np.minimum(idx, n_side - 1 - idx), axis=1)
+    key = (folded[:, 0] * n_side + folded[:, 1]) * n_side + folded[:, 2]
+    _, first, cell_orbit = np.unique(key, return_index=True, return_inverse=True)
+    masses = _cell_masses(tf.rho_fn, ax[folded[first]], pitch)[cell_orbit]
     M = np.ceil(ctx.N / 2.0 * masses).astype(np.int64)
     occupied = M > 0
 
@@ -421,7 +439,10 @@ def write_boxes_csv(path, est: BoxEstimate, header_lines=()):
         fh.write(f"# l={est.l!r} gap={est.gap!r} L={est.L!r} ratio={est.ratio!r}\n")
         fh.write("cx,cy,cz,M_i,kinetic_interaction,potential\n")
         for (c, m, k, p) in zip(est.centers, est.masses, est.kin_per_box, est.pot_per_box):
-            fh.write(f"{c[0]!r},{c[1]!r},{c[2]!r},{int(m)},{k!r},{p!r}\n")
+            fh.write(
+                f"{float(c[0])!r},{float(c[1])!r},{float(c[2])!r},{int(m)},"
+                f"{float(k)!r},{float(p)!r}\n"
+            )
 
 
 def write_budget_csv(path, budgets, header_lines=()):

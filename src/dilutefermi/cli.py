@@ -351,10 +351,11 @@ def cmd_husimi(config, outdir):
             "potential_residual,lowfreq_residual,m_min,m_max\n"
         )
         fh.write(
-            f"{rep.hbar!r},{rep.hbar_x!r},{rep.hbar_p!r},{rep.fill},"
-            f"{rep.resolution_residual!r},{rep.kinetic_identity_residual!r},"
-            f"{rep.potential_identity_residual!r},{rep.lowfreq_identity_residual!r},"
-            f"{rep.m_min!r},{rep.m_max!r}\n"
+            f"{float(rep.hbar)!r},{float(rep.hbar_x)!r},{float(rep.hbar_p)!r},{rep.fill},"
+            f"{float(rep.resolution_residual)!r},{float(rep.kinetic_identity_residual)!r},"
+            f"{float(rep.potential_identity_residual)!r},"
+            f"{float(rep.lowfreq_identity_residual)!r},"
+            f"{float(rep.m_min)!r},{float(rep.m_max)!r}\n"
         )
     return [path]
 

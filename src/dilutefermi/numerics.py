@@ -389,7 +389,9 @@ def lp_distance(f, g, p):
 
     The union of both node sets defines segments on which both
     interpolants are linear; each segment is integrated in closed form,
-    so the only approximation is the interpolants themselves.
+    so the only approximation is the interpolants themselves.  Both
+    profiles are evaluated once at all nodes; the segment masses are
+    summed in node order.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -404,18 +406,19 @@ def lp_distance(f, g, p):
     nodes = np.union1d(np.concatenate([[0.0], f.nodes, g.nodes]), [r_hi])
     nodes = nodes[(nodes >= 0.0) & (nodes <= r_hi)]
 
-    def endpoint_values(prof, a, b):
-        # one-sided values on [a, b]; beyond the profile domain a zero
-        # tail contributes exactly 0, an identical tail cancels anyway
-        if a >= prof.r_max and prof.tail == "zero":
-            return 0.0, 0.0
-        if a >= prof.r_max:
-            return 0.0, 0.0  # identical tails: difference vanishes
-        return float(prof(a)), float(prof(b))
+    def segment_values(prof):
+        # one-sided values at both ends of every segment; beyond the
+        # profile domain a zero tail contributes exactly 0 and an
+        # identical tail cancels, so both count as 0 there
+        vals = prof(nodes)
+        outside = nodes[:-1] >= prof.r_max
+        return np.where(outside, 0.0, vals[:-1]), np.where(outside, 0.0, vals[1:])
 
+    fa, fb = segment_values(f)
+    ga, gb = segment_values(g)
     total = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        fa, fb = endpoint_values(f, a, b)
-        ga, gb = endpoint_values(g, a, b)
-        total += _segment_lp_mass(fa - ga, fb - gb, a, b, p)
+    for a, b, d0, d1 in zip(
+        nodes[:-1].tolist(), nodes[1:].tolist(), (fa - ga).tolist(), (fb - gb).tolist()
+    ):
+        total += _segment_lp_mass(d0, d1, a, b, p)
     return max(total, 0.0) ** (1.0 / p)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dilutefermi import asymptotics
 from dilutefermi.asymptotics import (
     DegenerateTilingError,
     RegimeError,
@@ -149,6 +150,79 @@ def test_box_estimate_headline(bare):
     finer = box_estimate(harmonic_trap(0.0), ctx, l / 2.0, bare)
     assert finer.rho53_defect < est.rho53_defect
     assert finer.rho2_defect < est.rho2_defect
+
+
+def _box_cells_brute_force(v, ctx, l, tf):
+    """Every near cell integrated on its own, as box_estimate did before the fold."""
+    R = tf.support_radius
+    pitch = l + ctx.gap
+    n_side = int(math.ceil(2.0 * R / pitch))
+    ax = -0.5 * n_side * pitch + 0.5 * pitch + pitch * np.arange(n_side)
+    cx, cy, cz = np.meshgrid(ax, ax, ax, indexing="ij")
+    centers = np.stack([cx, cy, cz], axis=-1).reshape(-1, 3)
+    centers = centers[np.sqrt(np.sum(centers**2, axis=-1)) <= R + pitch]
+    masses = asymptotics._cell_masses(tf.rho_fn, centers, pitch)
+    M = np.ceil(ctx.N / 2.0 * masses).astype(np.int64)
+    Mf = M.astype(float)
+    L = float(ctx.N) ** ctx.beta * l
+    kin = float(ctx.N) ** (2.0 * ctx.beta - 2.0 / 3.0) * (
+        2.0 * C_TF * Mf ** (5.0 / 3.0) / L**2 + 8.0 * math.pi * ctx.a_w * Mf**2 / L**3
+    )
+    half_l = 0.5 * l
+    corners = np.array(
+        [[sx * half_l, sy * half_l, sz * half_l] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+        + [[0.0, 0.0, 0.0]]
+    )
+    radii = np.sqrt(np.sum((centers[:, None, :] + corners[None, :, :]) ** 2, axis=-1))
+    pot = 2.0 * Mf * np.max(v.radial_fn(radii.ravel()).reshape(radii.shape), axis=1)
+    return n_side, pitch, centers, masses, M, kin, pot
+
+
+def _orbit_keys(centers, pitch):
+    # a center sits at (i + 1/2 - n/2) pitch, so 2|c|/pitch is an integer;
+    # sorting the three makes the key invariant under the cube's 48 symmetries
+    return [tuple(k) for k in np.rint(np.sort(np.abs(centers), axis=1) * 2.0 / pitch).astype(int)]
+
+
+def test_box_orbit_fold_matches_brute_force(bare, monkeypatch):
+    v = harmonic_trap(0.0)
+    ctx = make_context(10**6, 0.40, square_barrier(2.0))
+    l0 = beta_l_window(0.40, 10**6).chosen_l
+    folded_calls = []
+    cell_masses = asymptotics._cell_masses
+
+    def recording(rho_fn, centers, pitch, **kwargs):
+        out = cell_masses(rho_fn, centers, pitch, **kwargs)
+        folded_calls.append((centers, out))
+        return out
+
+    monkeypatch.setattr(asymptotics, "_cell_masses", recording)
+    parities = set()
+    for f in (1, 2, 4):
+        n_side, pitch, centers, masses, M, kin, pot = _box_cells_brute_force(v, ctx, l0 / f, bare)
+        folded_calls.clear()
+        est = box_estimate(v, ctx, l0 / f, bare)
+        parities.add(n_side % 2)
+        assert np.array_equal(est.centers, centers)
+        assert np.array_equal(est.masses, M)
+        assert np.array_equal(est.kin_per_box, kin)
+        assert np.array_equal(est.pot_per_box, pot)
+        assert est.prediction_total == predict_energy(v, ctx, bare).total
+        # one integration per orbit, within 1e-14 of every cell it stands for,
+        # relative to the largest mass: the brute-force masses of mirror cells
+        # differ among themselves by up to 1e-12 relative in thin edge cells
+        (rep_centers, rep_masses), = folded_calls
+        keys = _orbit_keys(centers, pitch)
+        rep_mass = dict(zip(_orbit_keys(rep_centers, pitch), rep_masses))
+        assert len(rep_mass) == len(rep_masses) == len(set(keys))
+        folded = np.array([rep_mass[k] for k in keys])
+        assert np.max(np.abs(folded - masses) / masses.max()) <= 1e-14
+        # M_i is constant on every orbit
+        by_orbit = {}
+        for k, m in zip(keys, est.masses):
+            by_orbit.setdefault(k, set()).add(int(m))
+        assert all(len(ms) == 1 for ms in by_orbit.values())
+    assert parities == {0, 1}
 
 
 def test_box_gap_ratio_small_at_large_N(bare):

@@ -221,3 +221,19 @@ def test_headers_carry_version_and_config(tmp_path):
     assert any("dilutefermi" in c for c in comments)
     assert any(c.startswith("# config:") for c in comments)
     assert any(c.startswith("# formula:") for c in comments)
+
+
+@pytest.mark.parametrize("command", ["spectra", "husimi", "boxes"])
+def test_default_config_tables_are_numeric(tmp_path, command):
+    # NumPy scalars must be written as plain floats, never as np.float64(...)
+    out = tmp_path / "out"
+    assert run_cli([command, "--out", str(out)]) == 0
+    tables = sorted(out.glob("*.csv"))
+    assert tables
+    for path in tables:
+        _, header, rows = read_table(path)
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header), path.name
+            for cell in row:
+                float(cell)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dilutefermi import numerics
 from dilutefermi.numerics import (
     BracketError,
     DomainMismatchError,
@@ -159,6 +160,42 @@ def test_lp_incompatible_tails():
     b = RadialProfile(np.linspace(0.0, 2.0, 17), np.ones(17))
     with pytest.raises(DomainMismatchError):
         lp_distance(a, b, 2.0)
+
+
+def _lp_distance_per_segment(f, g, p):
+    """Scalar reference: both profiles evaluated at the ends of each segment separately."""
+    r_hi = max(f.r_max, g.r_max)
+    nodes = np.union1d(np.concatenate([[0.0], f.nodes, g.nodes]), [r_hi])
+    nodes = nodes[(nodes >= 0.0) & (nodes <= r_hi)]
+
+    def ends(prof, a, b):
+        return (0.0, 0.0) if a >= prof.r_max else (float(prof(a)), float(prof(b)))
+
+    total = 0.0
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        fa, fb = ends(f, a, b)
+        ga, gb = ends(g, a, b)
+        total += numerics._segment_lp_mass(fa - ga, fb - gb, a, b, p)
+    return max(total, 0.0) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 5.0 / 3.0, 2.0])
+def test_lp_distance_equals_per_segment_reference(p):
+    rng = np.random.default_rng(7)
+    # different node sets, a first node above 0, different r_max, zero tails
+    a = np.sort(rng.uniform(0.05, 2.0, 40))
+    b = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 60)), [3.0]])
+    f = RadialProfile(a, np.exp(-a) * np.cos(3.0 * a))
+    g = RadialProfile(b, np.exp(-b) + 1e-3 * rng.standard_normal(b.size))
+    assert lp_distance(f, g, p) == _lp_distance_per_segment(f, g, p)
+    assert lp_distance(g, f, p) == _lp_distance_per_segment(g, f, p)
+    # matching power tails on a shared r_max, different node sets
+    tail = PowerTail(0.5, 4.0)
+    c = np.concatenate([np.sort(rng.uniform(0.0, 2.5, 30)), [2.5]])
+    d = np.linspace(0.0, 2.5, 57)
+    h = RadialProfile(c, 0.5 * (1.0 + c) ** -4, tail=tail)
+    k = RadialProfile(d, 0.5 * (1.0 + d) ** -4 + 1e-2 * np.sin(5.0 * d), tail=tail)
+    assert lp_distance(h, k, p) == _lp_distance_per_segment(h, k, p)
 
 
 _values = st.lists(

@@ -93,6 +93,19 @@ def test_fd_domain_margin_guard():
         fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 150, 10.0)
 
 
+def test_fd_refinement_without_vectors_is_exact():
+    kept = fd_catalog_1d(lambda x: x**4, 0.02, 3.0, 2000, 2.0)
+    dropped = fd_catalog_1d(lambda x: x**4, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
+    assert np.array_equal(kept.energies, dropped.energies)
+    assert kept.discretization_error == dropped.discretization_error
+    assert kept.sturm_certified and dropped.sturm_certified
+    assert kept.vectors is not None and dropped.vectors is None
+    # the 20% margin holds (turning point 1.87), but the second level leaks
+    # past |x| = 2.3, so only the boundary-mass check catches it
+    with pytest.raises(DomainTooSmallError, match="boundary mass"):
+        fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
+
+
 def test_weyl_scan_harmonic_exponents():
     lam = 48.0 ** (1.0 / 3.0)
     scan = weyl_error_scan("harmonic", [10**3, 10**4, 10**5, 10**6], lam)
@@ -243,6 +256,87 @@ def test_husimi_split_validation(husimi_catalog):
         coherent_identity_check_1d(husimi_catalog, 10, hbar_x=0.1, hbar_p=0.1)
     with pytest.raises(ValueError):
         coherent_identity_check_1d(husimi_catalog, 0)
+
+
+def _dense_husimi_reference(catalog, fill, p_F=1.0):
+    """The Husimi check with full-width windows and one dense complex product per level."""
+    hbar = catalog.hbar
+    hbar_p, hbar_x = hbar ** (2.0 / 3.0), hbar ** (4.0 / 3.0)
+    x = catalog.grid
+    h = float(x[1] - x[0])
+    sigma = math.sqrt(hbar_x)
+    psi = catalog.vectors[:, :fill]
+    stride = max(1, int(sigma / (8.0 * h)))
+    xm = x[::stride]
+    dx = h * stride
+    k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=h)
+    p_spec = hbar * k
+    psi_hat = np.fft.fft(psi, axis=0) * h / math.sqrt(2.0 * math.pi)
+    t_spec = np.sum(np.abs(psi_hat) ** 2, axis=1) * 2.0 * math.pi / (x.size * h)
+    kinetic_spec = float(np.sum(p_spec**2 * t_spec))
+    with np.errstate(divide="ignore", over="ignore"):
+        weight_lf = np.minimum(1.0, (p_F / np.maximum(np.abs(p_spec), 1e-300)) ** 2)
+    lowfreq_spec = float(np.sum(p_spec**2 * weight_lf * t_spec))
+    p_occ = float(np.max(np.abs(p_spec)[t_spec > 1e-14 * np.max(t_spec)]))
+    sp = math.sqrt(hbar_p)
+    p_max = p_occ + 10.0 * sp
+    p = np.linspace(-p_max, p_max, max(64, int(math.ceil(2.0 * p_max / (sp / 8.0))) + 1))
+    dp = p[1] - p[0]
+    w = np.exp(-((xm[:, None] - x[None, :]) ** 2) / (2.0 * hbar_x))
+    w /= np.sqrt(h * np.sum(w * w, axis=1))[:, None]
+    phases = np.exp(-1j * np.outer(p, x) / hbar) * h
+    m = np.zeros((xm.size, p.size))
+    for j in range(fill):
+        m += np.abs((w * psi[:, j][None, :]) @ phases.T) ** 2
+    norm = dx * dp / (2.0 * math.pi * hbar)
+    kin_expected = kinetic_spec + hbar_p * fill * 0.5
+    vv = np.asarray(catalog.potential_1d(x), dtype=float)
+    vm = np.asarray(catalog.potential_1d(xm), dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        lf_weight = np.minimum(1.0, (p_F / np.maximum(np.abs(p), 1e-300)) ** 2)
+    return {
+        "hbar": hbar,
+        "hbar_x": hbar_x,
+        "hbar_p": hbar_p,
+        "fill": fill,
+        "resolution_residual": abs(float(np.sum(m)) * norm - fill) / fill,
+        "kinetic_identity_residual": abs(float(np.sum(m * p[None, :] ** 2)) * norm - kin_expected),
+        "kinetic_reference": kin_expected,
+        "potential_identity_residual": abs(
+            float(np.sum(m * vm[:, None])) * norm - float(np.sum(vv[:, None] * psi**2)) * h
+        ),
+        "lowfreq_identity_residual": abs(
+            float(np.sum(m * (p**2 * lf_weight)[None, :])) * norm - lowfreq_spec
+        ),
+        "lowfreq_reference": lowfreq_spec,
+        "m_min": float(np.min(m)),
+        "m_max": float(np.max(m)),
+        "grad_window_sq": 0.5,
+    }
+
+
+@pytest.mark.parametrize(
+    "hbar, halfwidth, fill",
+    [
+        (0.1, 4.0, 1),
+        (0.1, 4.0, 10),
+        (0.05, 4.0, 1),
+        (0.05, 4.0, 10),
+        # 10 sigma = 6.3 exceeds the whole grid: every window is cut at both ends
+        (0.5, 3.0, 2),
+    ],
+)
+def test_husimi_band_matches_dense_products(hbar, halfwidth, fill):
+    cat = fd_catalog_1d(lambda x: x * x, hbar, halfwidth, 1001, hbar * (2 * fill + 1) + 0.01)
+    rep = coherent_identity_check_1d(cat, fill)
+    ref = _dense_husimi_reference(cat, fill)
+    for name, want in ref.items():
+        got = getattr(rep, name)
+        if name in ("resolution_residual", "kinetic_identity_residual", "m_min"):
+            # roundoff-level quantities: m lies in [0, 1] and both residuals vanish exactly
+            assert abs(got - want) <= 1e-12, (name, got, want)
+        else:
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
 
 
 def test_husimi_grid_resolution_guard():
