@@ -29,7 +29,7 @@ print(f"  EL residual  {sol.lagrange_residual:.2e}")
 r = np.array([0.0, 0.5, 1.0, 1.5])
 print("\n  r, rho, kappa rho^(2/3) + V  (should equal the multiplier on the support)")
 for ri in r:
-    rho = float(sol.rho_fn(np.array([ri])))
+    rho = sol.rho_fn(np.array([ri]))[0]
     if rho > 0:
         print(f"  {ri:4.2f}  {rho:.6f}  {KAPPA * rho ** (2 / 3) + ri * ri:.12f}")
 

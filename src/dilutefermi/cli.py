@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import dataclasses
 import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,7 +46,6 @@ COMMANDS = (
 
 _NUMERICAL_ERRORS = (
     tf.NormalizationError,
-    tf.ConvergenceError,
     tf.DomainError,
     sc.StiffnessError,
     sc.NonPhysicalSolutionError,
@@ -194,7 +193,6 @@ def cmd_tf(config, outdir):
     p_fs = config.get("sweeps", {}).get("p_F") or []
     if p_fs:
         scan = tf.cutoff_gap_scan(v, [float(p) for p in p_fs], tol)
-        sols = [tf.cutoff_tf_solve(v, float(p), tol) for p in p_fs]
         cut_path = os.path.join(outdir, "cutoff_scan.csv")
         with open(cut_path, "w", encoding="utf-8") as fh:
             for line in _header(
@@ -207,7 +205,7 @@ def cmd_tf(config, outdir):
             ):
                 fh.write(f"# {line}\n")
             fh.write("p_F,E_TF_pF,gap,overflow_mass\n")
-            for s, gap in zip(sols, scan.gaps):
+            for s, gap in zip(scan.solutions, scan.gaps):
                 fh.write(f"{s.p_F!r},{s.E_TF_pF!r},{gap!r},{s.overflow_mass!r}\n")
         paths.append(cut_path)
     return paths
@@ -351,11 +349,10 @@ def cmd_husimi(config, outdir):
             "potential_residual,lowfreq_residual,m_min,m_max\n"
         )
         fh.write(
-            f"{float(rep.hbar)!r},{float(rep.hbar_x)!r},{float(rep.hbar_p)!r},{rep.fill},"
-            f"{float(rep.resolution_residual)!r},{float(rep.kinetic_identity_residual)!r},"
-            f"{float(rep.potential_identity_residual)!r},"
-            f"{float(rep.lowfreq_identity_residual)!r},"
-            f"{float(rep.m_min)!r},{float(rep.m_max)!r}\n"
+            f"{rep.hbar!r},{rep.hbar_x!r},{rep.hbar_p!r},{rep.fill},"
+            f"{rep.resolution_residual!r},{rep.kinetic_identity_residual!r},"
+            f"{rep.potential_identity_residual!r},{rep.lowfreq_identity_residual!r},"
+            f"{rep.m_min!r},{rep.m_max!r}\n"
         )
     return [path]
 
@@ -369,23 +366,18 @@ def _sweep_pairs(config, command):
     return [(int(N), float(b)) for b in betas for N in Ns]
 
 
-def cmd_predict(config, outdir, jobs=1):
+def cmd_predict(config, outdir):
     v = resolve_potential(config, "predict")
     w = resolve_interaction(config, "predict")
     tol = _tolerance(config)
     base = tf.tf_solve(v, tol)
     pairs = _sweep_pairs(config, "predict")
-
-    def one(pair):
-        N, beta = pair
-        ctx = asy.make_context(N, beta, w, tol)
-        return asy.predict_energy(v, ctx, base)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(one, pairs))
-    else:
-        rows = [one(p) for p in pairs]
+    # the scattering length depends on the interaction alone: solve it once
+    ctx = asy.make_context(*pairs[0], w, tol)
+    rows = [
+        asy.predict_energy(v, dataclasses.replace(ctx, N=N, beta=beta), base)
+        for N, beta in pairs
+    ]
     path = os.path.join(outdir, "prediction.csv")
     asy.write_prediction_csv(
         path,
@@ -430,18 +422,8 @@ def cmd_boxes(config, outdir):
     return [path]
 
 
-def cmd_budget(config, outdir, jobs=1):
-    pairs = _sweep_pairs(config, "budget")
-
-    def one(pair):
-        N, beta = pair
-        return asy.error_budget(N, beta)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(one, pairs))
-    else:
-        rows = [one(p) for p in pairs]
+def cmd_budget(config, outdir):
+    rows = [asy.error_budget(N, beta) for N, beta in _sweep_pairs(config, "budget")]
     path = os.path.join(outdir, "budget.csv")
     asy.write_budget_csv(
         path,
@@ -513,7 +495,6 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="path to the JSON configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
     parser.add_argument(
         "--seedless",
         action="store_true",
@@ -534,20 +515,21 @@ def main(argv=None):
         else:
             config_for_validation = config
         outdir = args.out or config.get("output", {}).get("directory", "out")
-        if args.command in ("tf", "semiclass", "predict", "boxes"):
-            resolve_potential(config_for_validation, args.command)
-        if args.command in ("scatter", "predict", "boxes"):
-            resolve_interaction(config_for_validation, args.command)
+        try:
+            if args.command in ("tf", "semiclass", "predict", "boxes"):
+                resolve_potential(config_for_validation, args.command)
+            if args.command in ("scatter", "predict", "boxes"):
+                resolve_interaction(config_for_validation, args.command)
+            if args.command in ("tf", "scatter", "predict", "boxes"):
+                _tolerance(config)
+        except (ValueError, TypeError) as exc:
+            raise ConfigurationError(str(exc)) from exc
         os.makedirs(outdir, exist_ok=True)
         if args.command == "verify-all":
             paths, n_failed = cmd_verify_all(config, outdir)
             exit_code = 1 if n_failed else 0
         else:
-            handler = _DISPATCH[args.command]
-            if args.command in ("predict", "budget"):
-                paths = handler(config, outdir, jobs=max(1, args.jobs))
-            else:
-                paths = handler(config, outdir)
+            paths = _DISPATCH[args.command](config, outdir)
             exit_code = 0
         if config.get("output", {}).get("json_mirror", False):
             for p in list(paths):

@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Tolerance, find_root_monotone, find_sign_changes, integrate_radial
-from .thomas_fermi import GridField, NormalizationError, _simpson_weights, _support_radius
+from .numerics import Tolerance, integrate_radial
+from .thomas_fermi import (
+    GridField,
+    NormalizationError,
+    _fix_level,
+    _simpson_weights,
+    _support_radius,
+    _tensor_grid,
+)
 
 __all__ = [
     "PhaseSpaceBudget",
@@ -78,21 +85,10 @@ def phase_space_counts(v, Lambda, tol=Tolerance(abs=1e-12, rel=1e-12)) -> PhaseS
 
 
 def _grid_counts(v, Lambda, points=161):
-    extents = []
-    for axis in range(3):
-        t = 1.0
-        for _ in range(60):
-            x = np.zeros((1, 3))
-            x[0, axis] = t
-            if float(v(x)[0]) > Lambda:
-                break
-            t *= 2.0
-        else:
-            raise DivergenceError("trap not confining along a coordinate axis")
-        extents.append(t)
-    axes = tuple(np.linspace(-1.5 * e, 1.5 * e, points) for e in extents)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = v(grid.reshape(-1, 3)).reshape(grid.shape[:-1])
+    try:
+        axes, vals = _tensor_grid(v, Lambda, points)
+    except NormalizationError as exc:
+        raise DivergenceError(str(exc)) from exc
     gap = np.maximum(Lambda - vals, 0.0)
     n_cl = GridField(axes, gap**1.5).integrate() / (6.0 * math.pi**2)
     e_cl = GridField(axes, 0.2 * gap**2.5 + vals / 3.0 * gap**1.5).integrate() / (
@@ -106,16 +102,8 @@ def lambda_for_filling(v, target, tol=Tolerance(abs=1e-11, rel=1e-13)):
     if not target > 0:
         raise NormalizationError("filling target must be positive (bracket degenerates)")
     vmin = v.min_value() if getattr(v, "radial", True) else 0.0
-    lo = vmin + 1e-9
-    hi = vmin + 1.0
-    for _ in range(200):
-        if phase_space_counts(v, hi).n_cl > target:
-            break
-        hi = vmin + 2.0 * (hi - vmin)
-    else:
-        raise NormalizationError("could not bracket the filling level")
-    res = find_root_monotone(
-        lambda lam: phase_space_counts(v, lam).n_cl - target, lo, hi, tol
+    res = _fix_level(
+        lambda lam: phase_space_counts(v, lam).n_cl - target, vmin, tol, "filling level"
     )
     return res.root
 

@@ -459,7 +459,7 @@ def coherent_identity_check_1d(
     p_max = p_occ + 10.0 * sp
     n_p = max(64, int(math.ceil(2.0 * p_max / (sp / 8.0))) + 1)
     p = np.linspace(-p_max, p_max, n_p)
-    dp = p[1] - p[0]
+    dp = float(p[1] - p[0])
 
     # Gaussian windows on the band of 2 n_band + 1 grid samples around
     # each Husimi node: beyond 10 sigma a window is below e^-50, under the
@@ -511,7 +511,7 @@ def coherent_identity_check_1d(
     lowfreq_residual = abs(lf_husimi - lowfreq_spec)
 
     return HusimiReport(
-        hbar=hbar,
+        hbar=float(hbar),
         hbar_x=float(hbar_x),
         hbar_p=float(hbar_p),
         fill=int(fill),

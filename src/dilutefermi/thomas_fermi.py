@@ -1,11 +1,13 @@
 """Thomas-Fermi density functionals for a trapped two-spin gas.
 
-The single-spin (total density) minimizer is the closed-form inversion
-rho = ((lam - V)_+ / kappa)^{3/2} with the multiplier lam fixed by unit
-mass; the coupled two-spin problem is solved by damped alternating
-inversion; the momentum-cutoff variant caps the kinetic energy density
-at the Fermi level and is solved exactly through its saturation
-structure.
+Every minimizer here is a pointwise inversion rho = F((lam - V)_+) of
+its Euler-Lagrange equation, with the multiplier lam fixed by unit mass
+through one monotone root.  The single-spin (total density) functional
+inverts in closed form, rho = ((lam - V)_+ / kappa)^{3/2}; the coupled
+two-spin functional inverts through the one positive root of the cubic
+kappa_s t^2 + g t^3 = (lam - V)_+ in t = rho_s^{1/3}; the momentum-cutoff
+variant caps the kinetic energy density at the Fermi level and is solved
+exactly through its saturation structure.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "GridField",
     "DomainError",
     "NormalizationError",
-    "ConvergenceError",
     "tf_solve",
     "tf_functional",
     "two_spin_minimize",
@@ -63,14 +64,6 @@ class DomainError(ValueError):
 
 class NormalizationError(RuntimeError):
     """No chemical potential bracket normalizes the density to unit mass."""
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration exhausted its cap; carries the residual history."""
-
-    def __init__(self, message, residual_history):
-        super().__init__(message)
-        self.residual_history = residual_history
 
 
 @dataclass(frozen=True)
@@ -125,9 +118,7 @@ class TwoSpinState:
     coupling: float
     energy: float
     lambda_two_spin: float
-    iterations: int
-    residual_history: list = field(repr=False, default_factory=list)
-    grid: np.ndarray = field(repr=False, default=None)
+    iterations: int  # root-finder iterations fixing the multiplier; 0 at g = 0
     rho_up_values: np.ndarray = field(repr=False, default=None)
     rho_down_values: np.ndarray = field(repr=False, default=None)
 
@@ -163,20 +154,72 @@ def _support_radius(vr, lam, r_seed=1.0):
     return roots[-1], roots
 
 
-def _radial_mass(vr, lam, kappa, tol=_QUAD_TOL):
+def _level_density(vr, lam, invert):
+    """Pointwise inversion rho(r) = invert((lam - V(r))_+), zero off the support.
+
+    Returns the density with the support radius and the sign changes of
+    lam - V, which are the quadrature breakpoints of every integral of it.
+    """
     r_last, roots = _support_radius(vr, lam)
-    if r_last <= 0.0:
-        return 0.0, 0.0, []
 
     def rho(r):
         gap = lam - vr(np.asarray(r, dtype=float))
-        return np.where(gap > 0.0, (np.maximum(gap, 0.0) / kappa) ** 1.5, 0.0)
+        return np.where(gap > 0.0, invert(np.maximum(gap, 0.0)), 0.0)
 
-    return (
-        integrate_radial(rho, r_last, tol, breakpoints=roots),
-        r_last,
-        roots,
-    )
+    return rho, r_last, roots
+
+
+def _tf_inversion(kappa):
+    """gap -> (gap / kappa)^(3/2), the inverted Euler-Lagrange equation."""
+    return lambda gap: (gap / kappa) ** 1.5
+
+
+def _radial_mass(vr, lam, invert):
+    """Integral of invert((lam - V)_+); zero when lam lies below the trap."""
+    rho, r_last, roots = _level_density(vr, lam, invert)
+    if r_last <= 0.0:
+        return 0.0
+    return integrate_radial(rho, r_last, _QUAD_TOL, breakpoints=roots)
+
+
+def _fix_level(defect, vmin, tol, what):
+    """Root of an increasing level defect, bracketed upwards from just above vmin.
+
+    The upper end starts at vmin + 1 and its distance from vmin doubles
+    until the defect turns positive.
+    """
+    lo = vmin + 1e-9
+    hi = vmin + 1.0
+    for _ in range(200):
+        if defect(hi) > 0:
+            break
+        hi = vmin + 2.0 * (hi - vmin)
+    else:
+        raise NormalizationError(f"could not bracket the {what}")
+    return find_root_monotone(defect, lo, hi, tol)
+
+
+def _tensor_grid(v, level, points=161):
+    """Trap values on a tensor grid reaching 1.5 times past V > level on each axis.
+
+    The reach along each coordinate axis is the first power of two where
+    V exceeds ``level``.  Returns the axes and V on their product grid.
+    """
+    extents = []
+    for axis in range(3):
+        t = 1.0
+        for _ in range(60):
+            x = np.zeros((1, 3))
+            x[0, axis] = t
+            if float(v(x)[0]) > level:
+                break
+            t *= 2.0
+        else:
+            raise NormalizationError("trap not confining along a coordinate axis")
+        extents.append(t)
+    axes = tuple(np.linspace(-1.5 * e, 1.5 * e, points) for e in extents)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return axes, v(grid.reshape(-1, 3)).reshape(grid.shape[:-1])
 
 
 def tf_solve(v, tol=Tolerance(abs=1e-10, rel=1e-10)) -> TFSolution:
@@ -191,31 +234,18 @@ def tf_solve(v, tol=Tolerance(abs=1e-10, rel=1e-10)) -> TFSolution:
     if not getattr(v, "radial", True):
         return _tf_solve_grid(v, tol)
     vr = v.radial_fn
-    vmin = v.min_value()
-
-    def mass_defect(lam):
-        return _radial_mass(vr, lam, KAPPA)[0] - 1.0
-
-    lo = vmin + 1e-9
-    hi = vmin + 1.0
-    for _ in range(200):
-        if mass_defect(hi) > 0:
-            break
-        hi = vmin + 2.0 * (hi - vmin)
-    else:
-        raise NormalizationError("could not bracket the chemical potential")
-    res = find_root_monotone(
-        mass_defect, lo, hi, Tolerance(abs=max(tol.abs, 1e-12), rel=1e-14)
+    invert = _tf_inversion(KAPPA)
+    res = _fix_level(
+        lambda lam: _radial_mass(vr, lam, invert) - 1.0,
+        v.min_value(),
+        Tolerance(abs=max(tol.abs, 1e-12), rel=1e-14),
+        "chemical potential",
     )
     lam = res.root
 
-    mass, r_support, roots = _radial_mass(vr, lam, KAPPA)
-
-    def rho_fn(r):
-        gap = lam - vr(np.asarray(r, dtype=float))
-        return np.where(gap > 0.0, (np.maximum(gap, 0.0) / KAPPA) ** 1.5, 0.0)
-
+    rho_fn, r_support, roots = _level_density(vr, lam, invert)
     quad = _QUAD_TOL
+    mass = integrate_radial(rho_fn, r_support, quad, breakpoints=roots)
     kin = integrate_radial(lambda r: rho_fn(r) ** (5.0 / 3.0), r_support, quad, breakpoints=roots)
     pot = integrate_radial(lambda r: vr(r) * rho_fn(r), r_support, quad, breakpoints=roots)
     inter = integrate_radial(lambda r: rho_fn(r) ** 2, r_support, quad, breakpoints=roots)
@@ -246,32 +276,13 @@ def tf_solve(v, tol=Tolerance(abs=1e-10, rel=1e-10)) -> TFSolution:
 
 def _tf_solve_grid(v, tol, points=161):
     """Tensor-grid fallback for non-radial traps (same pointwise inversion)."""
+    invert = _tf_inversion(KAPPA)
     lam_probe = 1.0
-    extents = None
     for _ in range(60):
-        extents = []
-        ok = True
-        for axis in range(3):
-            t = 1.0
-            for _ in range(60):
-                x = np.zeros((1, 3))
-                x[0, axis] = t
-                if float(v(x)[0]) > lam_probe:
-                    break
-                t *= 2.0
-            else:
-                ok = False
-                break
-            extents.append(t)
-        if not ok:
-            raise NormalizationError("trap not confining along a coordinate axis")
-        axes = tuple(np.linspace(-1.5 * e, 1.5 * e, points) for e in extents)
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = v(grid.reshape(-1, 3)).reshape(grid.shape[:-1])
+        axes, vals = _tensor_grid(v, lam_probe, points)
 
         def mass(lam):
-            gap = np.maximum(lam - vals, 0.0)
-            return GridField(axes, (gap / KAPPA) ** 1.5).integrate()
+            return GridField(axes, invert(np.maximum(lam - vals, 0.0))).integrate()
 
         if mass(lam_probe) >= 1.0:
             break
@@ -286,8 +297,7 @@ def _tf_solve_grid(v, tol, points=161):
         Tolerance(abs=max(tol.abs, 1e-12), rel=1e-14),
     )
     lam = res.root
-    gap = np.maximum(lam - vals, 0.0)
-    rho = np.where(lam - vals > 0.0, (gap / KAPPA) ** 1.5, 0.0)
+    rho = np.where(lam - vals > 0.0, invert(np.maximum(lam - vals, 0.0)), 0.0)
     fld = GridField(axes, rho)
     kin = GridField(axes, rho ** (5.0 / 3.0)).integrate()
     pot = GridField(axes, vals * rho).integrate()
@@ -339,26 +349,38 @@ def tf_functional(v, rho, tol=_QUAD_TOL):
     return 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
 
 
-def _two_spin_grid(v, base: TFSolution, g):
-    lam_cap = base.lambda_TF + g * float(np.max(base.rho.values)) + 1.0
-    r_max, _ = _support_radius(v.radial_fn, lam_cap)
-    r = np.linspace(0.0, r_max * 1.05, 32769)
-    w = _simpson_weights(r) * 4.0 * np.pi * r * r
-    return r, w
+def _cubic_root(c):
+    """Positive root u of u^2 (1 + u) = c for c >= 0, elementwise; u = 0 where c = 0.
+
+    Newton from min(sqrt(c), cbrt(c)), where the cubic is already >= c,
+    so on this convex branch the iterates descend monotonically onto the
+    root; the loop ends once no entry moves.
+    """
+    u = np.minimum(np.sqrt(c), np.cbrt(c))
+    moving = u > 0.0
+    while True:
+        step = np.divide(u * u * (1.0 + u) - c, u * (3.0 * u + 2.0), out=np.zeros_like(u), where=moving)
+        nxt = u - np.maximum(step, 0.0)
+        if not (nxt < u).any():
+            return u
+        u = nxt
 
 
-def two_spin_minimize(v, g, tol=Tolerance(abs=1e-10, rel=1e-9), max_iterations=500, damping=0.5):
+def two_spin_minimize(v, g, tol=Tolerance(abs=1e-10, rel=1e-9)) -> TwoSpinState:
     """Minimize the coupled two-spin functional at unit total mass.
 
-    Each spin sees the effective trap V + g * rho_other; the shared
-    multiplier is re-solved every sweep so the pair stays normalized.
-    Symmetric initialization keeps rho_up == rho_down identically, which
-    is the minimizing branch for repulsive coupling.
+    On the symmetric branch, the minimizing one for repulsive coupling,
+    each spin density solves kappa_s rho_s^{2/3} + g rho_s = (mu - V)_+.
+    In u = g rho_s^{1/3} / kappa_s that is u^2 (1 + u) = c with
+    c = (mu - V)_+ g^2 / kappa_s^3, whose one positive root is taken
+    pointwise; the shared multiplier mu fixes the total mass to one.
+    At g = 0 the equal split of the single-spin minimizer is exact;
+    ``tol`` is the tolerance of that solve.
     """
     if g < 0:
         raise ValueError("coupling must be nonnegative")
-    base = tf_solve(v, tol)
     if g == 0.0:
+        base = tf_solve(v, tol)
         r = np.linspace(0.0, base.support_radius * 1.02, 1537)
         half = base.rho_fn(r) / 2.0
         prof = RadialProfile(r, half)
@@ -369,57 +391,42 @@ def two_spin_minimize(v, g, tol=Tolerance(abs=1e-10, rel=1e-9), max_iterations=5
             energy=base.E_TF,
             lambda_two_spin=base.lambda_TF,
             iterations=0,
-            grid=r,
             rho_up_values=half,
             rho_down_values=half,
         )
 
-    r, w = _two_spin_grid(v, base, g)
-    vv = v.radial_fn(r)
-    rho_s = base.rho_fn(r) / 2.0
-    history = []
-    lam = base.lambda_TF
+    vr = v.radial_fn
+    scale = g * g / KAPPA_SPIN**3
 
-    for it in range(1, max_iterations + 1):
-        eff = vv + g * rho_s
+    def invert(gap):
+        return (KAPPA_SPIN / g * _cubic_root(gap * scale)) ** 3
 
-        def mass_defect(mu):
-            gap = np.maximum(mu - eff, 0.0)
-            return 2.0 * float(w @ (gap / KAPPA_SPIN) ** 1.5) - 1.0
+    res = _fix_level(
+        lambda mu: 2.0 * _radial_mass(vr, mu, invert) - 1.0,
+        v.min_value(),
+        Tolerance(abs=1e-13, rel=1e-14),
+        "chemical potential",
+    )
+    mu = res.root
+    rho, r_support, roots = _level_density(vr, mu, invert)
 
-        lo = float(np.min(eff)) + 1e-12
-        hi = max(lam, lo + 1.0)
-        for _ in range(100):
-            if mass_defect(hi) > 0:
-                break
-            hi = lo + 2.0 * (hi - lo)
-        res = find_root_monotone(mass_defect, lo, hi, Tolerance(abs=1e-13, rel=1e-14))
-        lam = res.root
-        fresh = (np.maximum(lam - eff, 0.0) / KAPPA_SPIN) ** 1.5
-        resid = float(w @ np.abs(fresh - rho_s))
-        history.append(resid)
-        rho_s = (1.0 - damping) * rho_s + damping * fresh
-        if resid <= tol.rel:
-            break
-    else:
-        raise ConvergenceError(
-            f"two-spin fixed point did not reach {tol.rel} in {max_iterations} sweeps",
-            history,
-        )
+    def energy_density(r):
+        rho_s = rho(r)
+        return 2.0 * C_TF * rho_s ** (5.0 / 3.0) + 2.0 * vr(r) * rho_s + g * rho_s**2
 
-    energy = float(w @ (2.0 * C_TF * rho_s ** (5.0 / 3.0) + 2.0 * vv * rho_s + g * rho_s**2))
+    energy = integrate_radial(energy_density, r_support, _QUAD_TOL, breakpoints=roots)
+    r = np.linspace(0.0, r_support * 1.02, 1537)
+    rho_s = rho(r)
     prof = RadialProfile(r, rho_s)
     return TwoSpinState(
         rho_up=prof,
         rho_down=prof,
         coupling=g,
         energy=energy,
-        lambda_two_spin=lam,
-        iterations=it,
-        residual_history=history,
-        grid=r,
+        lambda_two_spin=mu,
+        iterations=res.iterations,
         rho_up_values=rho_s,
-        rho_down_values=rho_s.copy(),
+        rho_down_values=rho_s,
     )
 
 
@@ -436,13 +443,11 @@ def cutoff_tf_solve(v, p_F, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffTFSolu
     at the trap bottom with energy (min V + p_F^2) per unit mass, which
     is also exactly the reported overflow mass.
     """
-    if p_F <= 0:
-        raise ValueError("p_F must be positive")
-    if not getattr(v, "radial", True):
-        raise NotImplementedError("cutoff functional is implemented for radial traps")
-    base = tf_solve(v, tol)
-    vmin = v.min_value()
-    lam_sat = vmin + p_F * p_F
+    return cutoff_gap_scan(v, [p_F], tol).solutions[0]
+
+
+def _capped_minimizer(v, p_F, base: TFSolution) -> CutoffTFSolution:
+    lam_sat = v.min_value() + p_F * p_F
     if base.lambda_TF <= lam_sat:
         return CutoffTFSolution(
             p_F=float(p_F),
@@ -454,12 +459,7 @@ def cutoff_tf_solve(v, p_F, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffTFSolu
             E_TF=base.E_TF,
         )
     vr = v.radial_fn
-
-    def spin_density(r):
-        gap = lam_sat - vr(np.asarray(r, dtype=float))
-        return np.where(gap > 0.0, (np.maximum(gap, 0.0) / KAPPA_SPIN) ** 1.5, 0.0)
-
-    r_last, roots = _support_radius(vr, lam_sat)
+    spin_density, r_last, roots = _level_density(vr, lam_sat, _tf_inversion(KAPPA_SPIN))
     quad = _QUAD_TOL
     regular_mass = 2.0 * integrate_radial(spin_density, r_last, quad, breakpoints=roots)
     spike = max(0.0, 1.0 - regular_mass)
@@ -483,21 +483,25 @@ class CutoffScan:
     gaps: list
     fitted_exponent: float
     resolution_floor: float
+    solutions: list  # one CutoffTFSolution per cap
 
 
 def cutoff_gap_scan(v, p_F_list, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffScan:
     """Gap E_TF - E_TF_pF over a p_F grid with a fitted decay exponent.
 
-    Once every cap in the grid is inactive the gaps are exactly zero;
-    the exponent is then reported as +inf ("decays faster than any
-    fitted power"), since a log-log fit on values below the quadrature
-    resolution floor would only fit noise.
+    The uncapped problem is solved once and every cap's minimizer is
+    built from it.  Once every cap in the grid is inactive the gaps are
+    exactly zero; the exponent is then reported as +inf ("decays faster
+    than any fitted power"), since a log-log fit on values below the
+    quadrature resolution floor would only fit noise.
     """
+    if any(p <= 0 for p in p_F_list):
+        raise ValueError("p_F must be positive")
+    if not getattr(v, "radial", True):
+        raise NotImplementedError("cutoff functional is implemented for radial traps")
     base = tf_solve(v, tol)
-    gaps = []
-    for p in p_F_list:
-        sol = cutoff_tf_solve(v, p, tol)
-        gaps.append(base.E_TF - sol.E_TF_pF)
+    solutions = [_capped_minimizer(v, p, base) for p in p_F_list]
+    gaps = [base.E_TF - sol.E_TF_pF for sol in solutions]
     floor = 1e-12 * max(1.0, abs(base.E_TF))
     usable = [(p, gap) for p, gap in zip(p_F_list, gaps) if gap > floor]
     if len(usable) >= 2:
@@ -507,7 +511,7 @@ def cutoff_gap_scan(v, p_F_list, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffS
         exponent = -slope
     else:
         exponent = math.inf
-    return CutoffScan(list(p_F_list), gaps, exponent, floor)
+    return CutoffScan(list(p_F_list), gaps, exponent, floor, solutions)
 
 
 def write_density_csv(path, solution: TFSolution, header_lines=()):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dilutefermi import asymptotics, thomas_fermi
 from dilutefermi.cli import main
 
 
@@ -65,6 +66,21 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
     assert run_cli(["tf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("tf", {"potential": {"kind": "power_plus_one", "s": "abc"}}),
+        ("scatter", {"interaction": {"kind": "square_barrier", "height": -1}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "tolerances": {"abs": 0, "rel": 0}}),
+    ],
+)
+def test_bad_config_value_is_config_error(tmp_path, command, payload):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "none"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()  # nothing written
+
+
 def test_scatter_command_with_amplitude_sweep(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -121,7 +137,7 @@ def test_spectra_command_with_scan(tmp_path):
     assert all(float(r[1]) >= 0.0 for r in dens_rows)
 
 
-def test_predict_command_and_jobs(tmp_path):
+def test_predict_command(tmp_path):
     cfg = write_config(
         tmp_path,
         {
@@ -131,10 +147,7 @@ def test_predict_command_and_jobs(tmp_path):
         },
     )
     out1 = tmp_path / "o1"
-    out2 = tmp_path / "o2"
     assert run_cli(["predict", "--config", cfg, "--out", str(out1)]) == 0
-    assert run_cli(["predict", "--config", cfg, "--out", str(out2), "--jobs", "3"]) == 0
-    assert (out1 / "prediction.csv").read_bytes() == (out2 / "prediction.csv").read_bytes()
     _, header, rows = read_table(out1 / "prediction.csv")
     assert header == ["N", "beta", "main", "correction", "total"]
     totals = [float(r[4]) for r in rows]
@@ -237,3 +250,28 @@ def test_default_config_tables_are_numeric(tmp_path, command):
             assert len(row) == len(header), path.name
             for cell in row:
                 float(cell)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_tf_command_solves_the_trap_at_most_twice(tmp_path, monkeypatch):
+    # the cutoff scan reuses one uncapped solve for every cap and for its table
+    calls = _count_calls(monkeypatch, thomas_fermi, "tf_solve")
+    assert run_cli(["tf", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) <= 2
+
+
+def test_predict_command_solves_scattering_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, asymptotics, "zero_energy_solve")
+    assert run_cli(["predict", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1

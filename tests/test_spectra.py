@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -249,6 +250,13 @@ def test_husimi_lowfreq_residual_within_envelope(husimi_catalog):
     rep = coherent_identity_check_1d(husimi_catalog, 10, p_F=1.0)
     envelope = math.sqrt(rep.hbar_p) * (rep.kinetic_reference + rep.fill)
     assert rep.lowfreq_identity_residual <= envelope
+
+
+def test_husimi_report_fields_are_plain_floats(husimi_catalog):
+    rep = coherent_identity_check_1d(husimi_catalog, 10)
+    for f in dataclasses.fields(rep):
+        if f.type == "float":
+            assert type(getattr(rep, f.name)) is float, f.name
 
 
 def test_husimi_split_validation(husimi_catalog):

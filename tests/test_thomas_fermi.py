@@ -1,15 +1,17 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dilutefermi import semiclassics as scl
-from dilutefermi.numerics import RadialProfile, Tolerance, lp_distance
+from dilutefermi.numerics import RadialProfile, lp_distance
 from dilutefermi.potentials import Potential, harmonic_trap, power_trap
 from dilutefermi.thomas_fermi import (
     C_TF,
     KAPPA,
-    ConvergenceError,
+    KAPPA_SPIN,
     DomainError,
     TFConstants,
     cutoff_gap_scan,
@@ -18,6 +20,7 @@ from dilutefermi.thomas_fermi import (
     tf_solve,
     two_spin_minimize,
     write_density_csv,
+    _cubic_root,
 )
 
 LAMBDA = 24.0 ** (1.0 / 3.0)
@@ -184,10 +187,60 @@ def test_two_spin_small_coupling_slope(bare_solution):
     assert devs[-1] <= 0.05
 
 
-def test_two_spin_convergence_error_carries_history():
-    with pytest.raises(ConvergenceError) as exc:
-        two_spin_minimize(harmonic_trap(0.0), 0.5, max_iterations=2, tol=Tolerance(rel=1e-14))
-    assert len(exc.value.residual_history) == 2
+def _two_spin_reference(g):
+    """Symmetric two-spin minimizer on V = r^2 by SciPy alone.
+
+    rho_s = t^3 with kappa_s t^2 + g t^3 = (mu - V)_+ by brentq in t at
+    each point, every integral by quad, the multiplier by brentq in mu.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.optimize import brentq
+
+    def rho_s(r, mu):
+        gap = mu - r * r
+        if gap <= 0.0:
+            return 0.0
+        t_hi = math.sqrt(gap / KAPPA_SPIN)
+        return brentq(lambda t: KAPPA_SPIN * t * t + g * t**3 - gap, 0.0, t_hi, xtol=1e-300, rtol=1e-15) ** 3
+
+    def integral(fn, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return quad(
+                lambda r: fn(r, rho_s(r, mu)) * 4.0 * math.pi * r * r,
+                0.0, math.sqrt(mu), epsabs=1e-15, epsrel=1e-14, limit=400,
+            )[0]
+
+    lam = 24.0 ** (1.0 / 3.0)  # g = 0 multiplier; repulsion raises it
+    mu = brentq(lambda m: 2.0 * integral(lambda r, p: p, m) - 1.0, lam, lam + 1.0, xtol=1e-300, rtol=1e-15)
+    energy = integral(lambda r, p: 2.0 * C_TF * p ** (5.0 / 3.0) + 2.0 * r * r * p + g * p * p, mu)
+    return mu, energy
+
+
+@pytest.mark.parametrize("g", [0.025, 0.2, 1.0, 4.4])
+def test_two_spin_matches_scipy_reference(g):
+    mu, energy = _two_spin_reference(g)
+    st = two_spin_minimize(harmonic_trap(0.0), g)
+    assert st.lambda_two_spin == pytest.approx(mu, rel=1e-12, abs=0.0)
+    assert st.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+    # the density vanishes exactly off the support and is positive on it
+    r = st.rho_up.nodes
+    assert np.all(st.rho_up.values[r * r >= mu] == 0.0)
+    assert np.all(st.rho_up.values[r * r < mu * (1.0 - 1e-9)] > 0.0)
+
+
+def test_cubic_root_residual_and_zero():
+    c = np.concatenate([[0.0], np.logspace(-30.0, 3.0, 661)])
+    u = _cubic_root(c)
+    assert u[0] == 0.0
+    assert np.all(u[1:] > 0.0)
+    # residual of u^2 (1 + u) = c in exact rational arithmetic: one ulp of u
+    # moves the cubic by at most (3u + 2) / (1 + u) <= 3 times 2^-52 c, so a
+    # root within one ulp leaves at most 6 ulp of c
+    for ci, ui in zip(c[1:], u[1:]):
+        fu = Fraction(float(ui))
+        resid = abs(fu * fu * (1 + fu) - Fraction(float(ci)))
+        assert resid <= 6 * Fraction(float(np.spacing(ci))), (ci, ui)
 
 
 def test_cutoff_inactive_at_large_momentum(bare_solution):
@@ -218,6 +271,17 @@ def test_cutoff_gap_active_regime_decreasing(bare_solution):
     sol = cutoff_tf_solve(harmonic_trap(0.0), 0.9)
     assert sol.active
     assert abs(sol.regular_mass + sol.overflow_mass - 1.0) < 1e-9
+
+
+def test_cutoff_gap_scan_solutions_equal_single_solves():
+    # caps up to 1.6 saturate on harmonic+1 (24^(1/6) = 1.698); 2 and 4 do not
+    v = harmonic_trap(1.0)
+    caps = [1.2, 1.4, 1.6, 2.0, 4.0]
+    scan = cutoff_gap_scan(v, caps)
+    assert [s.active for s in scan.solutions] == [True, True, True, False, False]
+    for p, sol, gap in zip(caps, scan.solutions, scan.gaps):
+        assert sol == cutoff_tf_solve(v, p)
+        assert gap == sol.E_TF - sol.E_TF_pF
 
 
 def test_nonradial_grid_path_anisotropic_quadratic():
