@@ -514,6 +514,9 @@ def main(argv=None):
             config_for_validation = user
         else:
             config_for_validation = config
+        for key, default in DEFAULT_CONFIG.items():
+            if isinstance(default, dict) and not isinstance(config.get(key, default), dict):
+                raise ConfigurationError(f"'{key}' must be a JSON object")
         outdir = args.out or config.get("output", {}).get("directory", "out")
         try:
             if args.command in ("tf", "semiclass", "predict", "boxes"):
@@ -522,6 +525,17 @@ def main(argv=None):
                 resolve_interaction(config_for_validation, args.command)
             if args.command in ("tf", "scatter", "predict", "boxes"):
                 _tolerance(config)
+            if args.command in ("predict", "boxes", "budget"):
+                if min(N for N, _ in _sweep_pairs(config, args.command)) < 2:
+                    raise ConfigurationError("every sweeps.N must be >= 2")
+            if args.command in ("spectra", "husimi"):
+                spec = config.get(args.command, DEFAULT_CONFIG[args.command])
+                if not float(spec.get("hbar", DEFAULT_CONFIG[args.command]["hbar"])) > 0:
+                    raise ConfigurationError(f"{args.command}.hbar must be > 0")
+                if args.command == "husimi":
+                    fill = float(spec.get("fill", DEFAULT_CONFIG["husimi"]["fill"]))
+                    if not (fill >= 1 and fill.is_integer()):
+                        raise ConfigurationError("husimi.fill must be an integer >= 1")
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(str(exc)) from exc
         os.makedirs(outdir, exist_ok=True)

@@ -11,6 +11,10 @@ checks.
 The one-dimensional analog of the bulk scaling hbar = N^(-1/3) is
 hbar = N^(-1), so the number of bound states below a fixed level again
 grows like N.
+
+SciPy is needed only by the finite-difference catalogs (``husimi``, the
+``fd_1d`` Weyl scans, ``verify-all``); ``scipy.linalg`` is imported at
+the first eigensolve, so every other command runs without loading it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .numerics import RadialProfile, Tolerance, find_sign_changes, integrate_radial
 from .semiclassics import phase_space_counts
@@ -110,6 +113,13 @@ def harmonic_catalog(hbar, lambda_max, offset=0.0) -> SpectralCatalog:
         provenance="analytic_harmonic_3d",
         lambda_max=float(lambda_max),
     )
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """SciPy's symmetric tridiagonal eigensolver, imported on first use."""
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 def _sturm_count(diag, off, x):

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dilutefermi
 from dilutefermi import asymptotics, thomas_fermi
-from dilutefermi.cli import main
+from dilutefermi.cli import DEFAULT_CONFIG, main
 
 
 def run_cli(args):
@@ -72,6 +76,19 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("tf", {"potential": {"kind": "power_plus_one", "s": "abc"}}),
         ("scatter", {"interaction": {"kind": "square_barrier", "height": -1}}),
         ("tf", {"potential": {"kind": "harmonic"}, "tolerances": {"abs": 0, "rel": 0}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "tolerances": "tight"}),
+        (
+            "predict",
+            {
+                "potential": {"kind": "harmonic"},
+                "interaction": {"kind": "square_barrier"},
+                "sweeps": {"N": [1]},
+            },
+        ),
+        ("budget", {"sweeps": {"N": [10**4, 1]}}),
+        ("spectra", {"spectra": {"hbar": 0}}),
+        ("husimi", {"husimi": {"fill": 0}}),
+        ("husimi", {"husimi": {"fill": 2.5}}),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):
@@ -275,3 +292,53 @@ def test_predict_command_solves_scattering_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, asymptotics, "zero_energy_solve")
     assert run_cli(["predict", "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+# runs every command in one fresh process and records which SciPy
+# modules were loaded before husimi, the first command to need one
+_FRESH_RUN = """
+import json, sys
+from dilutefermi import cli
+out, extra = sys.argv[1], sys.argv[2:]
+codes = {}
+for command in ("tf", "scatter", "semiclass", "spectra", "predict", "boxes", "budget", "husimi"):
+    if command == "husimi":
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    codes[command] = cli.main([command, "--out", out, *extra])
+print(json.dumps({"codes": codes, "scipy_before_husimi": scipy}))
+"""
+
+
+def run_fresh_process(out, *extra):
+    src = os.path.dirname(os.path.dirname(dilutefermi.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, str(out), *extra],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert set(report["codes"].values()) == {0}, report["codes"]
+    return report
+
+
+def test_commands_without_eigensolve_load_no_scipy(tmp_path):
+    report = run_fresh_process(tmp_path / "out")
+    assert report["scipy_before_husimi"] == []
+
+
+def test_outputs_identical_across_processes(tmp_path):
+    cfg = write_config(tmp_path, {**DEFAULT_CONFIG, "output": {"json_mirror": True}})
+    digests = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        run_fresh_process(out, "--config", cfg)
+        digests.append(
+            {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+        )
+    assert {p.rsplit(".", 1)[1] for p in digests[0]} == {"csv", "json"}
+    assert len(digests[0]) == 22
+    assert digests[0] == digests[1]
