@@ -9,6 +9,7 @@ The package decomposes into small, pure submodules:
 - ``semiclassics``: phase-space counting and filling levels
 - ``spectra``: eigenvalue catalogs, Weyl scans, Husimi identities
 - ``asymptotics``: two-term energy prediction, box estimates, error budget
+- ``tables``: the one writer of the emitted CSV tables
 - ``cli``: configuration-driven command line front end
 """
 

@@ -9,9 +9,11 @@ there is a single definition of every tolerance.
 from __future__ import annotations
 
 import math
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -447,12 +449,19 @@ def criterion_16():
 
 def criterion_17():
     # byte-level determinism of the emitted bundle, checked by double emission
-    import io
+    from . import cli
 
-    from .cli import _emit_bundle_to_strings
+    commands = (cli.cmd_tf, cli.cmd_scatter, cli.cmd_semiclass, cli.cmd_spectra,
+                cli.cmd_predict, cli.cmd_budget)
+
+    def emit_bundle():
+        config = dict(cli.DEFAULT_CONFIG)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(p) for cmd in commands for p in cmd(config, tmp)]
+            return {p.name: p.read_bytes() for p in paths}
 
     def run():
-        return _emit_bundle_to_strings(), _emit_bundle_to_strings()
+        return emit_bundle(), emit_bundle()
 
     (first, second), dt = _timed(run)
     same = first == second

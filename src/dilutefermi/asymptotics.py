@@ -17,6 +17,7 @@ import numpy as np
 
 from .numerics import Tolerance
 from .scattering import InteractionSpec, zero_energy_solve
+from .tables import write_table
 from .thomas_fermi import C_TF, TFSolution, tf_solve
 
 __all__ = [
@@ -423,40 +424,28 @@ def error_budget(N, beta, epsilon=None) -> ErrorBudget:
 
 def write_prediction_csv(path, rows, header_lines=()):
     """Emit prediction rows (N, beta, main, correction, total)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("N,beta,main,correction,total\n")
-        for p in rows:
-            fh.write(f"{p.N},{p.beta!r},{p.main!r},{p.correction!r},{p.total!r}\n")
+    columns = ("N", "beta", "main", "correction", "total")
+    write_table(path, header_lines, columns, ([getattr(p, c) for c in columns] for p in rows))
 
 
 def write_boxes_csv(path, est: BoxEstimate, header_lines=()):
     """Emit per-box rows (center, M_i, contributions) plus summary comments."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# l={est.l!r} gap={est.gap!r} L={est.L!r} ratio={est.ratio!r}\n")
-        fh.write("cx,cy,cz,M_i,kinetic_interaction,potential\n")
-        for (c, m, k, p) in zip(est.centers, est.masses, est.kin_per_box, est.pot_per_box):
-            fh.write(
-                f"{float(c[0])!r},{float(c[1])!r},{float(c[2])!r},{int(m)},"
-                f"{float(k)!r},{float(p)!r}\n"
-            )
+    summary = f"l={est.l!r} gap={est.gap!r} L={est.L!r} ratio={est.ratio!r}"
+    write_table(
+        path,
+        [*header_lines, summary],
+        ("cx", "cy", "cz", "M_i", "kinetic_interaction", "potential"),
+        (
+            (c[0], c[1], c[2], int(m), k, p)
+            for c, m, k, p in zip(est.centers, est.masses, est.kin_per_box, est.pot_per_box)
+        ),
+    )
 
 
 def write_budget_csv(path, budgets, header_lines=()):
     """Emit budget rows (N, beta, component columns, total, ratio)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(
-            "N,beta,epsilon,p_F,s,R,bulk_term,cutoff_term,softening_term,"
-            "remainder_term,total,ratio\n"
-        )
-        for b in budgets:
-            fh.write(
-                f"{b.N},{b.beta!r},{b.epsilon!r},{b.p_F!r},{b.s!r},{b.R!r},"
-                f"{b.bulk_term!r},{b.cutoff_term!r},{b.softening_term!r},"
-                f"{b.remainder_term!r},{b.total!r},{b.ratio!r}\n"
-            )
+    columns = (
+        "N", "beta", "epsilon", "p_F", "s", "R", "bulk_term", "cutoff_term",
+        "softening_term", "remainder_term", "total", "ratio",
+    )
+    write_table(path, header_lines, columns, ([getattr(b, c) for c in columns] for b in budgets))

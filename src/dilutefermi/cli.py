@@ -18,7 +18,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from . import spectra as sp
 from . import thomas_fermi as tf
 from .numerics import BracketError, RefinementError, Tolerance
 from .potentials import ConfigurationError
+from .tables import write_table
 
 COMMANDS = (
     "tf",
@@ -194,19 +194,19 @@ def cmd_tf(config, outdir):
     if p_fs:
         scan = tf.cutoff_gap_scan(v, [float(p) for p in p_fs], tol)
         cut_path = os.path.join(outdir, "cutoff_scan.csv")
-        with open(cut_path, "w", encoding="utf-8") as fh:
-            for line in _header(
+        write_table(
+            cut_path,
+            _header(
                 "tf",
                 config,
                 [
                     "cutoff: kinetic density capped at the local Fermi momentum",
                     f"fitted_gap_exponent={scan.fitted_exponent!r}",
                 ],
-            ):
-                fh.write(f"# {line}\n")
-            fh.write("p_F,E_TF_pF,gap,overflow_mass\n")
-            for s, gap in zip(scan.solutions, scan.gaps):
-                fh.write(f"{s.p_F!r},{s.E_TF_pF!r},{gap!r},{s.overflow_mass!r}\n")
+            ),
+            ("p_F", "E_TF_pF", "gap", "overflow_mass"),
+            ((s.p_F, s.E_TF_pF, gap, s.overflow_mass) for s, gap in zip(scan.solutions, scan.gaps)),
+        )
         paths.append(cut_path)
     return paths
 
@@ -235,12 +235,8 @@ def cmd_scatter(config, outdir):
     if amps:
         rows = sc.hardcore_limit(w, amps, tol=tol)
         sweep_path = os.path.join(outdir, "hardcore_sweep.csv")
-        with open(sweep_path, "w", encoding="utf-8") as fh:
-            for line in _header("scatter", config, ["hardcore_limit: a(A v) -> R as A grows"]):
-                fh.write(f"# {line}\n")
-            fh.write("A,a\n")
-            for a_mult, a_len in rows:
-                fh.write(f"{a_mult!r},{a_len!r}\n")
+        header = _header("scatter", config, ["hardcore_limit: a(A v) -> R as A grows"])
+        write_table(sweep_path, header, ("A", "a"), rows)
         paths.append(sweep_path)
     return paths
 
@@ -303,13 +299,8 @@ def cmd_spectra(config, outdir):
             ),
         )
         paths.append(scan_path)
-    density = spec.get("density")
-    if density:
-        d_hbar = float(density.get("hbar", hbar))
-        d_M = int(density.get("M", 1))
-        r_max = float(density.get("r_max", 6.0))
-        nodes = np.linspace(0.0, r_max, int(density.get("nodes", 2049)))
-        prof = sp.free_ground_state_density(d_hbar, d_M, nodes)
+    if spec.get("density"):
+        prof = sp.free_ground_state_density(*_density_args(spec))
         dens_path = os.path.join(outdir, "free_state_density.csv")
         sp.write_profile_csv(
             dens_path,
@@ -324,6 +315,17 @@ def cmd_spectra(config, outdir):
     return paths
 
 
+def _density_args(spec):
+    """(hbar, M, nodes) for the free-state density of a spectra section."""
+    density = spec["density"]
+    r_max = float(density.get("r_max", 6.0))
+    return (
+        float(density.get("hbar", spec.get("hbar", 1.0))),
+        int(density.get("M", 1)),
+        np.linspace(0.0, r_max, int(density.get("nodes", 2049))),
+    )
+
+
 def cmd_husimi(config, outdir):
     spec = config.get("husimi", DEFAULT_CONFIG["husimi"])
     hbar = float(spec.get("hbar", 0.05))
@@ -334,26 +336,22 @@ def cmd_husimi(config, outdir):
     cat = sp.fd_catalog_1d(lambda x: x * x, hbar, halfwidth, points, lam_max)
     rep = sp.coherent_identity_check_1d(cat, fill)
     path = os.path.join(outdir, "husimi.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _header(
+    write_table(
+        path,
+        _header(
             "husimi",
             config,
             [
                 "resolution: int m dx dp / (2 pi hbar) = tr(gamma)",
                 "kinetic: int p^2 m = tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2",
             ],
-        ):
-            fh.write(f"# {line}\n")
-        fh.write(
-            "hbar,hbar_x,hbar_p,fill,resolution_residual,kinetic_residual,"
-            "potential_residual,lowfreq_residual,m_min,m_max\n"
-        )
-        fh.write(
-            f"{rep.hbar!r},{rep.hbar_x!r},{rep.hbar_p!r},{rep.fill},"
-            f"{rep.resolution_residual!r},{rep.kinetic_identity_residual!r},"
-            f"{rep.potential_identity_residual!r},{rep.lowfreq_identity_residual!r},"
-            f"{rep.m_min!r},{rep.m_max!r}\n"
-        )
+        ),
+        ("hbar", "hbar_x", "hbar_p", "fill", "resolution_residual", "kinetic_residual",
+         "potential_residual", "lowfreq_residual", "m_min", "m_max"),
+        [(rep.hbar, rep.hbar_x, rep.hbar_p, rep.fill, rep.resolution_residual,
+          rep.kinetic_identity_residual, rep.potential_identity_residual,
+          rep.lowfreq_identity_residual, rep.m_min, rep.m_max)],
+    )
     return [path]
 
 
@@ -446,33 +444,11 @@ def cmd_verify_all(config, outdir):
 
     results = run_all(echo=True)
     path = os.path.join(outdir, "acceptance_summary.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _header("verify-all", config, ["acceptance: one row per criterion"]):
-            fh.write(f"# {line}\n")
-        fh.write("criterion,description,status\n")
-        for res in results:
-            status = "pass" if res.passed else "fail"
-            fh.write(f"{res.cid},{res.description},{status}\n")
+    header = _header("verify-all", config, ["acceptance: one row per criterion"])
+    rows = ((res.cid, res.description, "pass" if res.passed else "fail") for res in results)
+    write_table(path, header, ("criterion", "description", "status"), rows)
     failed = [r for r in results if not r.passed]
     return [path], len(failed)
-
-
-def _emit_bundle_to_strings():
-    """Emit every deterministic output into strings (determinism probe)."""
-    bundle = {}
-    config = dict(DEFAULT_CONFIG)
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        paths += cmd_tf(config, tmp)
-        paths += cmd_scatter(config, tmp)
-        paths += cmd_semiclass(config, tmp)
-        paths += cmd_spectra(config, tmp)
-        paths += cmd_predict(config, tmp)
-        paths += cmd_budget(config, tmp)
-        for p in paths:
-            with open(p, "rb") as fh:
-                bundle[os.path.basename(p)] = fh.read()
-    return bundle
 
 
 _DISPATCH = {
@@ -525,6 +501,10 @@ def main(argv=None):
                 resolve_interaction(config_for_validation, args.command)
             if args.command in ("tf", "scatter", "predict", "boxes"):
                 _tolerance(config)
+            sweeps = config.get("sweeps", {})
+            for key in DEFAULT_CONFIG["sweeps"]:
+                for x in sweeps.get(key) or []:
+                    float(x)
             if args.command in ("predict", "boxes", "budget"):
                 if min(N for N, _ in _sweep_pairs(config, args.command)) < 2:
                     raise ConfigurationError("every sweeps.N must be >= 2")
@@ -536,7 +516,11 @@ def main(argv=None):
                     fill = float(spec.get("fill", DEFAULT_CONFIG["husimi"]["fill"]))
                     if not (fill >= 1 and fill.is_integer()):
                         raise ConfigurationError("husimi.fill must be an integer >= 1")
-        except (ValueError, TypeError) as exc:
+                elif spec.get("density"):
+                    _density_args(spec)
+            if args.command == "boxes" and config.get("boxes", {}).get("l") is not None:
+                float(config["boxes"]["l"])
+        except (ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise ConfigurationError(str(exc)) from exc
         os.makedirs(outdir, exist_ok=True)
         if args.command == "verify-all":

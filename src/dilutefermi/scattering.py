@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import RadialProfile, Tolerance, integrate_radial
+from .tables import write_table
 
 __all__ = [
     "InteractionSpec",
@@ -439,12 +440,5 @@ def dyson_parts(R0, R, s, p_F, tol=Tolerance(abs=1e-13, rel=1e-13)) -> DysonKit:
 def write_scattering_csv(path, sol: ScatteringSolution, header_lines=()):
     """Emit columns r, u, f, v for a computed zero-energy profile."""
     r = sol.u.nodes
-    u = sol.u.values
-    f = sol.f.values
-    v = sol.spec(r)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("r,u,f,v\n")
-        for row in zip(r, u, f, v):
-            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+    rows = zip(r, sol.u.values, sol.f.values, sol.spec(r))
+    write_table(path, header_lines, ("r", "u", "f", "v"), rows)

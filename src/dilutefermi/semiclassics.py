@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import Tolerance, integrate_radial
+from .tables import write_table
 from .thomas_fermi import (
     GridField,
     NormalizationError,
@@ -183,10 +184,5 @@ def write_counts_csv(path, v, lambda_grid, header_lines=()):
     budgets = [phase_space_counts(v, lam) for lam in grid]
     n = np.array([b.n_cl for b in budgets])
     d_n = np.gradient(n, grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("Lambda,n_cl,e_cl,e_tilde,d_n_cl\n")
-        for b, dn in zip(budgets, d_n):
-            row = (b.Lambda, b.n_cl, b.e_cl, b.e_tilde, dn)
-            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+    rows = ((b.Lambda, b.n_cl, b.e_cl, b.e_tilde, dn) for b, dn in zip(budgets, d_n))
+    write_table(path, header_lines, ("Lambda", "n_cl", "e_cl", "e_tilde", "d_n_cl"), rows)

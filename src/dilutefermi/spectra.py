@@ -27,6 +27,7 @@ import numpy as np
 from .numerics import RadialProfile, Tolerance, find_sign_changes, integrate_radial
 from .semiclassics import phase_space_counts
 from .potentials import harmonic_trap
+from .tables import write_table
 
 __all__ = [
     "SpectralCatalog",
@@ -539,29 +540,16 @@ def coherent_identity_check_1d(
 
 def write_catalog_csv(path, catalog: SpectralCatalog, header_lines=()):
     """Emit columns level, degeneracy."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("level,degeneracy\n")
-        for e, d in zip(catalog.energies, catalog.degeneracies):
-            fh.write(f"{float(e)!r},{int(d)}\n")
+    rows = ((e, int(d)) for e, d in zip(catalog.energies, catalog.degeneracies))
+    write_table(path, header_lines, ("level", "degeneracy"), rows)
 
 
 def write_scan_csv(path, scan: WeylScan, header_lines=()):
     """Emit columns N, hbar, n_q, e_q, n_err, e_err."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("N,hbar,n_q,e_q,n_err,e_err\n")
-        for row in zip(scan.N, scan.hbar, scan.n_q, scan.e_q, scan.n_err, scan.e_err):
-            fh.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+    rows = zip(scan.N, scan.hbar, scan.n_q, scan.e_q, scan.n_err, scan.e_err)
+    write_table(path, header_lines, ("N", "hbar", "n_q", "e_q", "n_err", "e_err"), rows)
 
 
 def write_profile_csv(path, profile: RadialProfile, header_lines=()):
     """Emit a radial density profile with columns r, rho."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("r,rho\n")
-        for r, rho in zip(profile.nodes, profile.values):
-            fh.write(f"{float(r)!r},{float(rho)!r}\n")
+    write_table(path, header_lines, ("r", "rho"), zip(profile.nodes, profile.values))

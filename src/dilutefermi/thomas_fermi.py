@@ -24,6 +24,7 @@ from .numerics import (
     find_sign_changes,
     integrate_radial,
 )
+from .tables import write_table
 
 __all__ = [
     "C_TF",
@@ -186,7 +187,9 @@ def _fix_level(defect, vmin, tol, what):
     """Root of an increasing level defect, bracketed upwards from just above vmin.
 
     The upper end starts at vmin + 1 and its distance from vmin doubles
-    until the defect turns positive.
+    until the defect turns positive.  The root finder's monotonicity scan
+    is off: no caller reads its warning, and each scan point is a full
+    mass quadrature.
     """
     lo = vmin + 1e-9
     hi = vmin + 1.0
@@ -196,7 +199,7 @@ def _fix_level(defect, vmin, tol, what):
         hi = vmin + 2.0 * (hi - vmin)
     else:
         raise NormalizationError(f"could not bracket the {what}")
-    return find_root_monotone(defect, lo, hi, tol)
+    return find_root_monotone(defect, lo, hi, tol, scan_points=0)
 
 
 def _tensor_grid(v, level, points=161):
@@ -295,6 +298,7 @@ def _tf_solve_grid(v, tol, points=161):
         float(np.min(vals)) + 1e-9,
         lam_probe,
         Tolerance(abs=max(tol.abs, 1e-12), rel=1e-14),
+        scan_points=0,
     )
     lam = res.root
     rho = np.where(lam - vals > 0.0, invert(np.maximum(lam - vals, 0.0)), 0.0)
@@ -526,9 +530,4 @@ def write_density_csv(path, solution: TFSolution, header_lines=()):
         np.abs(KAPPA * rho ** (2.0 / 3.0) + vv - solution.lambda_TF),
         0.0,
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("r,rho,V,lagrange_residual\n")
-        for row in zip(r, rho, vv, resid):
-            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+    write_table(path, header_lines, ("r", "rho", "V", "lagrange_residual"), zip(r, rho, vv, resid))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("spectra", {"spectra": {"hbar": 0}}),
         ("husimi", {"husimi": {"fill": 0}}),
         ("husimi", {"husimi": {"fill": 2.5}}),
+        ("spectra", {"spectra": {"density": 5}}),
+        ("spectra", {"sweeps": {"N": 5}}),
+        ("spectra", {"spectra": {"density": {"nodes": "many"}}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "sweeps": {"p_F": ["x"]}}),
+        ("scatter", {"interaction": {"kind": "square_barrier"}, "sweeps": {"A": ["x"]}}),
+        ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": ["x"]}}),
+        (
+            "boxes",
+            {
+                "potential": {"kind": "harmonic"},
+                "interaction": {"kind": "square_barrier"},
+                "boxes": {"l": "x"},
+            },
+        ),
+        (
+            "predict",
+            {
+                "potential": {"kind": "harmonic"},
+                "interaction": {"kind": "square_barrier"},
+                "sweeps": {"N": [1e400]},
+            },
+        ),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):
@@ -342,3 +365,8 @@ def test_outputs_identical_across_processes(tmp_path):
     assert {p.rsplit(".", 1)[1] for p in digests[0]} == {"csv", "json"}
     assert len(digests[0]) == 22
     assert digests[0] == digests[1]
+    # the command table in the schema doc names each file with its exact column row
+    doc = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+    for path in sorted((tmp_path / "first").glob("*.csv")):
+        _, header, _ = read_table(path)
+        assert f"`{path.name}` | `{','.join(header)}` |" in doc, path.name

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dilutefermi import semiclassics as scl
+from dilutefermi import thomas_fermi
 from dilutefermi.numerics import RadialProfile, lp_distance
 from dilutefermi.potentials import Potential, harmonic_trap, power_trap
 from dilutefermi.thomas_fermi import (
@@ -284,13 +285,15 @@ def test_cutoff_gap_scan_solutions_equal_single_solves():
         assert gap == sol.E_TF - sol.E_TF_pF
 
 
-def test_nonradial_grid_path_anisotropic_quadratic():
+def test_nonradial_grid_path_anisotropic_quadratic(monkeypatch):
     # V = x^2 + 2 y^2 + 3 z^2: mass(lam) = lam^3 / (24 sqrt(6))
     def eval3d(x):
         return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
 
     v = Potential(kind="anisotropic", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    calls = _record_scan_points(monkeypatch)
     sol = tf_solve(v)
+    assert calls == [0]
     exact = (24.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
     assert abs(sol.lambda_TF - exact) / exact < 2e-3
     assert abs(sol.mass - 1.0) < 1e-9
@@ -305,3 +308,24 @@ def test_density_csv_columns(tmp_path, bare_solution):
     cells = np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
     assert np.all(np.isfinite(cells))
     assert cells[0, 1] == pytest.approx((bare_solution.lambda_TF / KAPPA) ** 1.5)
+
+
+
+def _record_scan_points(monkeypatch):
+    calls = []
+    find = thomas_fermi.find_root_monotone
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("scan_points"))
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(thomas_fermi, "find_root_monotone", recording)
+    return calls
+
+
+def test_level_solves_skip_the_monotonicity_scan(monkeypatch):
+    # no caller reads the scan's warning, and each scan point is a mass quadrature
+    calls = _record_scan_points(monkeypatch)
+    tf_solve(harmonic_trap(0.0))
+    scl.lambda_for_filling(harmonic_trap(0.0), 1.0)
+    assert calls == [0, 0]
