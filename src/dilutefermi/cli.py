@@ -28,7 +28,7 @@ from . import scattering as sc
 from . import semiclassics as scl
 from . import spectra as sp
 from . import thomas_fermi as tf
-from .numerics import BracketError, RefinementError, Tolerance
+from .numerics import BracketError, RadialProfile, RefinementError, Tolerance
 from .potentials import ConfigurationError
 from .tables import write_table
 
@@ -263,11 +263,20 @@ def cmd_semiclass(config, outdir):
     return [path]
 
 
-def cmd_spectra(config, outdir):
-    spec = config.get("spectra", DEFAULT_CONFIG["spectra"])
+def _spectra_args(spec):
+    """(hbar, lambda_max, offset, scan_lambda) of a spectra section."""
     hbar = float(spec.get("hbar", 1.0))
     lam_max = float(spec.get("lambda_max", 12.0))
     offset = float(spec.get("offset", 0.0))
+    scan_lam = float(spec.get("scan_lambda", 48.0 ** (1.0 / 3.0)))
+    if not (lam_max > offset and scan_lam > offset):
+        raise ConfigurationError("spectra.lambda_max and spectra.scan_lambda must exceed the offset")
+    return hbar, lam_max, offset, scan_lam
+
+
+def cmd_spectra(config, outdir):
+    spec = config.get("spectra", DEFAULT_CONFIG["spectra"])
+    hbar, lam_max, offset, scan_lam = _spectra_args(spec)
     cat = sp.harmonic_catalog(hbar, lam_max, offset)
     paths = []
     path = os.path.join(outdir, "catalog.csv")
@@ -283,8 +292,7 @@ def cmd_spectra(config, outdir):
     paths.append(path)
     Ns = config.get("sweeps", {}).get("N") or []
     if len(Ns) >= 2:
-        lam = float(spec.get("scan_lambda", 48.0 ** (1.0 / 3.0)))
-        scan = sp.weyl_error_scan({"kind": "harmonic", "offset": offset}, Ns, lam)
+        scan = sp.weyl_error_scan({"kind": "harmonic", "offset": offset}, Ns, scan_lam)
         scan_path = os.path.join(outdir, "weyl_scan.csv")
         sp.write_scan_csv(
             scan_path,
@@ -319,20 +327,34 @@ def _density_args(spec):
     """(hbar, M, nodes) for the free-state density of a spectra section."""
     density = spec["density"]
     r_max = float(density.get("r_max", 6.0))
-    return (
-        float(density.get("hbar", spec.get("hbar", 1.0))),
-        int(density.get("M", 1)),
-        np.linspace(0.0, r_max, int(density.get("nodes", 2049))),
-    )
+    hbar = float(density.get("hbar", spec.get("hbar", 1.0)))
+    M = int(density.get("M", 1))
+    if not (hbar > 0 and M >= 1):
+        raise ConfigurationError("spectra.density needs hbar > 0 and M >= 1")
+    nodes = np.linspace(0.0, r_max, int(density.get("nodes", 2049)))
+    RadialProfile(nodes, np.zeros_like(nodes))  # raises ValueError on nodes a profile refuses
+    return hbar, M, nodes
+
+
+def _husimi_args(spec):
+    """(hbar, fill, halfwidth, points, lambda_max) of a husimi section."""
+    hbar = float(spec.get("hbar", 0.05))
+    fill = float(spec.get("fill", 10))
+    halfwidth = float(spec.get("halfwidth", 4.0))
+    points = float(spec.get("points", 1001))
+    if not (fill >= 1 and fill.is_integer()):
+        raise ConfigurationError("husimi.fill must be an integer >= 1")
+    if not (points >= sp.MIN_FD_POINTS and points.is_integer()):
+        raise ConfigurationError(f"husimi.points must be an integer >= {sp.MIN_FD_POINTS}")
+    if not halfwidth > 0:
+        raise ConfigurationError("husimi.halfwidth must be > 0")
+    lam_max = float(spec.get("lambda_max", hbar * (2 * fill + 1) + 0.01))
+    return hbar, int(fill), halfwidth, int(points), lam_max
 
 
 def cmd_husimi(config, outdir):
     spec = config.get("husimi", DEFAULT_CONFIG["husimi"])
-    hbar = float(spec.get("hbar", 0.05))
-    fill = int(spec.get("fill", 10))
-    halfwidth = float(spec.get("halfwidth", 4.0))
-    points = int(spec.get("points", 1001))
-    lam_max = float(spec.get("lambda_max", hbar * (2 * fill + 1) + 0.01))
+    hbar, fill, halfwidth, points, lam_max = _husimi_args(spec)
     cat = sp.fd_catalog_1d(lambda x: x * x, hbar, halfwidth, points, lam_max)
     rep = sp.coherent_identity_check_1d(cat, fill)
     path = os.path.join(outdir, "husimi.csv")
@@ -503,8 +525,13 @@ def main(argv=None):
                 _tolerance(config)
             sweeps = config.get("sweeps", {})
             for key in DEFAULT_CONFIG["sweeps"]:
-                for x in sweeps.get(key) or []:
-                    float(x)
+                values = [float(x) for x in sweeps.get(key) or []]
+                if not np.all(np.isfinite(values)):
+                    raise ConfigurationError(f"every sweeps.{key} entry must be finite")
+                if key in ("A", "p_F") and min(values, default=1.0) <= 0:
+                    raise ConfigurationError(f"every sweeps.{key} entry must be > 0")
+                if key == "A" and any(b <= a for a, b in zip(values, values[1:])):
+                    raise ConfigurationError("sweeps.A must be increasing")
             if args.command in ("predict", "boxes", "budget"):
                 if min(N for N, _ in _sweep_pairs(config, args.command)) < 2:
                     raise ConfigurationError("every sweeps.N must be >= 2")
@@ -513,13 +540,16 @@ def main(argv=None):
                 if not float(spec.get("hbar", DEFAULT_CONFIG[args.command]["hbar"])) > 0:
                     raise ConfigurationError(f"{args.command}.hbar must be > 0")
                 if args.command == "husimi":
-                    fill = float(spec.get("fill", DEFAULT_CONFIG["husimi"]["fill"]))
-                    if not (fill >= 1 and fill.is_integer()):
-                        raise ConfigurationError("husimi.fill must be an integer >= 1")
-                elif spec.get("density"):
-                    _density_args(spec)
+                    _husimi_args(spec)
+                else:
+                    _spectra_args(spec)
+                    if spec.get("density"):
+                        _density_args(spec)
+                    if len(sweeps.get("N") or []) >= 2:
+                        sp.weyl_scan_sizes(sweeps["N"])
             if args.command == "boxes" and config.get("boxes", {}).get("l") is not None:
-                float(config["boxes"]["l"])
+                if not float(config["boxes"]["l"]) > 0:
+                    raise ConfigurationError("boxes.l must be null or > 0")
         except (ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise ConfigurationError(str(exc)) from exc
         os.makedirs(outdir, exist_ok=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,13 @@ class ResolutionError(RuntimeError):
 
 @dataclass
 class SpectralCatalog:
-    """Sorted eigenvalue list with degeneracies, complete below lambda_max."""
+    """Sorted eigenvalue list with degeneracies, complete below lambda_max.
+
+    ``discretization_error`` is None unless the catalog carries a
+    ``refinement``: a callable that solves a refined grid and returns the
+    largest level shift.  It runs on the first read of
+    ``discretization_error``, and the value is cached.
+    """
 
     hbar: float
     energies: np.ndarray
@@ -79,7 +86,7 @@ class SpectralCatalog:
     grid: np.ndarray = field(repr=False, default=None)
     vectors: np.ndarray = field(repr=False, default=None)  # columns, unit h-weighted norm
     potential_1d: object = field(repr=False, default=None)
-    discretization_error: float = None
+    refinement: object = field(repr=False, default=None, compare=False)
     sturm_certified: bool = None
 
     def __post_init__(self):
@@ -91,6 +98,11 @@ class SpectralCatalog:
             raise ValueError("degeneracies must be >= 1")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "degeneracies", d)
+
+    @cached_property
+    def discretization_error(self):
+        """Largest level shift under grid refinement; None for analytic catalogs."""
+        return None if self.refinement is None else self.refinement()
 
 
 def harmonic_catalog(hbar, lambda_max, offset=0.0) -> SpectralCatalog:
@@ -138,6 +150,9 @@ def _sturm_count(diag, off, x):
     return count
 
 
+MIN_FD_POINTS = 200
+
+
 def fd_catalog_1d(
     v, hbar, halfwidth, points, lambda_max, keep_vectors=True
 ) -> SpectralCatalog:
@@ -145,12 +160,13 @@ def fd_catalog_1d(
 
     Symmetric second differences with homogeneous Dirichlet boundary
     conditions.  Completeness below lambda_max is certified by a Sturm
-    count; a one-step grid refinement (eigenvalues only) provides the
-    discretization-error estimate; eigenfunction mass at the boundary
-    above 1e-8 raises a domain error.
+    count; eigenfunction mass at the boundary above 1e-8 raises a domain
+    error.  The discretization-error estimate compares the levels with a
+    solve (eigenvalues only) on twice the points; that solve runs on the
+    first read of ``discretization_error`` and is cached.
     """
-    if points < 200:
-        raise ValueError("need at least 200 grid points")
+    if points < MIN_FD_POINTS:
+        raise ValueError(f"need at least {MIN_FD_POINTS} grid points")
     # classically allowed region must fit with >= 20% margin
     xs = np.linspace(0.0, halfwidth, 4096)
     vx = np.asarray(v(xs), dtype=float)
@@ -186,10 +202,12 @@ def fd_catalog_1d(
             f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
         )
 
-    # bisection gives the same eigenvalues with or without vectors
-    *_, w_fine = solve(2 * points, eigvals_only=True)
-    k = min(w.size, w_fine.size)
-    disc_err = float(np.max(np.abs(w[:k] - w_fine[:k]))) if k else math.inf
+    # refine lives as long as the catalog: it must not reference vecs
+    def refine():
+        # bisection gives the same eigenvalues with or without vectors
+        *_, w_fine = solve(2 * points, eigvals_only=True)
+        k = min(w.size, w_fine.size)
+        return float(np.max(np.abs(w[:k] - w_fine[:k]))) if k else math.inf
 
     return SpectralCatalog(
         hbar=float(hbar),
@@ -200,7 +218,7 @@ def fd_catalog_1d(
         grid=x,
         vectors=vecs / math.sqrt(h) if keep_vectors else None,
         potential_1d=v,
-        discretization_error=disc_err,
+        refinement=refine,
         sturm_certified=bool(sturm_ok),
     )
 
@@ -252,12 +270,28 @@ def _fit_exponent(Ns, errs):
 
 def _counts_cl_1d(v, Lambda, halfwidth):
     xs = np.linspace(-halfwidth, halfwidth, 65537)
-    gap = np.maximum(Lambda - np.asarray(v(xs), dtype=float), 0.0)
+    vx = np.asarray(v(xs), dtype=float)
+    gap = np.maximum(Lambda - vx, 0.0)
     n_cl = float(np.trapezoid(np.sqrt(gap), xs)) / math.pi
-    e_cl = float(
-        np.trapezoid(gap ** 1.5 / 3.0 + np.asarray(v(xs), dtype=float) * np.sqrt(gap), xs)
-    ) / math.pi
+    e_cl = float(np.trapezoid(gap ** 1.5 / 3.0 + vx * np.sqrt(gap), xs)) / math.pi
     return n_cl, e_cl
+
+
+def weyl_scan_sizes(N_list):
+    """The N of a Weyl scan as ints; ValueError unless a valid sweep.
+
+    A valid sweep is increasing, has at least two entries, starts at
+    N >= 1 and spans at least two decades.  The CLI calls this to reject
+    a bad ``sweeps.N`` before it writes anything.
+    """
+    Ns = [int(n) for n in N_list]
+    if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError("N_list must be increasing with at least two entries")
+    if Ns[0] < 1:
+        raise ValueError("N_list entries must be >= 1")
+    if max(Ns) < 100 * min(Ns):
+        raise ValueError("N_list must span at least two decades")
+    return Ns
 
 
 def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
@@ -269,12 +303,7 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
     one-dimensional oracle with hbar = N^(-1).  Least-squares slopes of
     log-error against log N are reported alongside the raw errors.
     """
-    Ns = [int(n) for n in N_list]
-    if len(Ns) < 2 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("N_list must be increasing with at least two entries")
-    if max(Ns) < 100 * min(Ns):
-        raise ValueError("N_list must span at least two decades")
-
+    Ns = weyl_scan_sizes(N_list)
     if trap == "harmonic" or (isinstance(trap, dict) and trap.get("kind") == "harmonic"):
         offset = float(trap.get("offset", 0.0)) if isinstance(trap, dict) else 0.0
         budget = phase_space_counts(harmonic_trap(offset=offset), Lambda)

@@ -112,6 +112,29 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
                 "sweeps": {"N": [1e400]},
             },
         ),
+        ("spectra", {"spectra": {"density": {"M": 0}}}),
+        ("spectra", {"spectra": {"lambda_max": "x"}}),
+        ("spectra", {"spectra": {"lambda_max": 0}}),
+        ("spectra", {"sweeps": {"N": [1e400, 10]}}),
+        ("spectra", {"sweeps": {"N": [10, 20]}}),
+        ("spectra", {"sweeps": {"N": [0, 1000]}}),
+        ("husimi", {"husimi": {"points": "x"}}),
+        ("husimi", {"husimi": {"points": 150}}),
+        ("husimi", {"husimi": {"points": 1001.5}}),
+        ("husimi", {"husimi": {"halfwidth": -1}}),
+        (
+            "boxes",
+            {
+                "potential": {"kind": "harmonic"},
+                "interaction": {"kind": "square_barrier"},
+                "boxes": {"l": -1},
+            },
+        ),
+        ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": [math.nan]}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "sweeps": {"p_F": [-1]}}),
+        ("scatter", {"interaction": {"kind": "square_barrier"}, "sweeps": {"A": [20.0, 2.0]}}),
+        ("spectra", {"spectra": {"density": {"nodes": 0}}}),
+        ("spectra", {"spectra": {"density": {"r_max": -1}}}),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):

@@ -1,9 +1,13 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from dilutefermi import spectra
+from dilutefermi.cli import DEFAULT_CONFIG, cmd_husimi
 from dilutefermi.numerics import RadialProfile, Tolerance, integrate_radial, lp_distance
 from dilutefermi.potentials import harmonic_trap
 from dilutefermi.semiclassics import phase_space_counts
@@ -105,6 +109,60 @@ def test_fd_refinement_without_vectors_is_exact():
     # past |x| = 2.3, so only the boundary-mass check catches it
     with pytest.raises(DomainTooSmallError, match="boundary mass"):
         fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """(points, eigvals_only) of every call to spectra.eigh_tridiagonal.
+
+    Also keeps a weak reference to each eigenvector array it returns.
+    """
+    calls, vector_refs = [], []
+    solve = spectra.eigh_tridiagonal
+
+    def recorder(d, e, **kwargs):
+        out = solve(d, e, **kwargs)
+        calls.append((len(d), kwargs.get("eigvals_only", False)))
+        if not kwargs.get("eigvals_only", False):
+            vector_refs.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", recorder)
+    return calls, vector_refs
+
+
+def test_refinement_solves_on_first_read_only(eigensolves, tmp_path):
+    calls, vector_refs = eigensolves
+    quartic = lambda x: x**4
+    weyl_error_scan(
+        {"kind": "fd_1d", "v": quartic, "halfwidth": 3.0, "points": 1000}, [2, 20, 200], 2.0
+    )
+    assert calls == [(1000, False)] * 3
+    calls.clear()
+    cmd_husimi(DEFAULT_CONFIG, str(tmp_path))
+    assert calls == [(1001, False)]
+    calls.clear()
+
+    cat = fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
+    assert calls == [(2000, False)]
+    gc.collect()
+    assert vector_refs[-1]() is None  # the deferred solve holds no coarse vectors
+    first = cat.discretization_error
+    assert calls == [(2000, False), (4000, True)]
+    assert cat.discretization_error == first
+    assert len(calls) == 2
+
+    from scipy.linalg import eigh_tridiagonal
+
+    x = np.linspace(-3.0, 3.0, 4002)[1:-1]
+    h = x[1] - x[0]
+    diag = 0.02**2 * 2.0 / h**2 + x**4
+    off = np.full(3999, -(0.02**2) / h**2)
+    lo = float(np.min(diag) - 3.0 * 0.02**2 / h**2)
+    fine = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(lo, 2.0))
+    k = min(cat.energies.size, fine.size)
+    assert first == float(np.max(np.abs(cat.energies[:k] - fine[:k])))
+    assert harmonic_catalog(1.0, 7.5).discretization_error is None
 
 
 def test_weyl_scan_harmonic_exponents():
