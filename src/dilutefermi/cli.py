@@ -271,6 +271,7 @@ def _spectra_args(spec):
     scan_lam = float(spec.get("scan_lambda", 48.0 ** (1.0 / 3.0)))
     if not (lam_max > offset and scan_lam > offset):
         raise ConfigurationError("spectra.lambda_max and spectra.scan_lambda must exceed the offset")
+    sp.harmonic_shell_count(hbar, lam_max, offset)
     return hbar, lam_max, offset, scan_lam
 
 
@@ -542,11 +543,13 @@ def main(argv=None):
                 if args.command == "husimi":
                     _husimi_args(spec)
                 else:
-                    _spectra_args(spec)
+                    _, _, offset, scan_lam = _spectra_args(spec)
                     if spec.get("density"):
                         _density_args(spec)
                     if len(sweeps.get("N") or []) >= 2:
-                        sp.weyl_scan_sizes(sweeps["N"])
+                        # the scan's finest catalog: hbar = N^(-1/3) at its largest N
+                        N_top = max(sp.weyl_scan_sizes(sweeps["N"]))
+                        sp.harmonic_shell_count(N_top ** (-1.0 / 3.0), scan_lam + 1e-12, offset)
             if args.command == "boxes" and config.get("boxes", {}).get("l") is not None:
                 if not float(config["boxes"]["l"]) > 0:
                     raise ConfigurationError("boxes.l must be null or > 0")

@@ -137,11 +137,11 @@ class RootResult:
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
 
-def _panel_values(f, a, b):
-    """Gauss-Legendre estimates of ``f`` over many panels at once.
+def _panel_samples(f, a, b):
+    """Half-widths and Gauss-Legendre samples of ``f`` on many panels at once.
 
-    a, b: arrays of panel edges.  Returns the per-panel integrals using
-    a single vectorized call to ``f``.
+    a, b: arrays of panel edges.  Returns ``(half, vals)`` with one row
+    of ``vals`` per panel, from a single vectorized call to ``f``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -149,6 +149,12 @@ def _panel_values(f, a, b):
     half = 0.5 * (b - a)
     pts = mid[:, None] + half[:, None] * _GL_X[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    return half, vals
+
+
+def _panel_values(f, a, b):
+    """Gauss-Legendre estimates of ``f`` over the panels [a, b]."""
+    half, vals = _panel_samples(f, a, b)
     return half * (vals @ _GL_W)
 
 
@@ -160,6 +166,12 @@ def integrate_radial(f, r_max, tol=Tolerance(), breakpoints=()):
     integrands) so the refinement never straddles a known kink.  The
     panel error estimate is the difference between one Gauss panel and
     its two halves; panels are bisected until the estimate passes.
+
+    Each refinement level samples ``f`` once, on the Gauss points of all
+    left and right halves together.  The weight products stay two, one
+    per half: BLAS ``gemv`` may round a row differently depending on
+    how many rows it is given, so a single product over both halves
+    would move the last digits of the result.
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
@@ -178,28 +190,25 @@ def integrate_radial(f, r_max, tol=Tolerance(), breakpoints=()):
     coarse = _panel_values(weighted, a, b)
 
     total = 0.0
-    err_accum = 0.0
     depth = 0
     while a.size:
+        mids = 0.5 * (a + b)
+        half, vals = _panel_samples(weighted, np.concatenate([a, mids]), np.concatenate([mids, b]))
         if depth > tol.max_refinements:
-            prev = total + float(np.sum(coarse))
-            mids = 0.5 * (a + b)
-            fine = _panel_values(weighted, np.concatenate([a, mids]), np.concatenate([mids, b]))
             raise RefinementError(
                 "radial quadrature did not converge within "
                 f"{tol.max_refinements} refinements",
-                previous_estimate=prev,
-                last_estimate=total + float(np.sum(fine)),
+                previous_estimate=total + float(np.sum(coarse)),
+                last_estimate=total + float(np.sum(half * (vals @ _GL_W))),
             )
-        mids = 0.5 * (a + b)
-        left = _panel_values(weighted, a, mids)
-        right = _panel_values(weighted, mids, b)
+        k = a.size
+        left = half[:k] * (vals[:k] @ _GL_W)
+        right = half[k:] * (vals[k:] @ _GL_W)
         fine = left + right
         err = np.abs(fine - coarse)
         budget = np.maximum(tol.abs * (b - a) / r_max, tol.rel * np.abs(fine))
         ok = (err <= budget) | ((b - a) <= 1e-15 * r_max)
         total += float(np.sum(fine[ok]))
-        err_accum += float(np.sum(err[ok]))
         keep = ~ok
         a = np.concatenate([a[keep], mids[keep]])
         b = np.concatenate([mids[keep], b[keep]])

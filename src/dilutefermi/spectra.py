@@ -105,18 +105,38 @@ class SpectralCatalog:
         return None if self.refinement is None else self.refinement()
 
 
+MIN_FD_POINTS = 200
+# shells of one analytic catalog; the level count sum (n+1)(n+2)/2 of
+# 10^6 shells is 1.7e17, well inside int64
+MAX_SHELLS = 10**6
+
+
+def harmonic_shell_count(hbar, lambda_max, offset=0.0):
+    """Number of shells offset + hbar (2n + 3) <= lambda_max; at most MAX_SHELLS.
+
+    Raises ValueError for a bad argument or a count past the cap, before
+    anything is allocated.  The CLI calls this to reject a tiny
+    ``spectra.hbar`` before it writes anything.
+    """
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    if lambda_max <= offset:
+        raise ValueError("lambda_max must exceed the offset")
+    n_max = ((lambda_max - offset) / hbar - 3.0) / 2.0
+    if not n_max < MAX_SHELLS:
+        raise ValueError(
+            f"hbar={hbar!r} puts more than {MAX_SHELLS} shells below lambda_max={lambda_max!r}"
+        )
+    return max(int(math.floor(n_max)) + 1, 0)
+
+
 def harmonic_catalog(hbar, lambda_max, offset=0.0) -> SpectralCatalog:
     """Analytic catalog of -hbar^2 Lap + |x|^2 + offset up to lambda_max.
 
     Shell n carries energy offset + hbar (2n + 3) and degeneracy
     (n + 1)(n + 2) / 2.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    if lambda_max <= offset:
-        raise ValueError("lambda_max must exceed the offset")
-    n_max = int(math.floor(((lambda_max - offset) / hbar - 3.0) / 2.0))
-    ns = np.arange(0, n_max + 1) if n_max >= 0 else np.arange(0)
+    ns = np.arange(harmonic_shell_count(hbar, lambda_max, offset))
     energies = offset + hbar * (2.0 * ns + 3.0)
     degs = ((ns + 1) * (ns + 2) // 2) if ns.size else np.ones(0, dtype=int)
     return SpectralCatalog(
@@ -136,21 +156,22 @@ def eigh_tridiagonal(d, e, **kwargs):
 
 
 def _sturm_count(diag, off, x):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x."""
-    count = 0
-    d = diag[0] - x
-    if d < 0:
-        count += 1
+    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
+
+    The recurrence runs on Python floats read through memoryviews of the
+    float64 inputs; they round exactly like NumPy scalars.
+    """
+    x = float(x)
     tiny = 1e-300
-    for i in range(1, len(diag)):
+    diag_in = iter(memoryview(np.ascontiguousarray(diag, dtype=float)))
+    d = next(diag_in) - x
+    count = 1 if d < 0 else 0
+    for dg, o in zip(diag_in, memoryview(np.ascontiguousarray(off, dtype=float))):
         denom = d if abs(d) > tiny else math.copysign(tiny, d if d != 0 else 1.0)
-        d = (diag[i] - x) - off[i - 1] ** 2 / denom
+        d = (dg - x) - o**2 / denom
         if d < 0:
             count += 1
     return count
-
-
-MIN_FD_POINTS = 200
 
 
 def fd_catalog_1d(

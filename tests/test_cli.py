@@ -135,6 +135,8 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("scatter", {"interaction": {"kind": "square_barrier"}, "sweeps": {"A": [20.0, 2.0]}}),
         ("spectra", {"spectra": {"density": {"nodes": 0}}}),
         ("spectra", {"spectra": {"density": {"r_max": -1}}}),
+        ("spectra", {"spectra": {"hbar": 1e-9}}),
+        ("spectra", {"sweeps": {"N": [10, 10**30]}}),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):

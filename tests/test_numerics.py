@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilutefermi import numerics
+from dilutefermi import numerics, thomas_fermi
 from dilutefermi.numerics import (
     BracketError,
     DomainMismatchError,
@@ -17,6 +17,7 @@ from dilutefermi.numerics import (
     integrate_radial,
     lp_distance,
 )
+from dilutefermi.potentials import harmonic_trap, power_trap
 
 LAMBDA = 24.0 ** (1.0 / 3.0)
 
@@ -211,3 +212,71 @@ def test_lp_triangle_inequality(fv, gv, hv, p):
     g = RadialProfile(nodes, np.array(gv))
     h = RadialProfile(nodes, np.array(hv))
     assert lp_distance(f, h, p) <= lp_distance(f, g, p) + lp_distance(g, h, p) + 1e-10
+
+
+def _integrate_radial_per_half(f, r_max, tol, breakpoints=()):
+    """Reference: the refinement loop that samples each half panel with its own call."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
+
+    def weighted(r):
+        return 4.0 * np.pi * r * r * np.asarray(f(r), dtype=float)
+
+    def panels(a, b):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        pts = mid[:, None] + half[:, None] * gl_x[None, :]
+        return half * (weighted(pts.ravel()).reshape(pts.shape) @ gl_w)
+
+    edges = [0.0] + [x for x in sorted(set(map(float, breakpoints))) if 0.0 < x < r_max] + [float(r_max)]
+    a = np.array(edges[:-1])
+    b = np.array(edges[1:])
+    coarse = panels(a, b)
+    total = 0.0
+    depth = 0
+    while a.size:
+        mids = 0.5 * (a + b)
+        if depth > tol.max_refinements:
+            fine = panels(np.concatenate([a, mids]), np.concatenate([mids, b]))
+            raise RefinementError("cap", total + float(np.sum(coarse)), total + float(np.sum(fine)))
+        left = panels(a, mids)
+        right = panels(mids, b)
+        fine = left + right
+        err = np.abs(fine - coarse)
+        budget = np.maximum(tol.abs * (b - a) / r_max, tol.rel * np.abs(fine))
+        ok = (err <= budget) | ((b - a) <= 1e-15 * r_max)
+        total += float(np.sum(fine[ok]))
+        keep = ~ok
+        a = np.concatenate([a[keep], mids[keep]])
+        b = np.concatenate([mids[keep], b[keep]])
+        coarse = np.concatenate([left[keep], right[keep]])
+        depth += 1
+    return total
+
+
+def test_integrate_radial_equals_per_half_reference(monkeypatch):
+    pairs = []
+
+    def recorder(f, r_max, tol=Tolerance(), breakpoints=()):
+        got = integrate_radial(f, r_max, tol, breakpoints)
+        pairs.append((got, _integrate_radial_per_half(f, r_max, tol, breakpoints)))
+        return got
+
+    monkeypatch.setattr(thomas_fermi, "integrate_radial", recorder)
+    # the five traps of the solver sweep: every mass, kinetic, potential and
+    # interaction integral of each TF solve, then the two-spin energy at g = 0.2
+    for v in (harmonic_trap(0.0), harmonic_trap(1.0), power_trap(3.0), power_trap(4.0), power_trap(6.0)):
+        thomas_fermi.tf_solve(v)
+    n_tf = len(pairs)
+    thomas_fermi.two_spin_minimize(harmonic_trap(0.0), 0.2)
+    assert n_tf >= 20 and len(pairs) > n_tf
+    for got, want in pairs:
+        assert got == want
+
+    tol = Tolerance(abs=1e-300, rel=1e-300, max_refinements=3)
+    f = lambda r: np.sqrt(np.abs(np.sin(40.0 * r)))
+    with pytest.raises(RefinementError) as got:
+        integrate_radial(f, 3.0, tol)
+    with pytest.raises(RefinementError) as want:
+        _integrate_radial_per_half(f, 3.0, tol)
+    assert got.value.previous_estimate == want.value.previous_estimate
+    assert got.value.last_estimate == want.value.last_estimate

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dilutefermi import scattering
 from dilutefermi.numerics import Tolerance
 from dilutefermi.scattering import (
     GeometryError,
@@ -188,3 +189,88 @@ def test_richardson_estimate_is_tight():
     sol = zero_energy_solve(square_barrier(200.0))
     truth = barrier_length(200.0)
     assert abs(sol.a - truth) <= max(10.0 * sol.step_error_estimate, 1e-9)
+
+
+def _rk4_outward_scalar(vfun, r0, u0, du0, segments, steps_per_unit):
+    """Reference: the RK4 step loop on NumPy scalars, indexing each coefficient."""
+    rs_parts = [np.array([r0])]
+    us_parts = [np.array([u0])]
+    dus_parts = [np.array([du0])]
+    shift_parts = [np.array([0.0])]
+    r, u, du = float(r0), float(u0), float(du0)
+    shift = 0.0
+    for seg_end in segments:
+        if seg_end <= r:
+            continue
+        n = max(1, int(math.ceil((seg_end - r) * steps_per_unit)))
+        h = (seg_end - r) / n
+        base = r + h * np.arange(n)
+        c0 = 0.5 * np.asarray(vfun(base), dtype=float)
+        ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, seg_end)), dtype=float)
+        c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, seg_end)), dtype=float)
+        us = np.empty(n)
+        dus = np.empty(n)
+        shifts = np.empty(n)
+        for i in range(n):
+            a0, am, a1 = c0[i], ch[i], c1[i]
+            k1u = du
+            k1d = a0 * u
+            k2u = du + 0.5 * h * k1d
+            k2d = am * (u + 0.5 * h * k1u)
+            k3u = du + 0.5 * h * k2d
+            k3d = am * (u + 0.5 * h * k2u)
+            k4u = du + h * k3d
+            k4d = a1 * (u + h * k3u)
+            u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            du = du + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            if abs(u) > 2.5e120 or abs(du) > 2.5e120:
+                u *= 2.0**-400
+                du *= 2.0**-400
+                shift += 400.0
+            us[i] = u
+            dus[i] = du
+            shifts[i] = shift
+        r = seg_end
+        rs_parts.append(base + h)
+        us_parts.append(us)
+        dus_parts.append(dus)
+        shift_parts.append(shifts)
+    rs = np.concatenate(rs_parts)
+    us = np.concatenate(us_parts)
+    dus = np.concatenate(dus_parts)
+    shifts = np.concatenate(shift_parts)
+    if shift > 0.0:
+        factor = np.exp2(shifts - shift)
+        us = us * factor
+        dus = dus * factor
+    return rs, us, dus
+
+
+def test_rk4_outward_matches_scalar_reference(monkeypatch):
+    two_step = InteractionSpec(
+        fn=lambda r: np.where(np.asarray(r, dtype=float) <= 0.5, 3.0, 1.0),
+        range_=1.0,
+        amplitude=40.0,
+        breakpoints=(0.5,),
+    )
+    specs = [square_barrier(A) for A in (2.0, 2e3, 2e12)] + [two_step]
+    for spec in specs:
+        segments = sorted(set(b for b in spec.breakpoints if 0.0 < b < spec.range_)) + [spec.range_]
+        for steps_per_unit in (2000.0, 4000.0):
+            got = scattering._rk4_outward(spec, 0.0, 0.0, 1.0, segments, steps_per_unit)
+            want = _rk4_outward_scalar(spec, 0.0, 0.0, 1.0, segments, steps_per_unit)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.flags.writeable
+                assert np.array_equal(g, w)
+    # 2e12 crosses 2^400: the rescale runs and early samples underflow to zero
+    _, us, _ = scattering._rk4_outward(specs[2], 0.0, 0.0, 1.0, [1.0], 2000.0)
+    assert us[1] == 0.0 and us[-1] > 0.0
+    fast = [zero_energy_solve(spec) for spec in specs]
+    monkeypatch.setattr(scattering, "_rk4_outward", _rk4_outward_scalar)
+    for spec, sol in zip(specs, fast):
+        ref = zero_energy_solve(spec)
+        assert (sol.a, sol.step_error_estimate, sol.fit_residual) == (
+            ref.a,
+            ref.step_error_estimate,
+            ref.fit_residual,
+        )

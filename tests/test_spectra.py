@@ -41,6 +41,19 @@ def test_harmonic_catalog_offset_shift():
     assert list(cat.energies) == [4.0, 6.0, 8.0]
 
 
+def test_harmonic_shell_cap():
+    cap = spectra.MAX_SHELLS
+    assert spectra.harmonic_shell_count(1.0, 7.5) == 3
+    assert spectra.harmonic_shell_count(1.0, 2.5) == 0
+    assert spectra.harmonic_shell_count(1.0, 2.0 * cap + 1.0) == cap
+    with pytest.raises(ValueError, match="shells"):
+        spectra.harmonic_shell_count(1.0, 2.0 * cap + 3.0)
+    # checked on the float count, before any array is allocated
+    for hbar in (1e-9, 1e-320, math.nan):
+        with pytest.raises(ValueError, match="shells"):
+            harmonic_catalog(hbar, 12.0)
+
+
 def test_spectral_counts_shell_sums():
     cat = harmonic_catalog(1.0, 7.5)
     assert spectral_counts(cat, 5.0) == (4, 18.0)
@@ -68,6 +81,34 @@ def test_fd_oscillator_spectrum():
     assert np.max(np.abs(cat.energies[:6] - expected[:6])) < 5e-3
     assert cat.sturm_certified
     assert np.all(cat.degeneracies == 1)
+
+
+def _sturm_count_scalar(diag, off, x):
+    """Reference: the Sturm recurrence on NumPy scalars, indexing each entry."""
+    count = 0
+    d = diag[0] - x
+    if d < 0:
+        count += 1
+    tiny = 1e-300
+    for i in range(1, len(diag)):
+        denom = d if abs(d) > tiny else math.copysign(tiny, d if d != 0 else 1.0)
+        d = (diag[i] - x) - off[i - 1] ** 2 / denom
+        if d < 0:
+            count += 1
+    return count
+
+
+def test_sturm_count_matches_scalar_reference():
+    rng = np.random.default_rng(3)
+    diag = rng.uniform(-2.0, 2.0, 300)
+    off = rng.uniform(-1.0, 1.0, 299)
+    levels = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for x in (-3.0, -0.5, 0.0, 0.7, 3.0):
+        count = spectra._sturm_count(diag, off, x)
+        assert count == _sturm_count_scalar(diag, off, x) == int(np.sum(levels < x))
+    # exact zero pivots take the tiny-denominator branch
+    ones = np.ones(5)
+    assert spectra._sturm_count(ones, ones[:4], 1.0) == _sturm_count_scalar(ones, ones[:4], 1.0)
 
 
 def test_fd_small_hbar_ground_state():
