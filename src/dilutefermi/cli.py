@@ -16,8 +16,10 @@ import argparse
 import csv as _csv
 import dataclasses
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from . import scattering as sc
 from . import semiclassics as scl
 from . import spectra as sp
 from . import thomas_fermi as tf
-from .numerics import BracketError, RadialProfile, RefinementError, Tolerance
+from .numerics import BracketError, RefinementError, Tolerance
 from .potentials import ConfigurationError
 from .tables import write_table
 
@@ -92,54 +94,169 @@ def _merge(base, override):
 
 def load_config(path):
     if path is None:
-        return dict(DEFAULT_CONFIG), True
+        return DEFAULT_CONFIG
     try:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8, too long an int
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigurationError("config root must be a JSON object")
-    return user, False
+    return user
 
 
-def _require(config, key, command):
-    if key not in config:
-        raise ConfigurationError(f"command '{command}' needs a '{key}' section")
-    return config[key]
+# section -> key -> check.  A check is a string that names what passes:
+# "number" (finite, and not a bool), a bound such as "> 0" or "> 1/3",
+# "integer >= 1", "null or > 0", "true or false" or "a nonempty string".
+# A one-check list passes a list whose entries all pass that check.  A dict
+# is a subsection; a section with a "kind" maps each kind to its own keys.
+SCHEMA = {
+    "potential": {"kind": {
+        "harmonic_plus_one": {},
+        "power_plus_one": {"s": "> 1"},
+        "harmonic": {"offset": "number"},
+    }},
+    "interaction": {"kind": {
+        "square_barrier": {"height": ">= 0", "radius": "> 0"},
+        "hardcore": {"radius": "> 0"},
+    }},
+    "tolerances": {"abs": ">= 0", "rel": ">= 0", "max_refinements": "integer >= 1"},
+    "sweeps": {"N": ["integer >= 1"], "beta": ["> 1/3"], "Lambda": ["number"], "A": ["> 0"],
+               "p_F": ["> 0"]},
+    "spectra": {"hbar": "> 0", "lambda_max": "number", "offset": "number", "scan_lambda": "number",
+                "density": {"hbar": "> 0", "M": "integer >= 1", "r_max": "> 0",
+                            "nodes": "integer >= 16"}},
+    "husimi": {"hbar": "> 0", "fill": "integer >= 1", "halfwidth": "> 0",
+               "points": f"integer >= {sp.MIN_FD_POINTS}", "lambda_max": "number"},
+    "boxes": {"l": "null or > 0"},
+    "output": {"directory": "a nonempty string", "json_mirror": "true or false"},
+}
+
+# command -> the sections an explicit config must carry itself
+NEEDS = {"tf": ("potential",), "scatter": ("interaction",), "semiclass": ("potential",),
+         "predict": ("potential", "interaction"), "boxes": ("potential", "interaction")}
+
+
+def _scan_lambda(spec):
+    return float(spec.get("scan_lambda", 48.0 ** (1.0 / 3.0)))
+
+
+def _spectra_caps(c):
+    """ValueError past a shell cap; else whether scan_lambda exceeds the offset."""
+    spec, Ns, scan_lam = c["spectra"], c["sweeps"]["N"], _scan_lambda(c["spectra"])
+    sp.harmonic_shell_count(spec["hbar"], spec["lambda_max"], spec["offset"])
+    if len(Ns) >= 2 and scan_lam > spec["offset"]:
+        # the scan's finest catalog: hbar = N^(-1/3) at its largest N
+        hbar = max(sp.weyl_scan_sizes(Ns)) ** (-1.0 / 3.0)
+        sp.harmonic_shell_count(hbar, scan_lam + 1e-12, spec["offset"])
+    return scan_lam > spec["offset"]
+
+
+def _husimi_fills(c):
+    # the fill-th level of -hbar^2 d^2/dx^2 + x^2 is hbar (2 fill - 1)
+    h = c["husimi"]
+    return h.get("lambda_max", math.inf) > h["hbar"] * (2 * h["fill"] - 1)
+
+
+# (commands, what a command needs, holds(merged config)), checked in this order
+RULES = (
+    (COMMANDS, "a growth exponent potential.s for power_plus_one",
+     lambda c: c["potential"]["kind"] != "power_plus_one" or "s" in c["potential"]),
+    (("tf", "scatter", "predict", "boxes"), "tolerances with abs + rel > 0",
+     lambda c: c["tolerances"]["abs"] + c["tolerances"]["rel"] > 0),
+    (COMMANDS, "an increasing sweeps.A",
+     lambda c: sorted(set(c["sweeps"]["A"])) == c["sweeps"]["A"]),
+    (("predict", "boxes", "budget"), "a nonempty sweeps.beta and sweeps.N, every N >= 2",
+     lambda c: c["sweeps"]["beta"] and min(c["sweeps"]["N"] or [0]) >= 2),
+    (("budget",), "every sweeps.beta < 1/2", lambda c: max(c["sweeps"]["beta"]) < 0.5),
+    (("semiclass",), "a nonempty sweeps.Lambda", lambda c: c["sweeps"]["Lambda"]),
+    (("spectra",), "a spectra.scan_lambda above spectra.offset", _spectra_caps),
+    (("husimi",), "a husimi.lambda_max above hbar (2 fill - 1)", _husimi_fills),
+)
+
+
+def _fits(value, check):
+    """Whether a JSON value passes a SCHEMA check."""
+    if isinstance(check, list):
+        return isinstance(value, list) and all(_fits(v, check[0]) for v in value)
+    if check.startswith("null or "):
+        return value is None or _fits(value, check[len("null or "):])
+    if check == "true or false":
+        return isinstance(value, bool)
+    if check == "a nonempty string":
+        return isinstance(value, str) and value != ""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        return False
+    if not math.isfinite(x) or (check.startswith("integer") and not x.is_integer()):
+        return False
+    op, _, bound = check.removeprefix("integer").removeprefix("number").strip().partition(" ")
+    return op == "" or (x > Fraction(bound) if op == ">" else x >= Fraction(bound))
+
+
+def _check(path, value, table):
+    """ConfigurationError unless ``value`` passes ``table``, a check or a (sub)section table."""
+    if not isinstance(table, dict):
+        if not _fits(value, table):
+            what = f"a list, each {table[0]}" if isinstance(table, list) else table
+            raise ConfigurationError(f"{path} must be {what}, got {value!r}")
+        return
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"'{path}' must be a JSON object")
+    if "kind" in table:
+        kind = value.get("kind")
+        if not (isinstance(kind, str) and kind in table["kind"]):
+            raise ConfigurationError(f"unknown {path} kind {kind!r}")
+        table = table["kind"][kind]
+        value = {k: v for k, v in value.items() if k != "kind"}
+    for key, item in value.items():
+        name = f"{path}.{key}" if path else key
+        if key not in table:
+            raise ConfigurationError(f"unknown config key {name!r}")
+        _check(name, item, table[key])
+
+
+def validate(config, user, command):
+    """ConfigurationError unless ``config``, ``user`` merged over the defaults, fits ``command``.
+
+    ``user`` is checked against ``SCHEMA``: unknown names, wrong types and
+    out-of-range values.  The merged config then has every default key,
+    and ``RULES`` check it across keys.  Nothing is solved.
+    """
+    for section in NEEDS.get(command, ()):
+        if section not in user:
+            raise ConfigurationError(f"command '{command}' needs a '{section}' section")
+    _check("", user, SCHEMA)
+    for commands, needs, holds in RULES:
+        if command in commands:
+            try:
+                ok = holds(config)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
+            if not ok:
+                raise ConfigurationError(f"command '{command}' needs {needs}")
 
 
 def _tolerance(config):
-    t = config.get("tolerances", DEFAULT_CONFIG["tolerances"])
-    return Tolerance(
-        abs=float(t.get("abs", 1e-10)),
-        rel=float(t.get("rel", 1e-10)),
-        max_refinements=int(t.get("max_refinements", 48)),
-    )
+    t = config["tolerances"]
+    return Tolerance(float(t["abs"]), float(t["rel"]), int(t["max_refinements"]))
 
 
-def resolve_potential(config, command):
-    spec = _require(config, "potential", command)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("potential section must carry a 'kind'")
-    kind = spec["kind"]
-    if kind == "harmonic":
+def resolve_potential(config):
+    spec = config["potential"]
+    if spec["kind"] == "harmonic":
         return pots.harmonic_trap(float(spec.get("offset", 0.0)))
     return pots.make_potential(spec)
 
 
-def resolve_interaction(config, command):
-    spec = _require(config, "interaction", command)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("interaction section must carry a 'kind'")
-    kind = spec["kind"]
-    if kind == "square_barrier":
-        return sc.square_barrier(float(spec.get("height", 2.0)), float(spec.get("radius", 1.0)))
-    if kind == "hardcore":
-        return sc.hardcore(float(spec.get("radius", 1.0)))
-    raise ConfigurationError(f"unknown interaction kind {kind!r}")
+def resolve_interaction(config):
+    spec = config["interaction"]
+    if spec["kind"] == "hardcore":
+        return sc.hardcore(float(spec["radius"]))
+    return sc.square_barrier(float(spec["height"]), float(spec["radius"]))
 
 
 def _header(command, config, formulas):
@@ -172,38 +289,30 @@ def _mirror_csv_as_json(csv_path):
 
 
 def cmd_tf(config, outdir):
-    v = resolve_potential(config, "tf")
+    v = resolve_potential(config)
     tol = _tolerance(config)
     sol = tf.tf_solve(v, tol)
     path = os.path.join(outdir, "tf_solution.csv")
     tf.write_density_csv(
         path,
         sol,
-        _header(
-            "tf",
-            config,
-            [
-                "density_inversion: rho = ((lambda - V)_+ / kappa)^(3/2)",
-                "energy: 2^(-2/3) c_tf int rho^(5/3) + int V rho",
-                f"lambda={sol.lambda_TF!r} E_TF={sol.E_TF!r}",
-            ],
-        ),
+        _header("tf", config, [
+            "density_inversion: rho = ((lambda - V)_+ / kappa)^(3/2)",
+            "energy: 2^(-2/3) c_tf int rho^(5/3) + int V rho",
+            f"lambda={sol.lambda_TF!r} E_TF={sol.E_TF!r}",
+        ]),
     )
     paths = [path]
-    p_fs = config.get("sweeps", {}).get("p_F") or []
+    p_fs = config["sweeps"]["p_F"]
     if p_fs:
         scan = tf.cutoff_gap_scan(v, [float(p) for p in p_fs], tol)
         cut_path = os.path.join(outdir, "cutoff_scan.csv")
         write_table(
             cut_path,
-            _header(
-                "tf",
-                config,
-                [
-                    "cutoff: kinetic density capped at the local Fermi momentum",
-                    f"fitted_gap_exponent={scan.fitted_exponent!r}",
-                ],
-            ),
+            _header("tf", config, [
+                "cutoff: kinetic density capped at the local Fermi momentum",
+                f"fitted_gap_exponent={scan.fitted_exponent!r}",
+            ]),
             ("p_F", "E_TF_pF", "gap", "overflow_mass"),
             ((s.p_F, s.E_TF_pF, gap, s.overflow_mass) for s, gap in zip(scan.solutions, scan.gaps)),
         )
@@ -212,7 +321,7 @@ def cmd_tf(config, outdir):
 
 
 def cmd_scatter(config, outdir):
-    w = resolve_interaction(config, "scatter")
+    w = resolve_interaction(config)
     tol = _tolerance(config)
     sol = sc.zero_energy_solve(w, tol=tol)
     paths = []
@@ -220,18 +329,14 @@ def cmd_scatter(config, outdir):
     sc.write_scattering_csv(
         path,
         sol,
-        _header(
-            "scatter",
-            config,
-            [
-                "reduced_ode: u'' = v u / 2, u(0)=0, u'(0)=1",
-                "length: a = R - u(R)/u'(R)",
-                f"a={sol.a!r} R={sol.range_!r}",
-            ],
-        ),
+        _header("scatter", config, [
+            "reduced_ode: u'' = v u / 2, u(0)=0, u'(0)=1",
+            "length: a = R - u(R)/u'(R)",
+            f"a={sol.a!r} R={sol.range_!r}",
+        ]),
     )
     paths.append(path)
-    amps = config.get("sweeps", {}).get("A") or []
+    amps = config["sweeps"]["A"]
     if amps:
         rows = sc.hardcore_limit(w, amps, tol=tol)
         sweep_path = os.path.join(outdir, "hardcore_sweep.csv")
@@ -242,133 +347,80 @@ def cmd_scatter(config, outdir):
 
 
 def cmd_semiclass(config, outdir):
-    v = resolve_potential(config, "semiclass")
-    lambdas = config.get("sweeps", {}).get("Lambda")
-    if not lambdas:
-        raise ConfigurationError("semiclass needs a nonempty sweeps.Lambda list")
+    v = resolve_potential(config)
+    lambdas = config["sweeps"]["Lambda"]
     path = os.path.join(outdir, "semiclassics.csv")
     scl.write_counts_csv(
         path,
         v,
         lambdas,
-        _header(
-            "semiclass",
-            config,
-            [
-                "count: (6 pi^2)^(-1) int (Lambda - V)_+^(3/2)",
-                "energy: (2 pi^2)^(-1) int [(Lambda-V)_+^(5/2)/5 + V (Lambda-V)_+^(3/2)/3]",
-            ],
-        ),
+        _header("semiclass", config, [
+            "count: (6 pi^2)^(-1) int (Lambda - V)_+^(3/2)",
+            "energy: (2 pi^2)^(-1) int [(Lambda-V)_+^(5/2)/5 + V (Lambda-V)_+^(3/2)/3]",
+        ]),
     )
     return [path]
 
 
-def _spectra_args(spec):
-    """(hbar, lambda_max, offset, scan_lambda) of a spectra section."""
-    hbar = float(spec.get("hbar", 1.0))
-    lam_max = float(spec.get("lambda_max", 12.0))
-    offset = float(spec.get("offset", 0.0))
-    scan_lam = float(spec.get("scan_lambda", 48.0 ** (1.0 / 3.0)))
-    if not (lam_max > offset and scan_lam > offset):
-        raise ConfigurationError("spectra.lambda_max and spectra.scan_lambda must exceed the offset")
-    sp.harmonic_shell_count(hbar, lam_max, offset)
-    return hbar, lam_max, offset, scan_lam
-
-
 def cmd_spectra(config, outdir):
-    spec = config.get("spectra", DEFAULT_CONFIG["spectra"])
-    hbar, lam_max, offset, scan_lam = _spectra_args(spec)
-    cat = sp.harmonic_catalog(hbar, lam_max, offset)
+    spec = config["spectra"]
+    offset = float(spec["offset"])
+    cat = sp.harmonic_catalog(float(spec["hbar"]), float(spec["lambda_max"]), offset)
     paths = []
     path = os.path.join(outdir, "catalog.csv")
     sp.write_catalog_csv(
         path,
         cat,
-        _header(
-            "spectra",
-            config,
-            ["shells: offset + hbar (2n+3) with degeneracy (n+1)(n+2)/2"],
-        ),
+        _header("spectra", config, ["shells: offset + hbar (2n+3) with degeneracy (n+1)(n+2)/2"]),
     )
     paths.append(path)
-    Ns = config.get("sweeps", {}).get("N") or []
+    Ns = config["sweeps"]["N"]
     if len(Ns) >= 2:
-        scan = sp.weyl_error_scan({"kind": "harmonic", "offset": offset}, Ns, scan_lam)
+        scan = sp.weyl_error_scan({"kind": "harmonic", "offset": offset}, Ns, _scan_lambda(spec))
         scan_path = os.path.join(outdir, "weyl_scan.csv")
         sp.write_scan_csv(
             scan_path,
             scan,
-            _header(
-                "spectra",
-                config,
-                [
-                    "scan: |n_q - N n_cl| and |e_q - N e_cl| with hbar = N^(-1/3)",
-                    f"n_exponent={scan.n_exponent!r} e_exponent={scan.e_exponent!r}",
-                ],
-            ),
+            _header("spectra", config, [
+                "scan: |n_q - N n_cl| and |e_q - N e_cl| with hbar = N^(-1/3)",
+                f"n_exponent={scan.n_exponent!r} e_exponent={scan.e_exponent!r}",
+            ]),
         )
         paths.append(scan_path)
-    if spec.get("density"):
-        prof = sp.free_ground_state_density(*_density_args(spec))
+    density = spec.get("density")
+    if density:
+        prof = sp.free_ground_state_density(
+            float(density.get("hbar", spec["hbar"])),
+            int(density.get("M", 1)),
+            np.linspace(0.0, float(density.get("r_max", 6.0)), int(density.get("nodes", 2049))),
+        )
         dens_path = os.path.join(outdir, "free_state_density.csv")
         sp.write_profile_csv(
             dens_path,
             prof,
-            _header(
-                "spectra",
-                config,
-                ["density: radial diagonal of the rank-M free-state projector"],
-            ),
+            _header("spectra", config, [
+                "density: radial diagonal of the rank-M free-state projector",
+            ]),
         )
         paths.append(dens_path)
     return paths
 
 
-def _density_args(spec):
-    """(hbar, M, nodes) for the free-state density of a spectra section."""
-    density = spec["density"]
-    r_max = float(density.get("r_max", 6.0))
-    hbar = float(density.get("hbar", spec.get("hbar", 1.0)))
-    M = int(density.get("M", 1))
-    if not (hbar > 0 and M >= 1):
-        raise ConfigurationError("spectra.density needs hbar > 0 and M >= 1")
-    nodes = np.linspace(0.0, r_max, int(density.get("nodes", 2049)))
-    RadialProfile(nodes, np.zeros_like(nodes))  # raises ValueError on nodes a profile refuses
-    return hbar, M, nodes
-
-
-def _husimi_args(spec):
-    """(hbar, fill, halfwidth, points, lambda_max) of a husimi section."""
-    hbar = float(spec.get("hbar", 0.05))
-    fill = float(spec.get("fill", 10))
-    halfwidth = float(spec.get("halfwidth", 4.0))
-    points = float(spec.get("points", 1001))
-    if not (fill >= 1 and fill.is_integer()):
-        raise ConfigurationError("husimi.fill must be an integer >= 1")
-    if not (points >= sp.MIN_FD_POINTS and points.is_integer()):
-        raise ConfigurationError(f"husimi.points must be an integer >= {sp.MIN_FD_POINTS}")
-    if not halfwidth > 0:
-        raise ConfigurationError("husimi.halfwidth must be > 0")
-    lam_max = float(spec.get("lambda_max", hbar * (2 * fill + 1) + 0.01))
-    return hbar, int(fill), halfwidth, int(points), lam_max
-
-
 def cmd_husimi(config, outdir):
-    spec = config.get("husimi", DEFAULT_CONFIG["husimi"])
-    hbar, fill, halfwidth, points, lam_max = _husimi_args(spec)
-    cat = sp.fd_catalog_1d(lambda x: x * x, hbar, halfwidth, points, lam_max)
+    spec = config["husimi"]
+    hbar, fill = float(spec["hbar"]), int(spec["fill"])
+    lam_max = float(spec.get("lambda_max", hbar * (2 * fill + 1) + 0.01))
+    cat = sp.fd_catalog_1d(
+        lambda x: x * x, hbar, float(spec["halfwidth"]), int(spec["points"]), lam_max
+    )
     rep = sp.coherent_identity_check_1d(cat, fill)
     path = os.path.join(outdir, "husimi.csv")
     write_table(
         path,
-        _header(
-            "husimi",
-            config,
-            [
-                "resolution: int m dx dp / (2 pi hbar) = tr(gamma)",
-                "kinetic: int p^2 m = tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2",
-            ],
-        ),
+        _header("husimi", config, [
+            "resolution: int m dx dp / (2 pi hbar) = tr(gamma)",
+            "kinetic: int p^2 m = tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2",
+        ]),
         ("hbar", "hbar_x", "hbar_p", "fill", "resolution_residual", "kinetic_residual",
          "potential_residual", "lowfreq_residual", "m_min", "m_max"),
         [(rep.hbar, rep.hbar_x, rep.hbar_p, rep.fill, rep.resolution_residual,
@@ -378,21 +430,17 @@ def cmd_husimi(config, outdir):
     return [path]
 
 
-def _sweep_pairs(config, command):
-    sweeps = _require(config, "sweeps", command)
-    Ns = sweeps.get("N") or []
-    betas = sweeps.get("beta") or []
-    if not Ns or not betas:
-        raise ConfigurationError(f"command '{command}' needs nonempty sweeps.N and sweeps.beta")
-    return [(int(N), float(b)) for b in betas for N in Ns]
+def _sweep_pairs(config):
+    sweeps = config["sweeps"]
+    return [(int(N), float(b)) for b in sweeps["beta"] for N in sweeps["N"]]
 
 
 def cmd_predict(config, outdir):
-    v = resolve_potential(config, "predict")
-    w = resolve_interaction(config, "predict")
+    v = resolve_potential(config)
+    w = resolve_interaction(config)
     tol = _tolerance(config)
     base = tf.tf_solve(v, tol)
-    pairs = _sweep_pairs(config, "predict")
+    pairs = _sweep_pairs(config)
     # the scattering length depends on the interaction alone: solve it once
     ctx = asy.make_context(*pairs[0], w, tol)
     rows = [
@@ -403,23 +451,19 @@ def cmd_predict(config, outdir):
     asy.write_prediction_csv(
         path,
         rows,
-        _header(
-            "predict",
-            config,
-            ["two_term: N E_TF + 2 pi a_w N^(4/3 - beta) int rho_TF^2"],
-        ),
+        _header("predict", config, ["two_term: N E_TF + 2 pi a_w N^(4/3 - beta) int rho_TF^2"]),
     )
     return [path]
 
 
 def cmd_boxes(config, outdir):
-    v = resolve_potential(config, "boxes")
-    w = resolve_interaction(config, "boxes")
+    v = resolve_potential(config)
+    w = resolve_interaction(config)
     tol = _tolerance(config)
-    pairs = _sweep_pairs(config, "boxes")
+    pairs = _sweep_pairs(config)
     N, beta = pairs[0]
     ctx = asy.make_context(N, beta, w, tol)
-    l = config.get("boxes", {}).get("l")
+    l = config["boxes"]["l"]
     if l is None:
         window = asy.beta_l_window(beta, N)
         if not window.feasible:
@@ -431,33 +475,25 @@ def cmd_boxes(config, outdir):
     asy.write_boxes_csv(
         path,
         est,
-        _header(
-            "boxes",
-            config,
-            [
-                "mass: M_i = ceil(N/2 int_cell rho)",
-                "per_box: N^(2 beta - 2/3) (2 c_tf L^-2 M^(5/3) + 8 pi a_w L^-3 M^2)",
-            ],
-        ),
+        _header("boxes", config, [
+            "mass: M_i = ceil(N/2 int_cell rho)",
+            "per_box: N^(2 beta - 2/3) (2 c_tf L^-2 M^(5/3) + 8 pi a_w L^-3 M^2)",
+        ]),
     )
     return [path]
 
 
 def cmd_budget(config, outdir):
-    rows = [asy.error_budget(N, beta) for N, beta in _sweep_pairs(config, "budget")]
+    rows = [asy.error_budget(N, beta) for N, beta in _sweep_pairs(config)]
     path = os.path.join(outdir, "budget.csv")
     asy.write_budget_csv(
         path,
         rows,
-        _header(
-            "budget",
-            config,
-            [
-                "f(N) = N^(5/6) + p_F^-2 N + delta^-1 N^(1/3-beta) (N^(-1/18)+N^(1/6-beta/2))"
-                " (R^-3 + (eps s^2 R)^-1) + N^(1/3-beta)/(eps s^2 R)",
-                "couplings: delta=eps, p_F^-2=eps N^(1/3-beta), s^2=eps^2 N^(1/3-beta), R=eps hbar",
-            ],
-        ),
+        _header("budget", config, [
+            "f(N) = N^(5/6) + p_F^-2 N + delta^-1 N^(1/3-beta) (N^(-1/18)+N^(1/6-beta/2))"
+            " (R^-3 + (eps s^2 R)^-1) + N^(1/3-beta)/(eps s^2 R)",
+            "couplings: delta=eps, p_F^-2=eps N^(1/3-beta), s^2=eps^2 N^(1/3-beta), R=eps hbar",
+        ]),
     )
     return [path]
 
@@ -506,55 +542,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     rng_before = np.random.get_state()[1].copy() if args.seedless else None
     try:
-        user, used_defaults = load_config(args.config)
-        config = _merge(DEFAULT_CONFIG, user) if not used_defaults else user
-        if args.config is not None:
-            # an explicit config must itself carry the sections its command needs
-            config_for_validation = user
-        else:
-            config_for_validation = config
-        for key, default in DEFAULT_CONFIG.items():
-            if isinstance(default, dict) and not isinstance(config.get(key, default), dict):
-                raise ConfigurationError(f"'{key}' must be a JSON object")
-        outdir = args.out or config.get("output", {}).get("directory", "out")
-        try:
-            if args.command in ("tf", "semiclass", "predict", "boxes"):
-                resolve_potential(config_for_validation, args.command)
-            if args.command in ("scatter", "predict", "boxes"):
-                resolve_interaction(config_for_validation, args.command)
-            if args.command in ("tf", "scatter", "predict", "boxes"):
-                _tolerance(config)
-            sweeps = config.get("sweeps", {})
-            for key in DEFAULT_CONFIG["sweeps"]:
-                values = [float(x) for x in sweeps.get(key) or []]
-                if not np.all(np.isfinite(values)):
-                    raise ConfigurationError(f"every sweeps.{key} entry must be finite")
-                if key in ("A", "p_F") and min(values, default=1.0) <= 0:
-                    raise ConfigurationError(f"every sweeps.{key} entry must be > 0")
-                if key == "A" and any(b <= a for a, b in zip(values, values[1:])):
-                    raise ConfigurationError("sweeps.A must be increasing")
-            if args.command in ("predict", "boxes", "budget"):
-                if min(N for N, _ in _sweep_pairs(config, args.command)) < 2:
-                    raise ConfigurationError("every sweeps.N must be >= 2")
-            if args.command in ("spectra", "husimi"):
-                spec = config.get(args.command, DEFAULT_CONFIG[args.command])
-                if not float(spec.get("hbar", DEFAULT_CONFIG[args.command]["hbar"])) > 0:
-                    raise ConfigurationError(f"{args.command}.hbar must be > 0")
-                if args.command == "husimi":
-                    _husimi_args(spec)
-                else:
-                    _, _, offset, scan_lam = _spectra_args(spec)
-                    if spec.get("density"):
-                        _density_args(spec)
-                    if len(sweeps.get("N") or []) >= 2:
-                        # the scan's finest catalog: hbar = N^(-1/3) at its largest N
-                        N_top = max(sp.weyl_scan_sizes(sweeps["N"]))
-                        sp.harmonic_shell_count(N_top ** (-1.0 / 3.0), scan_lam + 1e-12, offset)
-            if args.command == "boxes" and config.get("boxes", {}).get("l") is not None:
-                if not float(config["boxes"]["l"]) > 0:
-                    raise ConfigurationError("boxes.l must be null or > 0")
-        except (ValueError, TypeError, AttributeError, OverflowError) as exc:
-            raise ConfigurationError(str(exc)) from exc
+        user = load_config(args.config)
+        config = _merge(DEFAULT_CONFIG, user)
+        validate(config, user, args.command)
+        outdir = args.out or config["output"]["directory"]
         os.makedirs(outdir, exist_ok=True)
         if args.command == "verify-all":
             paths, n_failed = cmd_verify_all(config, outdir)
@@ -562,7 +553,7 @@ def main(argv=None):
         else:
             paths = _DISPATCH[args.command](config, outdir)
             exit_code = 0
-        if config.get("output", {}).get("json_mirror", False):
+        if config["output"]["json_mirror"]:
             for p in list(paths):
                 paths.append(_mirror_csv_as_json(p))
         for p in paths:

@@ -204,7 +204,9 @@ def fd_catalog_1d(
         h = x[1] - x[0]
         diag = hbar**2 * 2.0 / h**2 + np.asarray(v(x), dtype=float)
         off = np.full(n - 1, -(hbar**2) / h**2)
-        lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)
+        lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)  # below every level (Gershgorin)
+        if lo >= lambda_max:
+            raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
         out = eigh_tridiagonal(
             diag, off, eigvals_only=eigvals_only, select="v", select_range=(lo, lambda_max)
         )
@@ -213,7 +215,9 @@ def fd_catalog_1d(
     # the coarse vectors feed the boundary-mass check even when not kept
     x, h, diag, off, (w, vecs) = solve(points, eigvals_only=False)
     if w.size == 0:
-        raise ValueError("no eigenvalues below lambda_max; raise it or shrink hbar")
+        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
+    if np.any(np.diff(w) <= 0):
+        raise ResolutionError(f"grid spacing {h:.3g} too coarse to separate levels at hbar={hbar}")
     sturm_ok = _sturm_count(diag, off, lambda_max) == w.size
 
     # vecs columns are unit-norm in plain l2, so entry^2 is already a mass fraction
@@ -476,8 +480,10 @@ def coherent_identity_check_1d(
     if catalog.vectors is None or catalog.grid is None:
         raise ValueError("catalog must carry grid and eigenvectors (fd provenance)")
     n_levels = catalog.vectors.shape[1]
-    if not 1 <= fill <= n_levels:
-        raise ValueError(f"fill must be in 1..{n_levels}")
+    if fill < 1:
+        raise ValueError("fill must be >= 1")
+    if fill > n_levels:
+        raise TruncationError(f"fill={fill} exceeds the {n_levels} levels below lambda_max")
     hbar = catalog.hbar
     if hbar_x is None and hbar_p is None:
         hbar_p = hbar ** (2.0 / 3.0)

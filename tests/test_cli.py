@@ -1,17 +1,21 @@
+import copy
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dilutefermi
 from dilutefermi import asymptotics, thomas_fermi
-from dilutefermi.cli import DEFAULT_CONFIG, main
+from dilutefermi.cli import COMMANDS, DEFAULT_CONFIG, SCHEMA, main, validate
 
 
 def run_cli(args):
@@ -64,6 +68,20 @@ def test_malformed_json_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run_cli(["tf", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"\xff\xfe{}", b'{"tolerances": {"abs": ' + b"9" * 5000 + b"}}"]
+)
+def test_unreadable_config_is_config_error(tmp_path, content):
+    # a directory, bytes that are not UTF-8, and an integer past Python's digit limit
+    path = tmp_path / "cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert run_cli(["tf", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_parameter_is_numerical_or_config(tmp_path):
@@ -137,6 +155,35 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("spectra", {"spectra": {"density": {"r_max": -1}}}),
         ("spectra", {"spectra": {"hbar": 1e-9}}),
         ("spectra", {"sweeps": {"N": [10, 10**30]}}),
+        ("scatter", {"interaction": {"kind": "square_barrier", "hieght": 5, "radius": 1.0}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "bogus_section": {}}),
+        (
+            "predict",
+            {
+                "potential": {"kind": "harmonic"},
+                "interaction": {"kind": "square_barrier"},
+                "sweeps": {"beta": [0.2]},
+            },
+        ),
+        (
+            "boxes",
+            {
+                "potential": {"kind": "harmonic"},
+                "interaction": {"kind": "square_barrier"},
+                "sweeps": {"beta": [0.2]},
+            },
+        ),
+        ("budget", {"sweeps": {"beta": [0.6]}}),
+        ("husimi", {"husimi": {"lambda_max": 0.2}}),
+        ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": []}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "output": {"directory": 5}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "output": {"json_mirror": "no"}}),
+        ("scatter", {"interaction": {"kind": "square_barrier", "height": True}}),
+        ("tf", {"potential": {"kind": "harmonic"}, "tolerances": {"max_refinements": 2.5}}),
+        ("tf", {"potential": {"kind": "power_plus_one", "s": math.inf}}),
+        ("tf", {"potential": {"kind": "harmonic_plus_one", "s": 4.0}}),
+        ("tf", {"potential": {"kind": ["harmonic"]}}),
+        ("scatter", {"interaction": {"kind": {"hardcore": 1}}}),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):
@@ -144,6 +191,101 @@ def test_bad_config_value_is_config_error(tmp_path, command, payload):
     out = tmp_path / "none"
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # nothing written
+
+
+def test_bad_output_directory_without_out_flag(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"potential": {"kind": "harmonic"}, "output": {"directory": 5}})
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["tf", "--config", cfg]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "husimi, error",
+    [
+        ({"halfwidth": 792}, "TruncationError"),  # one level below lambda_max, fill 10
+        ({"halfwidth": 5000, "points": 200}, "TruncationError"),  # none at all
+        ({"hbar": 1e-9}, "ResolutionError"),  # levels that coincide in floating point
+    ],
+)
+def test_husimi_grid_shortfall_is_numerical_failure(tmp_path, capsys, husimi, error):
+    # no schema rule can see these without solving: each must end as a named failure
+    cfg = write_config(tmp_path, {"husimi": husimi})
+    assert run_cli(["husimi", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"numerical failure: {error}" in capsys.readouterr().err
+
+
+# a default config that also carries a cheap spectra.density, so its keys are fuzzed too
+_FUZZ_BASE = copy.deepcopy(DEFAULT_CONFIG)
+_FUZZ_BASE["spectra"]["density"] = {"hbar": 0.5, "M": 10, "r_max": 4.0, "nodes": 257}
+
+
+def _key_paths(config, prefix=()):
+    for key, value in config.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_FUZZ_PATHS = list(_key_paths(_FUZZ_BASE))
+_FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=10**309, max_value=10**400),  # past the float range
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=-3, max_value=3), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["tf", "scatter", "semiclass", "spectra", "husimi", "predict", "budget"]),
+    st.sampled_from(_FUZZ_PATHS + [("bogus",)] + [(s, "bogus") for s in DEFAULT_CONFIG]),
+    _FUZZ_VALUES,
+)
+def test_fuzzed_config_exits_cleanly(command, path, value):
+    config = copy.deepcopy(_FUZZ_BASE)
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        out = Path(tmp) / "out"
+        code = run_cli([command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+
+
+def _schema_leaves(table, prefix):
+    """(dotted key, check) of every key of a SCHEMA section, and the kinds it names."""
+    for key, check in table.items():
+        if key == "kind":
+            for kind, keys in check.items():
+                yield f"{prefix}kind", kind
+                yield from _schema_leaves(keys, prefix)
+        elif isinstance(check, dict):
+            yield from _schema_leaves(check, f"{prefix}{key}.")
+        else:
+            yield prefix + key, f"a list, each {check[0]}" if isinstance(check, list) else check
+
+
+def test_schema_doc_lists_every_key_and_its_example_validates():
+    doc = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+    for section, table in SCHEMA.items():
+        assert f"### `{section}`" in doc, section
+        for key, check in _schema_leaves(table, f"{section}."):
+            if key.endswith(".kind"):
+                assert f'"kind": "{check}"' in doc, check
+            else:
+                assert f"| `{key}` | {check} |" in doc, key
+    example = json.loads(re.search(r"```json\n(.*?)```", doc, re.S).group(1))
+    assert set(example) == set(SCHEMA)
+    for command in COMMANDS:
+        validate(example, example, command)
 
 
 def test_scatter_command_with_amplitude_sweep(tmp_path):
