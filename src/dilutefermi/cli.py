@@ -57,6 +57,7 @@ _NUMERICAL_ERRORS = (
     sp.TruncationError,
     sp.DepthError,
     sp.ResolutionError,
+    sp.EigenvectorError,
     asy.RegimeError,
     asy.DegenerateTilingError,
     BracketError,
@@ -83,9 +84,12 @@ DEFAULT_CONFIG = {
 
 
 def _merge(base, override):
+    """``override`` over ``base``, section by section; a section of another kind replaces."""
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
+        if isinstance(v, dict) and isinstance(out.get(k), dict) and (
+            v.get("kind", out[k].get("kind")) == out[k].get("kind")
+        ):
             out[k] = _merge(out[k], v)
         else:
             out[k] = v
@@ -388,7 +392,7 @@ def cmd_spectra(config, outdir):
         )
         paths.append(scan_path)
     density = spec.get("density")
-    if density:
+    if density is not None:
         prof = sp.free_ground_state_density(
             float(density.get("hbar", spec["hbar"])),
             int(density.get("M", 1)),

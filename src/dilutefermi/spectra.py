@@ -38,6 +38,7 @@ __all__ = [
     "DomainTooSmallError",
     "DepthError",
     "ResolutionError",
+    "EigenvectorError",
     "harmonic_catalog",
     "fd_catalog_1d",
     "spectral_counts",
@@ -66,6 +67,10 @@ class DepthError(ValueError):
 
 class ResolutionError(RuntimeError):
     """Grid too coarse for the coherent-state width."""
+
+
+class EigenvectorError(RuntimeError):
+    """Inverse iteration failed to converge to an eigenvector."""
 
 
 @dataclass
@@ -174,6 +179,37 @@ def _sturm_count(diag, off, x):
     return count
 
 
+# Levels closer than this fraction of ||T||_1 share one inverse-iteration
+# run.  A level farther than that from its neighbours leaks at most about
+# eps / _RUN_GAP ~ 1e-8 of them into its vector per iteration.
+_RUN_GAP = 1e-8
+
+
+def _end_masses(diag, off, w):
+    """v[0]^2 + v[-1]^2 of the unit eigenvector of each level in w.
+
+    LAPACK ``stein`` runs once per run of near-degenerate levels and
+    reorthogonalizes only within it.  Called on all levels at once, it
+    would treat every level within 1e-3 ||T||_1 of the next as one cluster
+    and pay O(k^2 n) Gram-Schmidt; no eigenvector matrix is formed here.
+    """
+    from scipy.linalg.lapack import dstein
+
+    n = diag.size
+    a = np.abs(off)
+    norm1 = float(np.max(np.abs(diag) + np.r_[a, 0.0] + np.r_[0.0, a]))
+    cuts = np.flatnonzero(np.diff(w) > _RUN_GAP * norm1) + 1
+    iblock = np.ones(n, dtype=np.int32)
+    isplit = np.full(n, n, dtype=np.int32)
+    masses = np.empty(w.size)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, w.size]):
+        z, info = dstein(diag, off, w[lo:hi], iblock, isplit)
+        if info != 0:
+            raise EigenvectorError(f"LAPACK stein returned info={info} for levels {lo}..{hi - 1}")
+        masses[lo:hi] = z[0] ** 2 + z[-1] ** 2
+    return masses
+
+
 def fd_catalog_1d(
     v, hbar, halfwidth, points, lambda_max, keep_vectors=True
 ) -> SpectralCatalog:
@@ -185,6 +221,11 @@ def fd_catalog_1d(
     error.  The discretization-error estimate compares the levels with a
     solve (eigenvalues only) on twice the points; that solve runs on the
     first read of ``discretization_error`` and is cached.
+
+    With ``keep_vectors=False`` the solve is eigenvalues only and no
+    eigenvector matrix is formed: the boundary mass of each level comes
+    from inverse iteration on that level (``_end_masses``).  The energies
+    are bit-identical to the ``keep_vectors=True`` ones.
     """
     if points < MIN_FD_POINTS:
         raise ValueError(f"need at least {MIN_FD_POINTS} grid points")
@@ -212,16 +253,17 @@ def fd_catalog_1d(
         )
         return x, h, diag, off, out
 
-    # the coarse vectors feed the boundary-mass check even when not kept
-    x, h, diag, off, (w, vecs) = solve(points, eigvals_only=False)
+    x, h, diag, off, out = solve(points, eigvals_only=not keep_vectors)
+    w, vecs = out if keep_vectors else (out, None)
     if w.size == 0:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
     if np.any(np.diff(w) <= 0):
         raise ResolutionError(f"grid spacing {h:.3g} too coarse to separate levels at hbar={hbar}")
     sturm_ok = _sturm_count(diag, off, lambda_max) == w.size
 
-    # vecs columns are unit-norm in plain l2, so entry^2 is already a mass fraction
-    boundary_mass = float(np.max(vecs[0, :] ** 2 + vecs[-1, :] ** 2))
+    # unit l2 vectors: entry^2 is already a mass fraction
+    masses = vecs[0, :] ** 2 + vecs[-1, :] ** 2 if keep_vectors else _end_masses(diag, off, w)
+    boundary_mass = float(np.max(masses))
     if boundary_mass > 1e-8:
         raise DomainTooSmallError(
             f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"

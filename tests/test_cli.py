@@ -344,6 +344,38 @@ def test_spectra_command_with_scan(tmp_path):
     assert all(float(r[1]) >= 0.0 for r in dens_rows)
 
 
+def test_empty_density_writes_the_default_density(tmp_path):
+    rows = []
+    for name, density in (("empty", {}), ("explicit", {"hbar": 1.0, "M": 1, "r_max": 6.0, "nodes": 2049})):
+        cfg = write_config(tmp_path, {"spectra": {"density": density}}, name=f"{name}.json")
+        out = tmp_path / name
+        assert run_cli(["spectra", "--config", cfg, "--out", str(out)]) == 0
+        rows.append(read_table(out / "free_state_density.csv")[2])
+    assert len(rows[0]) == 2049
+    assert rows[0] == rows[1]
+
+
+def _header_config(path):
+    comments, _, _ = read_table(path)
+    return json.loads(next(c for c in comments if c.startswith("# config: "))[len("# config: "):])
+
+
+@pytest.mark.parametrize(
+    "interaction, resolved",
+    [
+        ({"kind": "hardcore", "radius": 1.5}, {"kind": "hardcore", "radius": 1.5}),
+        ({"kind": "square_barrier", "height": 3.0}, {"kind": "square_barrier", "height": 3.0, "radius": 1.0}),
+    ],
+)
+def test_header_config_merges_only_a_section_of_the_default_kind(tmp_path, interaction, resolved):
+    cfg = write_config(tmp_path, {"interaction": interaction, "sweeps": {"A": []}})
+    out = tmp_path / "out"
+    assert run_cli(["scatter", "--config", cfg, "--out", str(out)]) == 0
+    header = _header_config(out / "scattering_profile.csv")
+    assert header["interaction"] == resolved
+    assert header["tolerances"] == DEFAULT_CONFIG["tolerances"]
+
+
 def test_predict_command(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -152,6 +152,81 @@ def test_fd_refinement_without_vectors_is_exact():
         fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
 
 
+def _fd_matrix(v, hbar, halfwidth, points, lambda_max):
+    """The tridiagonal matrix and levels of fd_catalog_1d, with the clustered vectors."""
+    from scipy.linalg import eigh_tridiagonal
+
+    x = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
+    h = x[1] - x[0]
+    diag = hbar**2 * 2.0 / h**2 + v(x)
+    off = np.full(points - 1, -(hbar**2) / h**2)
+    lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)
+    w, vecs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, lambda_max))
+    return diag, off, w, vecs[0] ** 2 + vecs[-1] ** 2
+
+
+def _assert_same_end_masses(masses, reference):
+    # tail entries below ~1e-15 are rounding noise in either solve
+    big = (masses > 1e-30) | (reference > 1e-30)
+    np.testing.assert_allclose(masses[big], reference[big], rtol=1e-10, atol=0.0)
+    assert np.all(masses[~big] <= 1e-30) and np.all(reference[~big] <= 1e-30)
+
+
+@pytest.mark.parametrize(
+    "v, hbar, halfwidth, points, lambda_max, leaks",
+    [
+        (lambda x: x * x, 1.0, 2.3, 500, 3.5, True),  # boundary mass 5.4e-7
+        (lambda x: x * x, 1.0, 3.6, 500, 3.5, False),  # boundary mass 8.0e-9, just passes
+        # the top catalog of the quartic Weyl scan; test_weyl_scan_fd_1d builds it
+        (lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, None),
+    ],
+    ids=["leaky_x2", "near_threshold_x2", "quartic_1e4"],
+)
+def test_end_masses_match_clustered_vectors(v, hbar, halfwidth, points, lambda_max, leaks):
+    diag, off, w, reference = _fd_matrix(v, hbar, halfwidth, points, lambda_max)
+    _assert_same_end_masses(spectra._end_masses(diag, off, w), reference)
+    args = (v, hbar, halfwidth, points, lambda_max)
+    if leaks:
+        with pytest.raises(DomainTooSmallError, match="boundary mass"):
+            fd_catalog_1d(*args, keep_vectors=False)
+        with pytest.raises(DomainTooSmallError, match="boundary mass"):
+            fd_catalog_1d(*args)
+    elif leaks is False:
+        dropped = fd_catalog_1d(*args, keep_vectors=False)
+        assert np.array_equal(dropped.energies, w) and dropped.sturm_certified
+
+
+@pytest.mark.parametrize("tilt, runs", [(1e-6, [2, 2]), (1e-3, [1, 1, 1, 1])])
+def test_end_masses_solve_near_degenerate_levels_together(monkeypatch, tilt, runs):
+    # tilted double well: each level of the lowest two pairs sits in one
+    # well, and the pairs split by about 2 * tilt, far above the tunnelling
+    # splitting (~1e-11).  ||T||_1 is 2.5e3, so a 2e-6 split is one run.
+    from scipy.linalg import lapack
+
+    sizes = []
+    dstein = lapack.dstein
+
+    def recorder(d, e, w, iblock, isplit):
+        sizes.append(len(w))
+        return dstein(d, e, w, iblock, isplit)
+
+    monkeypatch.setattr(lapack, "dstein", recorder)
+    v = lambda x: (x * x - 1.0) ** 2 + tilt * x
+    diag, off, w, reference = _fd_matrix(v, 0.05, 1.6, 2000, 0.3)
+    masses = spectra._end_masses(diag, off, w)
+    assert sizes == runs
+    assert np.all(reference > 1e-13)
+    _assert_same_end_masses(masses, reference)
+
+
+def test_end_masses_raise_on_failed_inverse_iteration(monkeypatch):
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dstein", lambda d, e, w, *_: (np.zeros((d.size, w.size)), 1))
+    with pytest.raises(spectra.EigenvectorError, match="info=1"):
+        fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 500, 10.0, keep_vectors=False)
+
+
 @pytest.fixture
 def eigensolves(monkeypatch):
     """(points, eigvals_only) of every call to spectra.eigh_tridiagonal.
@@ -178,18 +253,24 @@ def test_refinement_solves_on_first_read_only(eigensolves, tmp_path):
     weyl_error_scan(
         {"kind": "fd_1d", "v": quartic, "halfwidth": 3.0, "points": 1000}, [2, 20, 200], 2.0
     )
-    assert calls == [(1000, False)] * 3
+    # the scan's catalogs drop their vectors, so none is ever computed
+    assert calls == [(1000, True)] * 3
+    assert vector_refs == []
     calls.clear()
     cmd_husimi(DEFAULT_CONFIG, str(tmp_path))
     assert calls == [(1001, False)]
+    kept = fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0)
+    gc.collect()
+    assert kept.vectors is not None
+    assert vector_refs[-1]() is None  # the catalog holds only its rescaled copy
     calls.clear()
+    vector_refs.clear()
 
     cat = fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
-    assert calls == [(2000, False)]
-    gc.collect()
-    assert vector_refs[-1]() is None  # the deferred solve holds no coarse vectors
+    assert calls == [(2000, True)]
     first = cat.discretization_error
-    assert calls == [(2000, False), (4000, True)]
+    assert calls == [(2000, True), (4000, True)]
+    assert vector_refs == []
     assert cat.discretization_error == first
     assert len(calls) == 2
 
