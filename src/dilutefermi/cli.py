@@ -57,12 +57,12 @@ _NUMERICAL_ERRORS = (
     sp.TruncationError,
     sp.DepthError,
     sp.ResolutionError,
-    sp.EigenvectorError,
     asy.RegimeError,
     asy.DegenerateTilingError,
     BracketError,
     RefinementError,
     FloatingPointError,
+    np.linalg.LinAlgError,
 )
 
 DEFAULT_CONFIG = {
@@ -84,16 +84,29 @@ DEFAULT_CONFIG = {
 
 
 def _merge(base, override):
-    """``override`` over ``base``, section by section; a section of another kind replaces."""
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict) and (
-            v.get("kind", out[k].get("kind")) == out[k].get("kind")
-        ):
+        if isinstance(v, dict) and isinstance(out.get(k), dict):
             out[k] = _merge(out[k], v)
         else:
             out[k] = v
     return out
+
+
+def _merged_config(user):
+    """``user`` merged over the defaults key by key; a kinded section keeps only its kind's keys.
+
+    So a hardcore interaction inherits the default radius, not the
+    barrier height.  A kind that ``SCHEMA`` does not know is left for
+    ``validate`` to refuse.
+    """
+    config = _merge(DEFAULT_CONFIG, user)
+    for section, table in SCHEMA.items():
+        spec, kinds = config.get(section), table.get("kind", {})
+        if isinstance(spec, dict) and isinstance(spec.get("kind"), str) and spec["kind"] in kinds:
+            keys = kinds[spec["kind"]]
+            config[section] = {k: v for k, v in spec.items() if k == "kind" or k in keys}
+    return config
 
 
 def load_config(path):
@@ -547,7 +560,7 @@ def main(argv=None):
     rng_before = np.random.get_state()[1].copy() if args.seedless else None
     try:
         user = load_config(args.config)
-        config = _merge(DEFAULT_CONFIG, user)
+        config = _merged_config(user)
         validate(config, user, args.command)
         outdir = args.out or config["output"]["directory"]
         os.makedirs(outdir, exist_ok=True)

@@ -38,7 +38,6 @@ __all__ = [
     "DomainTooSmallError",
     "DepthError",
     "ResolutionError",
-    "EigenvectorError",
     "harmonic_catalog",
     "fd_catalog_1d",
     "spectral_counts",
@@ -67,10 +66,6 @@ class DepthError(ValueError):
 
 class ResolutionError(RuntimeError):
     """Grid too coarse for the coherent-state width."""
-
-
-class EigenvectorError(RuntimeError):
-    """Inverse iteration failed to converge to an eigenvector."""
 
 
 @dataclass
@@ -205,7 +200,8 @@ def _end_masses(diag, off, w):
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, w.size]):
         z, info = dstein(diag, off, w[lo:hi], iblock, isplit)
         if info != 0:
-            raise EigenvectorError(f"LAPACK stein returned info={info} for levels {lo}..{hi - 1}")
+            # the error SciPy raises when its own stein call fails
+            raise np.linalg.LinAlgError(f"stein failed with info={info} for levels {lo}..{hi - 1}")
         masses[lo:hi] = z[0] ** 2 + z[-1] ** 2
     return masses
 

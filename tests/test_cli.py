@@ -215,6 +215,15 @@ def test_husimi_grid_shortfall_is_numerical_failure(tmp_path, capsys, husimi, er
     assert f"numerical failure: {error}" in capsys.readouterr().err
 
 
+def test_failed_eigenvector_solve_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    def failing(d, e, **kwargs):
+        raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
+
+    monkeypatch.setattr(dilutefermi.spectra, "eigh_tridiagonal", failing)
+    assert run_cli(["husimi", "--out", str(tmp_path / "o")]) == 1
+    assert "numerical failure: LinAlgError" in capsys.readouterr().err
+
+
 # a default config that also carries a cheap spectra.density, so its keys are fuzzed too
 _FUZZ_BASE = copy.deepcopy(DEFAULT_CONFIG)
 _FUZZ_BASE["spectra"]["density"] = {"hbar": 0.5, "M": 10, "r_max": 4.0, "nodes": 257}
@@ -364,10 +373,11 @@ def _header_config(path):
     "interaction, resolved",
     [
         ({"kind": "hardcore", "radius": 1.5}, {"kind": "hardcore", "radius": 1.5}),
+        ({"kind": "hardcore"}, {"kind": "hardcore", "radius": 1.0}),
         ({"kind": "square_barrier", "height": 3.0}, {"kind": "square_barrier", "height": 3.0, "radius": 1.0}),
     ],
 )
-def test_header_config_merges_only_a_section_of_the_default_kind(tmp_path, interaction, resolved):
+def test_header_config_keeps_only_the_keys_of_the_section_kind(tmp_path, interaction, resolved):
     cfg = write_config(tmp_path, {"interaction": interaction, "sweeps": {"A": []}})
     out = tmp_path / "out"
     assert run_cli(["scatter", "--config", cfg, "--out", str(out)]) == 0
