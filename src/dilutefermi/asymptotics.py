@@ -226,15 +226,18 @@ class BoxEstimate:
         return abs(self.riemann_rho2 - self.continuum_rho2)
 
 
+def _box_terms(masses, L, a_w):
+    """Per-box 2 c_tf L^-2 M_i^(5/3) + 8 pi a_w L^-3 M_i^2, before the factor N^(2 beta - 2/3)."""
+    Mf = np.asarray(masses, dtype=float)
+    return 2.0 * C_TF * Mf ** (5.0 / 3.0) / L**2 + 8.0 * math.pi * a_w * Mf**2 / L**3
+
+
 def box_kinetic_interaction_sum(masses, L, N, beta, a_w):
     """Homogeneous-formula sum over boxes of side L holding 2 M_i particles.
 
     N^(2 beta - 2/3) sum_i [2 c_tf L^-2 M_i^(5/3) + 8 pi a_w L^-3 M_i^2].
     """
-    Mf = np.asarray(masses, dtype=float)
-    return float(N) ** (2.0 * beta - 2.0 / 3.0) * float(
-        np.sum(2.0 * C_TF * Mf ** (5.0 / 3.0) / L**2 + 8.0 * math.pi * a_w * Mf**2 / L**3)
-    )
+    return float(N) ** (2.0 * beta - 2.0 / 3.0) * float(np.sum(_box_terms(masses, L, a_w)))
 
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
@@ -304,11 +307,10 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
 
     L = float(ctx.N) ** ctx.beta * l
     Mf = M.astype(float)
-    kin_per_box = float(ctx.N) ** (2.0 * ctx.beta - 2.0 / 3.0) * (
-        2.0 * C_TF * Mf ** (5.0 / 3.0) / L**2
-        + 8.0 * math.pi * ctx.a_w * Mf**2 / L**3
-    )
-    kin_int = box_kinetic_interaction_sum(Mf, L, ctx.N, ctx.beta, ctx.a_w)
+    n_power = float(ctx.N) ** (2.0 * ctx.beta - 2.0 / 3.0)
+    terms = _box_terms(Mf, L, ctx.a_w)
+    kin_per_box = n_power * terms
+    kin_int = n_power * float(np.sum(terms))
 
     # sup of a convex radial trap over an axis-aligned box sits at a corner
     half_l = 0.5 * l

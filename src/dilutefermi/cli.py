@@ -124,7 +124,8 @@ def load_config(path):
 
 # section -> key -> check.  A check is a string that names what passes:
 # "number" (finite, and not a bool), a bound such as "> 0" or "> 1/3",
-# "integer >= 1", "null or > 0", "true or false" or "a nonempty string".
+# "integer >= 1", "null or > 0", "true or false" or "a nonempty string";
+# "and" joins bounds, as in "integer >= 200 and <= 4001".
 # A one-check list passes a list whose entries all pass that check.  A dict
 # is a subsection; a section with a "kind" maps each kind to its own keys.
 SCHEMA = {
@@ -144,7 +145,8 @@ SCHEMA = {
                 "density": {"hbar": "> 0", "M": "integer >= 1", "r_max": "> 0",
                             "nodes": "integer >= 16"}},
     "husimi": {"hbar": "> 0", "fill": "integer >= 1", "halfwidth": "> 0",
-               "points": f"integer >= {sp.MIN_FD_POINTS}", "lambda_max": "number"},
+               "points": f"integer >= {sp.MIN_FD_POINTS} and <= {sp.MAX_FD_POINTS}",
+               "lambda_max": "number"},
     "boxes": {"l": "null or > 0"},
     "output": {"directory": "a nonempty string", "json_mirror": "true or false"},
 }
@@ -196,6 +198,8 @@ def _fits(value, check):
     """Whether a JSON value passes a SCHEMA check."""
     if isinstance(check, list):
         return isinstance(value, list) and all(_fits(v, check[0]) for v in value)
+    if " and " in check:
+        return all(_fits(value, part) for part in check.split(" and "))
     if check.startswith("null or "):
         return value is None or _fits(value, check[len("null or "):])
     if check == "true or false":
@@ -211,6 +215,8 @@ def _fits(value, check):
     if not math.isfinite(x) or (check.startswith("integer") and not x.is_integer()):
         return False
     op, _, bound = check.removeprefix("integer").removeprefix("number").strip().partition(" ")
+    if op == "<=":
+        return x <= Fraction(bound)
     return op == "" or (x > Fraction(bound) if op == ">" else x >= Fraction(bound))
 
 
@@ -307,8 +313,7 @@ def _mirror_csv_as_json(csv_path):
 
 def cmd_tf(config, outdir):
     v = resolve_potential(config)
-    tol = _tolerance(config)
-    sol = tf.tf_solve(v, tol)
+    sol = tf.tf_solve(v)
     path = os.path.join(outdir, "tf_solution.csv")
     tf.write_density_csv(
         path,
@@ -322,7 +327,7 @@ def cmd_tf(config, outdir):
     paths = [path]
     p_fs = config["sweeps"]["p_F"]
     if p_fs:
-        scan = tf.cutoff_gap_scan(v, [float(p) for p in p_fs], tol)
+        scan = tf.cutoff_gap_scan(v, [float(p) for p in p_fs])
         cut_path = os.path.join(outdir, "cutoff_scan.csv")
         write_table(
             cut_path,
@@ -456,7 +461,7 @@ def cmd_predict(config, outdir):
     v = resolve_potential(config)
     w = resolve_interaction(config)
     tol = _tolerance(config)
-    base = tf.tf_solve(v, tol)
+    base = tf.tf_solve(v)
     pairs = _sweep_pairs(config)
     # the scattering length depends on the interaction alone: solve it once
     ctx = asy.make_context(*pairs[0], w, tol)
@@ -486,7 +491,7 @@ def cmd_boxes(config, outdir):
         if not window.feasible:
             raise asy.RegimeError(f"no admissible box scale at beta={beta}")
         l = window.chosen_l
-    base = tf.tf_solve(v, tol)
+    base = tf.tf_solve(v)
     est = asy.box_estimate(v, ctx, float(l), base)
     path = os.path.join(outdir, "boxes.csv")
     asy.write_boxes_csv(

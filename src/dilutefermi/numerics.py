@@ -21,7 +21,6 @@ __all__ = [
     "DomainMismatchError",
     "integrate_radial",
     "find_root_monotone",
-    "find_sign_changes",
     "lp_distance",
 ]
 
@@ -215,34 +214,6 @@ def integrate_radial(f, r_max, tol=Tolerance(), breakpoints=()):
         coarse = np.concatenate([left[keep], right[keep]])
         depth += 1
     return total
-
-
-def find_sign_changes(g, lo, hi, scan_points=512, refine_tol=1e-13):
-    """Locate sign changes of ``g`` on [lo, hi] by a uniform pre-pass scan.
-
-    Returns the bisected roots in increasing order.  Used to turn
-    support boundaries such as {V = lam} into quadrature breakpoints.
-    """
-    xs = np.linspace(lo, hi, scan_points)
-    vals = np.asarray(g(xs), dtype=float)
-    roots = []
-    sgn = np.sign(vals)
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        a, b = xs[i], xs[i + 1]
-        fa = vals[i]
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = float(g(m))
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-            if b - a <= refine_tol * max(1.0, abs(m)):
-                break
-        roots.append(0.5 * (a + b))
-    exact = np.nonzero(sgn == 0)[0]
-    roots.extend(float(xs[i]) for i in exact)
-    return sorted(roots)
 
 
 def find_root_monotone(g, lo, hi, tol=Tolerance(), max_iterations=200, scan_points=17):

@@ -44,7 +44,10 @@ class Potential:
     ``radial_fn`` maps radii (ndarray-ready) to energies.  For radial
     potentials ``__call__`` accepts either radii or (..., 3) position
     arrays.  Analytic derivative callables are populated for built-ins
-    only; ``None`` marks them unavailable.
+    only; ``None`` marks them unavailable.  Every trap must be
+    nondecreasing along each ray from the origin.  ``kinks`` are the
+    radii where a radial trap is not smooth (the nodes of a
+    ``custom_radial`` table); level integrals put panel edges there.
     """
 
     kind: str
@@ -57,6 +60,7 @@ class Potential:
     hessian_frobenius_sq: object = None
     eval_3d: object = None
     notes: tuple = ()
+    kinks: tuple = field(default=(), init=False)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -74,10 +78,8 @@ class Potential:
         return self.laplacian is not None
 
     def min_value(self):
-        """Minimum of V; built-ins attain it at the origin."""
-        if self.radial:
-            return float(self.radial_fn(np.array([0.0]))[0])
-        raise NotImplementedError("minimum scan for non-radial potentials")
+        """V at the origin, the minimum of a trap nondecreasing along every ray."""
+        return float(self(np.zeros(3)))
 
 
 @dataclass(frozen=True)
@@ -183,13 +185,15 @@ def custom_radial_trap(table: RadialProfile, growth=2.0):
         inside = np.interp(r, table.nodes, table.values)
         return np.where(r <= r_last, inside, v_last * (r / r_last) ** growth)
 
-    return Potential(
+    trap = Potential(
         kind="custom_radial",
         radial=True,
         growth=float(growth),
         radial_fn=fn,
         notes=("W^{3,inf}_loc regularity declared, not verified",),
     )
+    object.__setattr__(trap, "kinks", tuple(table.nodes.tolist()))
+    return trap
 
 
 _BUILTINS = {"harmonic_plus_one", "power_plus_one", "custom_radial"}

@@ -2,8 +2,10 @@
 
 The momentum integrals are eliminated analytically, so the particle
 count at level L reduces to (1/(6 pi^2)) int (L - V)_+^{3/2} and the
-energy to (1/(2 pi^2)) int [(1/5)(L - V)_+^{5/2} + (V/3)(L - V)_+^{3/2}],
-one-dimensional integrals for radial traps.  Also houses the shifted
+energy to (1/(2 pi^2)) int [(1/5)(L - V)_+^{5/2} + (V/3)(L - V)_+^{3/2}].
+Both are level integrals over {V <= L}, evaluated together by the level
+rule of ``thomas_fermi`` (rays from the origin, one support root per
+ray, a fixed Gauss rule on each).  Also houses the shifted
 variational energy, a finite-difference differentiability probe for the
 count, and the phase-space (Vlasov) energy of explicit trial
 occupations.
@@ -16,16 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Tolerance, integrate_radial
 from .tables import write_table
-from .thomas_fermi import (
-    GridField,
-    NormalizationError,
-    _fix_level,
-    _simpson_weights,
-    _support_radius,
-    _tensor_grid,
-)
+from .thomas_fermi import NormalizationError, _fix_level, _level_integrals, _simpson_weights
 
 __all__ = [
     "PhaseSpaceBudget",
@@ -56,55 +50,30 @@ class PhaseSpaceBudget:
         return self.e_cl - self.Lambda * self.n_cl
 
 
-def phase_space_counts(v, Lambda, tol=Tolerance(abs=1e-12, rel=1e-12)) -> PhaseSpaceBudget:
+def phase_space_counts(v, Lambda) -> PhaseSpaceBudget:
     """Particle and energy counts of the filled phase-space region below Lambda."""
     if not math.isfinite(Lambda):
         raise ValueError("Lambda must be finite")
-    if not getattr(v, "radial", True):
-        return _grid_counts(v, Lambda)
-    vr = v.radial_fn
-    if Lambda <= v.min_value():
-        return PhaseSpaceBudget(float(Lambda), 0.0, 0.0)
+
+    def fields(gap, vr):
+        g15 = gap**1.5
+        return g15, 0.2 * gap**2.5 + vr / 3.0 * g15
+
     try:
-        r_last, roots = _support_radius(vr, Lambda)
+        (n_cl, e_cl), _ = _level_integrals(v, Lambda, fields)
     except NormalizationError as exc:
         raise DivergenceError(str(exc)) from exc
-
-    def gap(r):
-        return np.maximum(Lambda - vr(np.asarray(r, dtype=float)), 0.0)
-
-    n_cl = integrate_radial(lambda r: gap(r) ** 1.5, r_last, tol, breakpoints=roots) / (
-        6.0 * math.pi**2
+    return PhaseSpaceBudget(
+        float(Lambda), float(n_cl) / (6.0 * math.pi**2), float(e_cl) / (2.0 * math.pi**2)
     )
-    e_cl = integrate_radial(
-        lambda r: 0.2 * gap(r) ** 2.5 + vr(np.asarray(r, dtype=float)) / 3.0 * gap(r) ** 1.5,
-        r_last,
-        tol,
-        breakpoints=roots,
-    ) / (2.0 * math.pi**2)
-    return PhaseSpaceBudget(float(Lambda), n_cl, e_cl)
 
 
-def _grid_counts(v, Lambda, points=161):
-    try:
-        axes, vals = _tensor_grid(v, Lambda, points)
-    except NormalizationError as exc:
-        raise DivergenceError(str(exc)) from exc
-    gap = np.maximum(Lambda - vals, 0.0)
-    n_cl = GridField(axes, gap**1.5).integrate() / (6.0 * math.pi**2)
-    e_cl = GridField(axes, 0.2 * gap**2.5 + vals / 3.0 * gap**1.5).integrate() / (
-        2.0 * math.pi**2
-    )
-    return PhaseSpaceBudget(float(Lambda), n_cl, e_cl)
-
-
-def lambda_for_filling(v, target, tol=Tolerance(abs=1e-11, rel=1e-13)):
+def lambda_for_filling(v, target):
     """Level Lambda with n_cl(Lambda) = target, by monotone root finding."""
     if not target > 0:
         raise NormalizationError("filling target must be positive (bracket degenerates)")
-    vmin = v.min_value() if getattr(v, "radial", True) else 0.0
     res = _fix_level(
-        lambda lam: phase_space_counts(v, lam).n_cl - target, vmin, tol, "filling level"
+        lambda lam: phase_space_counts(v, lam).n_cl - target, v.min_value(), "filling level"
     )
     return res.root
 

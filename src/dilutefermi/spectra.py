@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import RadialProfile, Tolerance, find_sign_changes, integrate_radial
+from .numerics import RadialProfile
 from .semiclassics import phase_space_counts
 from .potentials import harmonic_trap
 from .tables import write_table
@@ -106,6 +106,9 @@ class SpectralCatalog:
 
 
 MIN_FD_POINTS = 200
+# grid points of a configured finite-difference catalog: its eigenvector
+# matrix holds up to points^2 doubles, 128 MB at this cap
+MAX_FD_POINTS = 4001
 # shells of one analytic catalog; the level count sum (n+1)(n+2)/2 of
 # 10^6 shells is 1.7e17, well inside int64
 MAX_SHELLS = 10**6

@@ -8,10 +8,20 @@ two-spin functional inverts through the one positive root of the cubic
 kappa_s t^2 + g t^3 = (lam - V)_+ in t = rho_s^{1/3}; the momentum-cutoff
 variant caps the kinetic energy density at the Fermi level and is solved
 exactly through its saturation structure.
+
+Every integral of a minimizer, and every count in ``semiclassics``, is a
+level integral of F((lam - V)_+, V) over {V <= lam}, and one private rule
+computes them all.  Along each ray from the origin it finds the support
+edge R with one bisection on V <= lam, then integrates with Gauss-Legendre
+panels ending at 0, the trap's kinks and R, substituting r = R - s^2 on the
+edge panel; an n-against-2n estimate doubles n up to a fixed cap.  A radial
+trap is one ray; a non-radial trap uses a product rule over directions and
+must be nondecreasing along every ray.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,9 +29,9 @@ import numpy as np
 
 from .numerics import (
     RadialProfile,
+    RefinementError,
     Tolerance,
     find_root_monotone,
-    find_sign_changes,
     integrate_radial,
 )
 from .tables import write_table
@@ -34,7 +44,6 @@ __all__ = [
     "TFSolution",
     "TwoSpinState",
     "CutoffTFSolution",
-    "GridField",
     "DomainError",
     "NormalizationError",
     "tf_solve",
@@ -60,26 +69,12 @@ class TFConstants:
 
 
 class DomainError(ValueError):
-    """Density input leaves the admissible domain (negative samples)."""
+    """Input leaves the admissible domain: negative density samples, or a
+    trap that is not nondecreasing along a ray from the origin."""
 
 
 class NormalizationError(RuntimeError):
     """No chemical potential bracket normalizes the density to unit mass."""
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Scalar field sampled on a tensor grid (non-radial fallback)."""
-
-    axes: tuple
-    values: np.ndarray
-
-    def integrate(self, integrand=None):
-        w = 1.0
-        vals = self.values if integrand is None else integrand
-        for ax in reversed(self.axes):
-            vals = np.tensordot(vals, _simpson_weights(ax), axes=([-1], [0]))
-        return float(vals * w)
 
 
 def _simpson_weights(x):
@@ -98,7 +93,7 @@ class TFSolution:
     """Minimizer of the total-density functional at unit mass."""
 
     lambda_TF: float
-    rho: object  # RadialProfile, or GridField for non-radial traps
+    rho: object  # RadialProfile; None for non-radial traps
     support_radius: float
     E_TF: float
     kinetic_integral: float  # integral of rho^{5/3}
@@ -137,59 +132,169 @@ class CutoffTFSolution:
     E_TF: float
 
 
-_QUAD_TOL = Tolerance(abs=1e-12, rel=1e-12)
+# the level rule (see the module docstring): Gauss-Legendre of order n is
+# checked against order 2n; n starts at _RULE_START and doubles up to _RULE_CAP
+_RULE_START = 16
+_RULE_CAP = 256
+_RULE_REL = 1e-13
+# sections per step of the support search, shared among the rays
+_SECTIONS = 64
+# non-radial traps: Gauss-Legendre in cos(theta) times a trapezoid in phi
+_RAY_THETA = 24
+_RAY_PHI = 48
+# level roots stop at the rule's precision, not at a caller's tolerance
+_LEVEL_TOL = Tolerance(abs=1e-15, rel=1e-15)
 
 
-def _support_radius(vr, lam, r_seed=1.0):
-    """Largest radius with V <= lam, found by doubling plus a sign scan."""
-    hi = r_seed
+@functools.cache
+def _gauss(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even, correctly rounded.
+
+    Newton's method on P_n in 40-digit decimal arithmetic from NumPy's
+    nodes, then w = 2 / ((1 - x^2) P_n'(x)^2).  NumPy's own weights err
+    by up to 1e-11 relative at n = 128, which moved level integrals by
+    several ulp.  ``decimal`` loads on the first call.
+    """
+    from decimal import Decimal, localcontext
+
+    def legendre(t):
+        p_prev, p = Decimal(1), t
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+        return p, n * (t * p - p_prev) / (t * t - 1)
+
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for guess in np.polynomial.legendre.leggauss(n)[0][: n // 2]:
+            t = Decimal(float(guess))
+            for _ in range(3):  # the third step moves t by less than 1e-40
+                p, dp = legendre(t)
+                t -= p / dp
+            nodes.append(float(t))
+            weights.append(float(2 / ((1 - t * t) * dp * dp)))
+    # the rule is symmetric, and every order used is even
+    return np.array(nodes + [-x for x in reversed(nodes)]), np.array(weights + weights[::-1])
+
+
+def _rays(v):
+    """Solid-angle weights of the rays and V along them.
+
+    ``trace(r)`` takes radii of shape (rays, m).  A radial trap is the
+    one-ray case with weight 4 pi.
+    """
+    if v.radial:
+        return np.array([4.0 * np.pi]), v.radial_fn
+    ct, wt = _gauss(_RAY_THETA)
+    phi = 2.0 * np.pi * np.arange(_RAY_PHI) / _RAY_PHI
+    st = np.sqrt(1.0 - ct * ct)[:, None]
+    dirs = np.stack(
+        [st * np.cos(phi), st * np.sin(phi), np.repeat(ct[:, None], _RAY_PHI, axis=1)], axis=-1
+    ).reshape(-1, 3)
+    weights = np.repeat(wt, _RAY_PHI) * (2.0 * np.pi / _RAY_PHI)
+    return weights, lambda r: v(r[..., None] * dirs[:, None, :])
+
+
+def _support(trace, rays, lam):
+    """Largest r on each ray with V <= lam, by bisection on that predicate.
+
+    The bracket's upper end doubles from 1 until V exceeds lam on every
+    ray.  Each step then tests the predicate at evenly spaced interior
+    points of every bracket at once (63 on a single ray, the midpoint
+    alone on many) and keeps the section between the last point inside
+    and the first beyond, until no float lies strictly inside any
+    bracket.  For a trap nondecreasing along the ray, plateaus included,
+    that leaves the largest r with V <= lam.
+    """
+    lo = np.zeros(rays)
+    hi = np.ones(rays)
     for _ in range(200):
-        if float(vr(np.array([hi]))[0]) > lam:
+        inside = trace(hi[:, None])[:, 0] <= lam
+        if not inside.any():
             break
-        hi *= 2.0
+        lo = np.where(inside, hi, lo)
+        hi = np.where(inside, 2.0 * hi, hi)
     else:
         raise NormalizationError("potential does not exceed the multiplier; not confining?")
-    roots = find_sign_changes(lambda r: lam - vr(np.asarray(r)), 0.0, hi, scan_points=1024)
-    if not roots:
-        return 0.0, []
-    return roots[-1], roots
+    sections = max(2, _SECTIONS // rays)
+    steps = np.arange(1, sections) / sections
+    rows = np.arange(rays)
+    while (np.nextafter(lo, hi) < hi).any():
+        pts = np.minimum(lo[:, None] + (hi - lo)[:, None] * steps, hi[:, None])
+        inside = trace(pts) <= lam
+        last = np.sum(inside, axis=1)  # points inside come first on a nondecreasing ray
+        lo = np.where(last > 0, pts[rows, np.maximum(last - 1, 0)], lo)
+        hi = np.where(last < sections - 1, pts[rows, np.minimum(last, sections - 2)], hi)
+    return lo
 
 
-def _level_density(vr, lam, invert):
-    """Pointwise inversion rho(r) = invert((lam - V(r))_+), zero off the support.
+def _level_integrals(v, lam, fields):
+    """Integrals over {V <= lam} of the arrays ``fields(gap, V)`` returns, gap = lam - V.
 
-    Returns the density with the support radius and the sign changes of
-    lam - V, which are the quadrature breakpoints of every integral of it.
+    Every field must vanish where gap = 0.  Returns the integrals and the
+    support edge R of each ray.  A rule node inside a ray's support where
+    V exceeds lam is a DomainError: the trap is not nondecreasing along
+    that ray, so the support is not the set the rule integrates.
     """
-    r_last, roots = _support_radius(vr, lam)
+    weights, trace = _rays(v)
+    vmin = v.min_value()
+    if not lam > vmin:
+        return np.zeros(len(fields(np.zeros(1), np.zeros(1)))), np.zeros(weights.size)
+    R = _support(trace, weights.size, lam)
+    kinks = np.asarray(v.kinks, dtype=float)
+    kinks = kinks[(kinks > 0.0) & (kinks < R.max())]
+    a = np.minimum(np.concatenate([[0.0], kinks])[None, :], R[:, None])
+    b = np.minimum(np.concatenate([kinks, [np.inf]])[None, :], R[:, None])
+    width = (b - a)[..., None]
+    edge = (b == R[:, None])[..., None]
+    slack = 1e-12 * max(1.0, abs(lam))
+    # gap = lam - V carries a rounding error of order eps max(|lam|, |V|), so
+    # relative to the depth lam - min V no rule resolves the integrals better
+    rel = _RULE_REL + 64.0 * np.finfo(float).eps * max(abs(lam), abs(vmin)) / (lam - vmin)
 
-    def rho(r):
-        gap = lam - vr(np.asarray(r, dtype=float))
-        return np.where(gap > 0.0, invert(np.maximum(gap, 0.0)), 0.0)
+    def rule(n):
+        x, w = _gauss(n)
+        u, w = 0.5 * (1.0 + x), 0.5 * w
+        # on the edge panel s = sqrt(b - a) u, so r = b - s^2 and dr = 2 s ds
+        r = np.where(edge, b[..., None] - width * u * u, a[..., None] + width * u)
+        dr = np.where(edge, 2.0 * width * u * w, width * w)
+        r = r.reshape(weights.size, -1)
+        wr = (dr.reshape(weights.size, -1) * r * r) * weights[:, None]
+        vr = trace(r)
+        gap = lam - vr
+        if np.any(gap < -slack):
+            raise DomainError(
+                f"V exceeds {lam!r} inside the support of a ray: the trap is not "
+                "nondecreasing along every ray from the origin"
+            )
+        vals = fields(np.maximum(gap, 0.0), vr)
+        return (
+            np.array([np.sum(f * wr) for f in vals]),
+            np.array([np.sum(np.abs(f) * wr) for f in vals]),
+        )
 
-    return rho, r_last, roots
+    n = _RULE_START
+    coarse, _ = rule(n)
+    while True:
+        fine, scale = rule(2 * n)
+        if np.all(np.abs(fine - coarse) <= rel * scale):
+            return fine, R
+        if n >= _RULE_CAP:
+            raise RefinementError(
+                f"level rule did not converge with {2 * n} points per panel",
+                previous_estimate=coarse,
+                last_estimate=fine,
+            )
+        n, coarse = 2 * n, fine
 
 
-def _tf_inversion(kappa):
-    """gap -> (gap / kappa)^(3/2), the inverted Euler-Lagrange equation."""
-    return lambda gap: (gap / kappa) ** 1.5
-
-
-def _radial_mass(vr, lam, invert):
-    """Integral of invert((lam - V)_+); zero when lam lies below the trap."""
-    rho, r_last, roots = _level_density(vr, lam, invert)
-    if r_last <= 0.0:
-        return 0.0
-    return integrate_radial(rho, r_last, _QUAD_TOL, breakpoints=roots)
-
-
-def _fix_level(defect, vmin, tol, what):
+def _fix_level(defect, vmin, what):
     """Root of an increasing level defect, bracketed upwards from just above vmin.
 
     The upper end starts at vmin + 1 and its distance from vmin doubles
     until the defect turns positive.  The root finder's monotonicity scan
     is off: no caller reads its warning, and each scan point is a full
-    mass quadrature.
+    level integral.
     """
     lo = vmin + 1e-9
     hi = vmin + 1.0
@@ -199,68 +304,62 @@ def _fix_level(defect, vmin, tol, what):
         hi = vmin + 2.0 * (hi - vmin)
     else:
         raise NormalizationError(f"could not bracket the {what}")
-    return find_root_monotone(defect, lo, hi, tol, scan_points=0)
+    return find_root_monotone(defect, lo, hi, _LEVEL_TOL, scan_points=0)
 
 
-def _tensor_grid(v, level, points=161):
-    """Trap values on a tensor grid reaching 1.5 times past V > level on each axis.
-
-    The reach along each coordinate axis is the first power of two where
-    V exceeds ``level``.  Returns the axes and V on their product grid.
-    """
-    extents = []
-    for axis in range(3):
-        t = 1.0
-        for _ in range(60):
-            x = np.zeros((1, 3))
-            x[0, axis] = t
-            if float(v(x)[0]) > level:
-                break
-            t *= 2.0
-        else:
-            raise NormalizationError("trap not confining along a coordinate axis")
-        extents.append(t)
-    axes = tuple(np.linspace(-1.5 * e, 1.5 * e, points) for e in extents)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return axes, v(grid.reshape(-1, 3)).reshape(grid.shape[:-1])
+def _tf_density(gap, kappa=KAPPA):
+    """(gap / kappa)^(3/2), the inverted Euler-Lagrange equation."""
+    return (gap / kappa) ** 1.5
 
 
-def tf_solve(v, tol=Tolerance(abs=1e-10, rel=1e-10)) -> TFSolution:
+def _radial_density(v, lam, invert):
+    """rho(r) = invert((lam - V(r))_+) on a radial trap, zero off the support."""
+
+    def rho(r):
+        gap = lam - v.radial_fn(np.asarray(r, dtype=float))
+        return np.where(gap > 0.0, invert(np.maximum(gap, 0.0)), 0.0)
+
+    return rho
+
+
+def tf_solve(v) -> TFSolution:
     """Solve the unit-mass Thomas-Fermi problem for a confining trap.
 
     The density is the closed-form inversion of the Euler-Lagrange
     equation, so the only unknown is the scalar multiplier, found by
-    bracketed root finding on the mass defect.  All four reported
-    integrals are evaluated by adaptive quadrature with breakpoints at
-    the support boundary.
+    bracketed root finding on the mass defect.  Mass and the three
+    reported integrals come from one call of the level rule.  Non-radial
+    traps report no density profile (``rho`` and ``rho_fn`` are None).
     """
-    if not getattr(v, "radial", True):
-        return _tf_solve_grid(v, tol)
-    vr = v.radial_fn
-    invert = _tf_inversion(KAPPA)
     res = _fix_level(
-        lambda lam: _radial_mass(vr, lam, invert) - 1.0,
+        lambda lam: _level_integrals(v, lam, lambda gap, vr: (_tf_density(gap),))[0][0] - 1.0,
         v.min_value(),
-        Tolerance(abs=max(tol.abs, 1e-12), rel=1e-14),
         "chemical potential",
     )
     lam = res.root
 
-    rho_fn, r_support, roots = _level_density(vr, lam, invert)
-    quad = _QUAD_TOL
-    mass = integrate_radial(rho_fn, r_support, quad, breakpoints=roots)
-    kin = integrate_radial(lambda r: rho_fn(r) ** (5.0 / 3.0), r_support, quad, breakpoints=roots)
-    pot = integrate_radial(lambda r: vr(r) * rho_fn(r), r_support, quad, breakpoints=roots)
-    inter = integrate_radial(lambda r: rho_fn(r) ** 2, r_support, quad, breakpoints=roots)
+    def fields(gap, vr):
+        rho = _tf_density(gap)
+        return rho, rho ** (5.0 / 3.0), vr * rho, rho * rho
+
+    integrals, edges = _level_integrals(v, lam, fields)
+    mass, kin, pot, inter = map(float, integrals)
+    r_support = float(np.max(edges))
     e_tf = 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
 
-    nodes = np.linspace(0.0, r_support * 1.02, 1537)
-    profile = RadialProfile(nodes, rho_fn(nodes))
-
-    inner = np.linspace(0.0, r_support * (1.0 - 1e-9), 2048)
-    dens = rho_fn(inner)
+    # Euler-Lagrange residual on 2048 sample radii shared among the rays, 16 per ray at least
+    _, trace = _rays(v)
+    inner = edges[:, None] * np.linspace(0.0, 1.0 - 1e-9, max(2048 // edges.size, 16))
+    vv = trace(inner)
+    dens = _tf_density(np.maximum(lam - vv, 0.0))
     on = dens > 0
-    residual = float(np.max(np.abs(KAPPA * dens[on] ** (2.0 / 3.0) + vr(inner[on]) - lam)))
+    residual = float(np.max(np.abs(KAPPA * dens[on] ** (2.0 / 3.0) + vv[on] - lam), initial=0.0))
+
+    rho_fn = profile = None
+    if v.radial:
+        rho_fn = _radial_density(v, lam, _tf_density)
+        nodes = np.linspace(0.0, r_support * 1.02, 1537)
+        profile = RadialProfile(nodes, rho_fn(nodes))
 
     return TFSolution(
         lambda_TF=lam,
@@ -277,73 +376,13 @@ def tf_solve(v, tol=Tolerance(abs=1e-10, rel=1e-10)) -> TFSolution:
     )
 
 
-def _tf_solve_grid(v, tol, points=161):
-    """Tensor-grid fallback for non-radial traps (same pointwise inversion)."""
-    invert = _tf_inversion(KAPPA)
-    lam_probe = 1.0
-    for _ in range(60):
-        axes, vals = _tensor_grid(v, lam_probe, points)
-
-        def mass(lam):
-            return GridField(axes, invert(np.maximum(lam - vals, 0.0))).integrate()
-
-        if mass(lam_probe) >= 1.0:
-            break
-        lam_probe *= 2.0
-    else:
-        raise NormalizationError("could not bracket the chemical potential on the grid")
-
-    res = find_root_monotone(
-        lambda lam: mass(lam) - 1.0,
-        float(np.min(vals)) + 1e-9,
-        lam_probe,
-        Tolerance(abs=max(tol.abs, 1e-12), rel=1e-14),
-        scan_points=0,
-    )
-    lam = res.root
-    rho = np.where(lam - vals > 0.0, invert(np.maximum(lam - vals, 0.0)), 0.0)
-    fld = GridField(axes, rho)
-    kin = GridField(axes, rho ** (5.0 / 3.0)).integrate()
-    pot = GridField(axes, vals * rho).integrate()
-    inter = GridField(axes, rho**2).integrate()
-    on = rho > 0
-    residual = float(np.max(np.abs(KAPPA * rho[on] ** (2.0 / 3.0) + vals[on] - lam)))
-    radius = 0.0
-    if np.any(on):
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[on]
-        radius = float(np.max(np.linalg.norm(pts, axis=-1)))
-    return TFSolution(
-        lambda_TF=lam,
-        rho=fld,
-        support_radius=radius,
-        E_TF=2.0 ** (-2.0 / 3.0) * C_TF * kin + pot,
-        kinetic_integral=kin,
-        potential_integral=pot,
-        interaction_integral=inter,
-        mass=mass(lam),
-        lagrange_residual=residual,
-        rho_fn=None,
-        potential=v,
-    )
-
-
-def tf_functional(v, rho, tol=_QUAD_TOL):
+def tf_functional(v, rho, tol=Tolerance(abs=1e-12, rel=1e-12)):
     """Energy of a trial total density (no normalization enforced).
 
-    ``rho`` is a RadialProfile or a GridField; negative samples are a
-    domain error.
+    ``rho`` is a RadialProfile; negative samples are a domain error.
     """
-    if isinstance(rho, GridField):
-        if np.min(rho.values) < -1e-13:
-            raise DomainError("trial density has negative samples")
-        vals = np.maximum(rho.values, 0.0)
-        grid = np.stack(np.meshgrid(*rho.axes, indexing="ij"), axis=-1)
-        vv = v(grid.reshape(-1, 3)).reshape(vals.shape)
-        kin = GridField(rho.axes, vals ** (5.0 / 3.0)).integrate()
-        pot = GridField(rho.axes, vv * vals).integrate()
-        return 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
     if not isinstance(rho, RadialProfile):
-        raise TypeError("rho must be a RadialProfile or GridField")
+        raise TypeError("rho must be a RadialProfile")
     if np.min(rho.values) < -1e-13:
         raise DomainError("trial density has negative samples")
     vr = v.radial_fn
@@ -370,7 +409,7 @@ def _cubic_root(c):
         u = nxt
 
 
-def two_spin_minimize(v, g, tol=Tolerance(abs=1e-10, rel=1e-9)) -> TwoSpinState:
+def two_spin_minimize(v, g) -> TwoSpinState:
     """Minimize the coupled two-spin functional at unit total mass.
 
     On the symmetric branch, the minimizing one for repulsive coupling,
@@ -378,13 +417,14 @@ def two_spin_minimize(v, g, tol=Tolerance(abs=1e-10, rel=1e-9)) -> TwoSpinState:
     In u = g rho_s^{1/3} / kappa_s that is u^2 (1 + u) = c with
     c = (mu - V)_+ g^2 / kappa_s^3, whose one positive root is taken
     pointwise; the shared multiplier mu fixes the total mass to one.
-    At g = 0 the equal split of the single-spin minimizer is exact;
-    ``tol`` is the tolerance of that solve.
+    At g = 0 the equal split of the single-spin minimizer is exact.
     """
     if g < 0:
         raise ValueError("coupling must be nonnegative")
+    if not v.radial:
+        raise NotImplementedError("two-spin functional is implemented for radial traps")
     if g == 0.0:
-        base = tf_solve(v, tol)
+        base = tf_solve(v)
         r = np.linspace(0.0, base.support_radius * 1.02, 1537)
         half = base.rho_fn(r) / 2.0
         prof = RadialProfile(r, half)
@@ -399,34 +439,32 @@ def two_spin_minimize(v, g, tol=Tolerance(abs=1e-10, rel=1e-9)) -> TwoSpinState:
             rho_down_values=half,
         )
 
-    vr = v.radial_fn
     scale = g * g / KAPPA_SPIN**3
 
     def invert(gap):
         return (KAPPA_SPIN / g * _cubic_root(gap * scale)) ** 3
 
     res = _fix_level(
-        lambda mu: 2.0 * _radial_mass(vr, mu, invert) - 1.0,
+        lambda mu: 2.0 * _level_integrals(v, mu, lambda gap, vr: (invert(gap),))[0][0] - 1.0,
         v.min_value(),
-        Tolerance(abs=1e-13, rel=1e-14),
         "chemical potential",
     )
     mu = res.root
-    rho, r_support, roots = _level_density(vr, mu, invert)
 
-    def energy_density(r):
-        rho_s = rho(r)
-        return 2.0 * C_TF * rho_s ** (5.0 / 3.0) + 2.0 * vr(r) * rho_s + g * rho_s**2
+    def energy_density(gap, vr):
+        rho_s = invert(gap)
+        return (2.0 * C_TF * rho_s ** (5.0 / 3.0) + 2.0 * vr * rho_s + g * rho_s**2,)
 
-    energy = integrate_radial(energy_density, r_support, _QUAD_TOL, breakpoints=roots)
-    r = np.linspace(0.0, r_support * 1.02, 1537)
+    (energy,), edges = _level_integrals(v, mu, energy_density)
+    rho = _radial_density(v, mu, invert)
+    r = np.linspace(0.0, float(edges[0]) * 1.02, 1537)
     rho_s = rho(r)
     prof = RadialProfile(r, rho_s)
     return TwoSpinState(
         rho_up=prof,
         rho_down=prof,
         coupling=g,
-        energy=energy,
+        energy=float(energy),
         lambda_two_spin=mu,
         iterations=res.iterations,
         rho_up_values=rho_s,
@@ -434,7 +472,7 @@ def two_spin_minimize(v, g, tol=Tolerance(abs=1e-10, rel=1e-9)) -> TwoSpinState:
     )
 
 
-def cutoff_tf_solve(v, p_F, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffTFSolution:
+def cutoff_tf_solve(v, p_F) -> CutoffTFSolution:
     """Minimize the Fermi-momentum-capped functional (radial traps).
 
     The per-spin kinetic energy density follows the usual 5/3 power up
@@ -447,7 +485,7 @@ def cutoff_tf_solve(v, p_F, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffTFSolu
     at the trap bottom with energy (min V + p_F^2) per unit mass, which
     is also exactly the reported overflow mass.
     """
-    return cutoff_gap_scan(v, [p_F], tol).solutions[0]
+    return cutoff_gap_scan(v, [p_F]).solutions[0]
 
 
 def _capped_minimizer(v, p_F, base: TFSolution) -> CutoffTFSolution:
@@ -462,13 +500,15 @@ def _capped_minimizer(v, p_F, base: TFSolution) -> CutoffTFSolution:
             active=False,
             E_TF=base.E_TF,
         )
-    vr = v.radial_fn
-    spin_density, r_last, roots = _level_density(vr, lam_sat, _tf_inversion(KAPPA_SPIN))
-    quad = _QUAD_TOL
-    regular_mass = 2.0 * integrate_radial(spin_density, r_last, quad, breakpoints=roots)
+
+    def fields(gap, vr):
+        rho_s = _tf_density(gap, KAPPA_SPIN)
+        return rho_s, rho_s ** (5.0 / 3.0), vr * rho_s
+
+    integrals, _ = _level_integrals(v, lam_sat, fields)
+    mass, kin, pot = map(float, integrals)
+    regular_mass = 2.0 * mass
     spike = max(0.0, 1.0 - regular_mass)
-    kin = integrate_radial(lambda r: spin_density(r) ** (5.0 / 3.0), r_last, quad, breakpoints=roots)
-    pot = integrate_radial(lambda r: vr(r) * spin_density(r), r_last, quad, breakpoints=roots)
     energy = 2.0 * C_TF * kin + 2.0 * pot + spike * lam_sat
     return CutoffTFSolution(
         p_F=float(p_F),
@@ -490,7 +530,7 @@ class CutoffScan:
     solutions: list  # one CutoffTFSolution per cap
 
 
-def cutoff_gap_scan(v, p_F_list, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffScan:
+def cutoff_gap_scan(v, p_F_list) -> CutoffScan:
     """Gap E_TF - E_TF_pF over a p_F grid with a fitted decay exponent.
 
     The uncapped problem is solved once and every cap's minimizer is
@@ -501,9 +541,9 @@ def cutoff_gap_scan(v, p_F_list, tol=Tolerance(abs=1e-10, rel=1e-10)) -> CutoffS
     """
     if any(p <= 0 for p in p_F_list):
         raise ValueError("p_F must be positive")
-    if not getattr(v, "radial", True):
+    if not v.radial:
         raise NotImplementedError("cutoff functional is implemented for radial traps")
-    base = tf_solve(v, tol)
+    base = tf_solve(v)
     solutions = [_capped_minimizer(v, p, base) for p in p_F_list]
     gaps = [base.E_TF - sol.E_TF_pF for sol in solutions]
     floor = 1e-12 * max(1.0, abs(base.E_TF))

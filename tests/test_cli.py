@@ -184,6 +184,8 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("tf", {"potential": {"kind": "harmonic_plus_one", "s": 4.0}}),
         ("tf", {"potential": {"kind": ["harmonic"]}}),
         ("scatter", {"interaction": {"kind": {"hardcore": 1}}}),
+        ("husimi", {"husimi": {"points": 4002}}),  # one past spectra.MAX_FD_POINTS
+        ("husimi", {"husimi": {"points": 10**9}}),  # an 8e18-byte eigenvector matrix
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):
@@ -191,6 +193,14 @@ def test_bad_config_value_is_config_error(tmp_path, command, payload):
     out = tmp_path / "none"
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # nothing written
+
+
+def test_husimi_points_cap_admits_the_4001_point_rung():
+    # the finest Husimi rung planned, hbar = 0.00625 on 4001 points
+    user = {"husimi": {"hbar": 0.00625, "points": 4001}}
+    config = json.loads(json.dumps(DEFAULT_CONFIG))
+    config["husimi"].update(user["husimi"])
+    validate(config, user, "husimi")
 
 
 def test_bad_output_directory_without_out_flag(tmp_path, monkeypatch):

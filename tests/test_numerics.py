@@ -13,7 +13,6 @@ from dilutefermi.numerics import (
     RefinementError,
     Tolerance,
     find_root_monotone,
-    find_sign_changes,
     integrate_radial,
     lp_distance,
 )
@@ -123,13 +122,6 @@ def test_root_non_monotone_warning():
     assert abs(res.root) < 1e-6
     assert not res.monotone
     assert res.warnings
-
-
-def test_sign_change_scan():
-    roots = find_sign_changes(lambda r: np.cos(r), 0.0, 8.0)
-    assert len(roots) == 3
-    assert abs(roots[0] - math.pi / 2.0) < 1e-9
-    assert abs(roots[2] - 5.0 * math.pi / 2.0) < 1e-9
 
 
 def test_lp_identity_is_zero():
@@ -262,12 +254,17 @@ def test_integrate_radial_equals_per_half_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(thomas_fermi, "integrate_radial", recorder)
-    # the five traps of the solver sweep: every mass, kinetic, potential and
-    # interaction integral of each TF solve, then the two-spin energy at g = 0.2
+    # the five traps of the solver sweep: the mass, kinetic, potential and
+    # interaction integrands of each TF minimizer with a breakpoint at its
+    # support edge, then the trial-energy integrals of two of the profiles
     for v in (harmonic_trap(0.0), harmonic_trap(1.0), power_trap(3.0), power_trap(4.0), power_trap(6.0)):
-        thomas_fermi.tf_solve(v)
+        sol = thomas_fermi.tf_solve(v)
+        rho, edge = sol.rho_fn, (sol.support_radius,)
+        for f in (rho, lambda r: rho(r) ** (5.0 / 3.0), lambda r: v.radial_fn(r) * rho(r), lambda r: rho(r) ** 2):
+            recorder(f, sol.support_radius, Tolerance(abs=1e-12, rel=1e-12), edge)
     n_tf = len(pairs)
-    thomas_fermi.two_spin_minimize(harmonic_trap(0.0), 0.2)
+    for v in (harmonic_trap(0.0), power_trap(4.0)):
+        thomas_fermi.tf_functional(v, thomas_fermi.tf_solve(v).rho)
     assert n_tf >= 20 and len(pairs) > n_tf
     for got, want in pairs:
         assert got == want

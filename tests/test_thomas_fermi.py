@@ -7,8 +7,8 @@ import pytest
 
 from dilutefermi import semiclassics as scl
 from dilutefermi import thomas_fermi
-from dilutefermi.numerics import RadialProfile, lp_distance
-from dilutefermi.potentials import Potential, harmonic_trap, power_trap
+from dilutefermi.numerics import RadialProfile, RefinementError, lp_distance
+from dilutefermi.potentials import Potential, custom_radial_trap, harmonic_trap, power_trap
 from dilutefermi.thomas_fermi import (
     C_TF,
     KAPPA,
@@ -297,6 +297,108 @@ def test_nonradial_grid_path_anisotropic_quadratic(monkeypatch):
     exact = (24.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
     assert abs(sol.lambda_TF - exact) / exact < 2e-3
     assert abs(sol.mass - 1.0) < 1e-9
+
+
+def _anisotropic_trap():
+    def eval3d(x):
+        return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
+
+    return Potential(kind="anisotropic", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+
+
+def test_nonradial_level_rule_anisotropic_closed_forms():
+    # the sublevel sets of x^2 + 2 y^2 + 3 z^2 are those of r^2 scaled by 1/sqrt(6)
+    v = _anisotropic_trap()
+    sol = tf_solve(v)
+    exact = (24.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
+    assert abs(sol.lambda_TF - exact) / exact < 1e-12
+    assert abs(sol.E_TF - 0.75 * exact) / exact < 1e-12
+    assert sol.rho is None and sol.rho_fn is None
+    level = scl.lambda_for_filling(v, 1.0)
+    exact_level = (48.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
+    assert abs(level - exact_level) / exact_level < 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0])
+def test_harmonic_closed_forms_at_rounding_level(offset):
+    sol = tf_solve(harmonic_trap(offset))
+    assert abs(sol.lambda_TF - offset - LAMBDA) / LAMBDA < 1e-14
+    assert abs(sol.E_TF - offset - E_EXACT) / E_EXACT < 1e-14
+    assert abs(sol.interaction_integral - INTER_EXACT) / INTER_EXACT < 1e-14
+    assert abs(sol.mass - 1.0) < 1e-14
+
+
+def _recorded_rule_orders(monkeypatch):
+    orders = []
+    gauss = thomas_fermi._gauss
+
+    def recording(n):
+        orders.append(n)
+        return gauss(n)
+
+    monkeypatch.setattr(thomas_fermi, "_gauss", recording)
+    return orders
+
+
+def test_level_rule_doubles_its_order_at_a_rough_origin(monkeypatch):
+    # V = 1 + r^1.5 is not smooth at the origin, so 16 points do not suffice:
+    # n_cl(3) = 2^(3/s + 3/2) B(3/s, 5/2) (4 pi / s) / (6 pi^2) with s = 1.5
+    import mpmath
+
+    mpmath.mp.dps = 30
+    s = mpmath.mpf(1.5)
+    want = float(4 * mpmath.pi * 2 ** (3 / s + 1.5) / s * mpmath.beta(3 / s, 2.5) / (6 * mpmath.pi**2))
+    orders = _recorded_rule_orders(monkeypatch)
+    got = scl.phase_space_counts(power_trap(1.5), 3.0).n_cl
+    assert abs(got - want) / want < 1e-13
+    assert max(orders) >= 64
+    orders.clear()
+    scl.phase_space_counts(harmonic_trap(1.0), 3.0)
+    assert orders == [16, 32]  # a smooth trap stops at the first check
+
+
+def test_level_rule_past_its_cap_raises_refinement_error(monkeypatch):
+    # an undeclared jump of V at r = 0.5 defeats every order up to the cap
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        return 1.0 + r * r + np.where(r > 0.5, 1.0, 0.0)
+
+    step = Potential(kind="step", radial=True, growth=2.0, radial_fn=fn)
+    orders = _recorded_rule_orders(monkeypatch)
+    with pytest.raises(RefinementError) as exc:
+        scl.phase_space_counts(step, 4.0)
+    assert max(orders) == 2 * thomas_fermi._RULE_CAP
+    assert np.all(np.isfinite(exc.value.last_estimate))
+
+
+def test_declared_kinks_let_the_rule_converge():
+    # the same jump as a custom table: its nodes are panel edges, so no refinement fails
+    nodes = np.linspace(0.0, 3.0, 61)
+    vals = 1.0 + nodes**2 + np.where(nodes > 0.5, 1.0, 0.0)
+    v = custom_radial_trap(RadialProfile(nodes, vals))
+    assert v.kinks == tuple(nodes.tolist())
+    assert scl.phase_space_counts(v, 4.0).n_cl > 0.0
+    with pytest.raises(TypeError):
+        Potential(kind="x", radial=True, growth=2.0, radial_fn=np.square, kinks=(1.0,))
+
+
+def test_non_star_shaped_trap_is_refused():
+    # a bump at (0.5, 0, 0) cuts a hole out of {V <= 3}, seen from the origin
+    def eval3d(x):
+        bump = np.exp(-50.0 * ((x[..., 0] - 0.5) ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2))
+        return np.sum(x * x, axis=-1) + 10.0 * bump
+
+    v = Potential(kind="bump", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    with pytest.raises(DomainError, match="nondecreasing along every ray"):
+        scl.phase_space_counts(v, 3.0)
+    with pytest.raises(DomainError):
+        tf_solve(v)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.5])
+def test_two_spin_refuses_non_radial_traps(g):
+    with pytest.raises(NotImplementedError, match="radial traps"):
+        two_spin_minimize(_anisotropic_trap(), g)
 
 
 def test_density_csv_columns(tmp_path, bare_solution):
