@@ -2,7 +2,7 @@
 
 The package decomposes into small, pure submodules:
 
-- ``numerics``: quadrature, root finding, L^p profile distances
+- ``numerics``: quadrature of trial profiles, L^p profile distances
 - ``potentials``: trap families and curvature diagnostics
 - ``thomas_fermi``: single-spin, two-spin and momentum-cutoff density functionals
 - ``scattering``: zero-energy scattering lengths and the Dyson kit

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import Tolerance
 from .scattering import InteractionSpec, zero_energy_solve
 from .tables import write_table
 from .thomas_fermi import C_TF, TFSolution, tf_solve
@@ -79,9 +78,9 @@ class ScalingContext:
         return 8.0 * math.pi * self.a_w * float(self.N) ** (1.0 / 3.0 - self.beta)
 
 
-def make_context(N, beta, interaction: InteractionSpec, tol=Tolerance()) -> ScalingContext:
+def make_context(N, beta, interaction: InteractionSpec) -> ScalingContext:
     """Solve the interaction's scattering problem once and freeze the context."""
-    sol = zero_energy_solve(interaction, tol=tol)
+    sol = zero_energy_solve(interaction)
     return ScalingContext(
         N=int(N), beta=float(beta), interaction=interaction, a_w=sol.a, R_w=interaction.range_
     )

@@ -30,7 +30,7 @@ from . import scattering as sc
 from . import semiclassics as scl
 from . import spectra as sp
 from . import thomas_fermi as tf
-from .numerics import BracketError, RefinementError, Tolerance
+from .numerics import RefinementError
 from .potentials import ConfigurationError
 from .tables import write_table
 
@@ -59,7 +59,6 @@ _NUMERICAL_ERRORS = (
     sp.ResolutionError,
     asy.RegimeError,
     asy.DegenerateTilingError,
-    BracketError,
     RefinementError,
     FloatingPointError,
     np.linalg.LinAlgError,
@@ -263,11 +262,6 @@ def validate(config, user, command):
                 raise ConfigurationError(f"command '{command}' needs {needs}")
 
 
-def _tolerance(config):
-    t = config["tolerances"]
-    return Tolerance(float(t["abs"]), float(t["rel"]), int(t["max_refinements"]))
-
-
 def resolve_potential(config):
     spec = config["potential"]
     if spec["kind"] == "harmonic":
@@ -344,8 +338,7 @@ def cmd_tf(config, outdir):
 
 def cmd_scatter(config, outdir):
     w = resolve_interaction(config)
-    tol = _tolerance(config)
-    sol = sc.zero_energy_solve(w, tol=tol)
+    sol = sc.zero_energy_solve(w)
     paths = []
     path = os.path.join(outdir, "scattering_profile.csv")
     sc.write_scattering_csv(
@@ -360,7 +353,7 @@ def cmd_scatter(config, outdir):
     paths.append(path)
     amps = config["sweeps"]["A"]
     if amps:
-        rows = sc.hardcore_limit(w, amps, tol=tol)
+        rows = sc.hardcore_limit(w, amps)
         sweep_path = os.path.join(outdir, "hardcore_sweep.csv")
         header = _header("scatter", config, ["hardcore_limit: a(A v) -> R as A grows"])
         write_table(sweep_path, header, ("A", "a"), rows)
@@ -460,11 +453,10 @@ def _sweep_pairs(config):
 def cmd_predict(config, outdir):
     v = resolve_potential(config)
     w = resolve_interaction(config)
-    tol = _tolerance(config)
     base = tf.tf_solve(v)
     pairs = _sweep_pairs(config)
     # the scattering length depends on the interaction alone: solve it once
-    ctx = asy.make_context(*pairs[0], w, tol)
+    ctx = asy.make_context(*pairs[0], w)
     rows = [
         asy.predict_energy(v, dataclasses.replace(ctx, N=N, beta=beta), base)
         for N, beta in pairs
@@ -481,10 +473,9 @@ def cmd_predict(config, outdir):
 def cmd_boxes(config, outdir):
     v = resolve_potential(config)
     w = resolve_interaction(config)
-    tol = _tolerance(config)
     pairs = _sweep_pairs(config)
     N, beta = pairs[0]
-    ctx = asy.make_context(N, beta, w, tol)
+    ctx = asy.make_context(N, beta, w)
     l = config["boxes"]["l"]
     if l is None:
         window = asy.beta_l_window(beta, N)

@@ -1,13 +1,14 @@
 """Shared deterministic numeric kernel.
 
-Adaptive radial quadrature, bracketed monotone root finding and L^p
-distances between radial profiles.  Everything here is pure: no global
+Adaptive radial quadrature of trial profiles and L^p distances between
+radial profiles.  Level multipliers are fixed elsewhere, by Newton steps
+from above in ``thomas_fermi``.  Everything here is pure: no global
 mutable state, no randomness, identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,18 +16,11 @@ __all__ = [
     "Tolerance",
     "RadialProfile",
     "PowerTail",
-    "RootResult",
-    "BracketError",
     "RefinementError",
     "DomainMismatchError",
     "integrate_radial",
-    "find_root_monotone",
     "lp_distance",
 ]
-
-
-class BracketError(ValueError):
-    """The supplied interval does not bracket a sign change."""
 
 
 class DomainMismatchError(ValueError):
@@ -116,22 +110,6 @@ class RadialProfile:
         return out
 
 
-@dataclass
-class RootResult:
-    """Root of a monotone function with its final sign-change bracket."""
-
-    root: float
-    bracket: tuple
-    bracket_values: tuple
-    residual: float
-    iterations: int
-    monotone: bool = True
-    warnings: list = field(default_factory=list)
-
-    def __float__(self):
-        return self.root
-
-
 # 10-point Gauss-Legendre rule on [-1, 1], the workhorse panel rule.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -214,88 +192,6 @@ def integrate_radial(f, r_max, tol=Tolerance(), breakpoints=()):
         coarse = np.concatenate([left[keep], right[keep]])
         depth += 1
     return total
-
-
-def find_root_monotone(g, lo, hi, tol=Tolerance(), max_iterations=200, scan_points=17):
-    """Bracketed root of a continuous monotone function.
-
-    Bisection with a secant acceleration step whenever the secant
-    candidate stays strictly inside the bracket.  Convergence is
-    declared once |g(x)| <= tol.abs or the bracket width drops below
-    tol.rel * |x|.  Non-monotone behaviour among the evaluated points
-    (the iterates plus a uniform scan of ``scan_points`` values, 0 to
-    disable) is reported through a warning attached to the result,
-    never an exception.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not lo < hi:
-        raise BracketError("need lo < hi")
-    evals = []
-
-    def geval(x):
-        y = float(g(x))
-        evals.append((x, y))
-        return y
-
-    fa = geval(lo)
-    fb = geval(hi)
-    if fa == 0.0:
-        return RootResult(lo, (lo, hi), (fa, fb), 0.0, 0)
-    if fb == 0.0:
-        return RootResult(hi, (lo, hi), (fa, fb), 0.0, 0)
-    if np.sign(fa) == np.sign(fb):
-        raise BracketError(f"g has the same sign at both ends: g({lo})={fa}, g({hi})={fb}")
-
-    a, b = lo, hi
-    x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    it = 0
-    force_bisect = False
-    while it < max_iterations:
-        it += 1
-        width = b - a
-        if fb != fa and not force_bisect:
-            cand = b - fb * (b - a) / (fb - fa)
-        else:
-            cand = 0.5 * (a + b)
-        if not (a < cand < b) or not np.isfinite(cand):
-            cand = 0.5 * (a + b)
-        fc = geval(cand)
-        if abs(fc) < abs(fx):
-            x, fx = cand, fc
-        if fc == 0.0:
-            a = b = cand
-            x, fx = cand, 0.0
-            break
-        if np.sign(fc) == np.sign(fa):
-            a, fa = cand, fc
-        else:
-            b, fb = cand, fc
-        # insist on real bracket shrinkage; otherwise bisect next round
-        force_bisect = (b - a) > 0.5 * width
-        if abs(fx) <= tol.abs or (b - a) <= tol.rel * max(abs(a), abs(b), 1e-300):
-            break
-
-    if scan_points >= 2:
-        for xs in np.linspace(lo, hi, scan_points)[1:-1]:
-            geval(float(xs))
-    pts = sorted(evals)
-    ys = np.array([y for _, y in pts])
-    rising = fb >= fa
-    diffs = np.diff(ys)
-    slack = 1e-12 * (np.abs(ys[:-1]) + np.abs(ys[1:]) + 1.0)
-    bad = np.any(diffs < -slack) if rising else np.any(diffs > slack)
-    result = RootResult(
-        root=x,
-        bracket=(a, b),
-        bracket_values=(fa, fb),
-        residual=abs(fx),
-        iterations=it,
-        monotone=not bool(bad),
-    )
-    if bad:
-        result.warnings.append("sampled values of g are not monotone on the bracket")
-    return result
 
 
 def _abs_power_moment(u, p, k):

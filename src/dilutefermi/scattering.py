@@ -223,7 +223,7 @@ def _rk4_outward(vfun, r0, u0, du0, segments, steps_per_unit):
     return rs, us, dus
 
 
-def zero_energy_solve(spec: InteractionSpec, r_max=None, tol=Tolerance()) -> ScatteringSolution:
+def zero_energy_solve(spec: InteractionSpec, r_max=None) -> ScatteringSolution:
     """Scattering length and zero-energy profile of a finite-range interaction.
 
     Integrates outward from u(0) = 0, u'(0) = 1 (or from the hard-core
@@ -357,14 +357,14 @@ def scattering_energy(sol: ScatteringSolution) -> float:
     return 4.0 * np.pi * (core + sol.a**2 / R)
 
 
-def hardcore_limit(spec: InteractionSpec, amplitudes, r_max=None, tol=Tolerance()):
+def hardcore_limit(spec: InteractionSpec, amplitudes, r_max=None):
     """Scattering length along an increasing amplitude sweep of A * v."""
     amps = [float(a) for a in amplitudes]
     if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
         raise ValueError("amplitudes must be positive and increasing")
     out = []
     for a_mult in amps:
-        sol = zero_energy_solve(scaled_interaction(spec, a_mult), r_max, tol)
+        sol = zero_energy_solve(scaled_interaction(spec, a_mult), r_max)
         out.append((a_mult, sol.a))
     return out
 
@@ -377,7 +377,7 @@ class ScaledIdentityReport:
     a_w: float
 
 
-def scaled_identity_check(w: InteractionSpec, N, beta, tol=Tolerance()) -> ScaledIdentityReport:
+def scaled_identity_check(w: InteractionSpec, N, beta) -> ScaledIdentityReport:
     """Dilation identity of the scattering length under the dilute scaling.
 
     With hbar = N^(-1/3), the interaction hbar^-2 N^(2 beta - 2/3) w(N^beta .)
@@ -387,10 +387,10 @@ def scaled_identity_check(w: InteractionSpec, N, beta, tol=Tolerance()) -> Scale
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    base = zero_energy_solve(w, tol=tol)
+    base = zero_energy_solve(w)
     b = float(N) ** beta
     scaled = dilated_interaction(w, amplitude_factor=b * b, length_factor=b)
-    lhs = zero_energy_solve(scaled, tol=tol).a
+    lhs = zero_energy_solve(scaled).a
     rhs = base.a / b
     rel = abs(lhs - rhs) / rhs if rhs != 0 else 0.0
     return ScaledIdentityReport(lhs=lhs, rhs=rhs, rel_err=rel, a_w=base.a)

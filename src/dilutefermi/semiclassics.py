@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tables import write_table
-from .thomas_fermi import NormalizationError, _fix_level, _level_integrals, _simpson_weights
+from .thomas_fermi import NormalizationError, _fix_level, _level_integrals
 
 __all__ = [
     "PhaseSpaceBudget",
@@ -50,6 +50,14 @@ class PhaseSpaceBudget:
         return self.e_cl - self.Lambda * self.n_cl
 
 
+def _counts(v, Lambda, fields):
+    """Level integrals of ``fields`` over {V <= Lambda}; a trap that does not confine diverges."""
+    try:
+        return _level_integrals(v, Lambda, fields)[0]
+    except NormalizationError as exc:
+        raise DivergenceError(str(exc)) from exc
+
+
 def phase_space_counts(v, Lambda) -> PhaseSpaceBudget:
     """Particle and energy counts of the filled phase-space region below Lambda."""
     if not math.isfinite(Lambda):
@@ -59,23 +67,26 @@ def phase_space_counts(v, Lambda) -> PhaseSpaceBudget:
         g15 = gap**1.5
         return g15, 0.2 * gap**2.5 + vr / 3.0 * g15
 
-    try:
-        (n_cl, e_cl), _ = _level_integrals(v, Lambda, fields)
-    except NormalizationError as exc:
-        raise DivergenceError(str(exc)) from exc
+    n_cl, e_cl = _counts(v, Lambda, fields)
     return PhaseSpaceBudget(
         float(Lambda), float(n_cl) / (6.0 * math.pi**2), float(e_cl) / (2.0 * math.pi**2)
     )
 
 
 def lambda_for_filling(v, target):
-    """Level Lambda with n_cl(Lambda) = target, by monotone root finding."""
+    """Level Lambda with n_cl(Lambda) = target, by Newton steps from above.
+
+    The slope d n_cl / d Lambda = (1/(6 pi^2)) int (3/2) (Lambda - V)_+^{1/2}
+    comes from the same call of the level rule as the count.
+    """
     if not target > 0:
         raise NormalizationError("filling target must be positive (bracket degenerates)")
-    res = _fix_level(
-        lambda lam: phase_space_counts(v, lam).n_cl - target, v.min_value(), "filling level"
-    )
-    return res.root
+
+    def level(lam):
+        n, slope = _counts(v, lam, lambda gap, vr: (gap**1.5, 1.5 * gap**0.5))
+        return float(n) / (6.0 * math.pi**2) - target, float(slope) / (6.0 * math.pi**2)
+
+    return _fix_level(level, v.min_value(), "filling level")[0]
 
 
 @dataclass
@@ -119,6 +130,17 @@ def h2_probe(v, lambda_grid, threshold=0.1) -> H2Report:
         threshold=float(threshold),
         counts=counts,
     )
+
+
+def _simpson_weights(x):
+    n = len(x)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("Simpson weights need an odd number of nodes >= 3")
+    h = x[1] - x[0]
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * h / 3.0
 
 
 def vlasov_energy(v, occupation, r_nodes, p_nodes):

@@ -2,9 +2,11 @@
 
 Every minimizer here is a pointwise inversion rho = F((lam - V)_+) of
 its Euler-Lagrange equation, with the multiplier lam fixed by unit mass
-through one monotone root.  The single-spin (total density) functional
-inverts in closed form, rho = ((lam - V)_+ / kappa)^{3/2}; the coupled
-two-spin functional inverts through the one positive root of the cubic
+through Newton steps from above: F is convex and increasing, so the mass
+is too as a function of lam, and its slope is one more level integral.
+The single-spin (total density) functional inverts in closed form,
+rho = ((lam - V)_+ / kappa)^{3/2}; the coupled two-spin functional
+inverts through the one positive root of the cubic
 kappa_s t^2 + g t^3 = (lam - V)_+ in t = rho_s^{1/3}; the momentum-cutoff
 variant caps the kinetic energy density at the Fermi level and is solved
 exactly through its saturation structure.
@@ -31,7 +33,6 @@ from .numerics import (
     RadialProfile,
     RefinementError,
     Tolerance,
-    find_root_monotone,
     integrate_radial,
 )
 from .tables import write_table
@@ -77,17 +78,6 @@ class NormalizationError(RuntimeError):
     """No chemical potential bracket normalizes the density to unit mass."""
 
 
-def _simpson_weights(x):
-    n = len(x)
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson weights need an odd number of nodes >= 3")
-    h = x[1] - x[0]
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
-
-
 @dataclass
 class TFSolution:
     """Minimizer of the total-density functional at unit mass."""
@@ -114,7 +104,7 @@ class TwoSpinState:
     coupling: float
     energy: float
     lambda_two_spin: float
-    iterations: int  # root-finder iterations fixing the multiplier; 0 at g = 0
+    iterations: int  # Newton steps from above fixing the multiplier; 0 at g = 0
     rho_up_values: np.ndarray = field(repr=False, default=None)
     rho_down_values: np.ndarray = field(repr=False, default=None)
 
@@ -142,8 +132,6 @@ _SECTIONS = 64
 # non-radial traps: Gauss-Legendre in cos(theta) times a trapezoid in phi
 _RAY_THETA = 24
 _RAY_PHI = 48
-# level roots stop at the rule's precision, not at a caller's tolerance
-_LEVEL_TOL = Tolerance(abs=1e-15, rel=1e-15)
 
 
 @functools.cache
@@ -288,23 +276,32 @@ def _level_integrals(v, lam, fields):
         n, coarse = 2 * n, fine
 
 
-def _fix_level(defect, vmin, what):
-    """Root of an increasing level defect, bracketed upwards from just above vmin.
+def _fix_level(level, vmin, what):
+    """Level lam with zero defect, by Newton steps from above.
 
-    The upper end starts at vmin + 1 and its distance from vmin doubles
-    until the defect turns positive.  The root finder's monotonicity scan
-    is off: no caller reads its warning, and each scan point is a full
-    level integral.
+    ``level(lam)`` returns the defect and its slope, both from one call of
+    the level rule; the defect must be convex and increasing in lam, as
+    every mass and count here is.  The start is vmin + 1, and its distance
+    from vmin doubles until the defect turns positive.  From above the root,
+    each Newton step on a convex increasing function stays above it, so the
+    iterates descend onto the root; the loop ends once a step no longer
+    lowers lam, as in ``_cubic_root``.  Returns lam and the number of steps.
     """
-    lo = vmin + 1e-9
-    hi = vmin + 1.0
+    lam = vmin + 1.0
     for _ in range(200):
-        if defect(hi) > 0:
+        defect, slope = level(lam)
+        if defect > 0:
             break
-        hi = vmin + 2.0 * (hi - vmin)
+        lam = vmin + 2.0 * (lam - vmin)
     else:
         raise NormalizationError(f"could not bracket the {what}")
-    return find_root_monotone(defect, lo, hi, _LEVEL_TOL, scan_points=0)
+    steps = 0
+    while True:
+        nxt = lam - defect / slope
+        if not nxt < lam:
+            return float(lam), steps
+        lam, steps = nxt, steps + 1
+        defect, slope = level(lam)
 
 
 def _tf_density(gap, kappa=KAPPA):
@@ -327,16 +324,17 @@ def tf_solve(v) -> TFSolution:
 
     The density is the closed-form inversion of the Euler-Lagrange
     equation, so the only unknown is the scalar multiplier, found by
-    bracketed root finding on the mass defect.  Mass and the three
+    Newton steps from above on the convex mass defect.  Mass and the three
     reported integrals come from one call of the level rule.  Non-radial
     traps report no density profile (``rho`` and ``rho_fn`` are None).
     """
-    res = _fix_level(
-        lambda lam: _level_integrals(v, lam, lambda gap, vr: (_tf_density(gap),))[0][0] - 1.0,
-        v.min_value(),
-        "chemical potential",
-    )
-    lam = res.root
+    def level(lam):
+        (mass, slope), _ = _level_integrals(
+            v, lam, lambda gap, vr: (_tf_density(gap), 1.5 * gap**0.5 * KAPPA**-1.5)
+        )
+        return mass - 1.0, slope
+
+    lam, _ = _fix_level(level, v.min_value(), "chemical potential")
 
     def fields(gap, vr):
         rho = _tf_density(gap)
@@ -444,12 +442,15 @@ def two_spin_minimize(v, g) -> TwoSpinState:
     def invert(gap):
         return (KAPPA_SPIN / g * _cubic_root(gap * scale)) ** 3
 
-    res = _fix_level(
-        lambda mu: 2.0 * _level_integrals(v, mu, lambda gap, vr: (invert(gap),))[0][0] - 1.0,
-        v.min_value(),
-        "chemical potential",
-    )
-    mu = res.root
+    def level(mu):
+        def fields(gap, vr):
+            u = _cubic_root(gap * scale)
+            return (KAPPA_SPIN / g * u) ** 3, 3.0 * u / (g * (3.0 * u + 2.0))
+
+        (mass, slope), _ = _level_integrals(v, mu, fields)
+        return 2.0 * mass - 1.0, 2.0 * slope
+
+    mu, steps = _fix_level(level, v.min_value(), "chemical potential")
 
     def energy_density(gap, vr):
         rho_s = invert(gap)
@@ -466,7 +467,7 @@ def two_spin_minimize(v, g) -> TwoSpinState:
         coupling=g,
         energy=float(energy),
         lambda_two_spin=mu,
-        iterations=res.iterations,
+        iterations=steps,
         rho_up_values=rho_s,
         rho_down_values=rho_s,
     )

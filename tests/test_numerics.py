@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from dilutefermi import numerics, thomas_fermi
 from dilutefermi.numerics import (
-    BracketError,
     DomainMismatchError,
     PowerTail,
     RadialProfile,
     RefinementError,
     Tolerance,
-    find_root_monotone,
     integrate_radial,
     lp_distance,
 )
@@ -79,49 +77,6 @@ def test_refinement_failure_carries_estimates():
         integrate_radial(lambda r: np.sqrt(np.abs(np.sin(40.0 * r))), 3.0, tol)
     assert math.isfinite(exc.value.last_estimate)
     assert math.isfinite(exc.value.previous_estimate)
-
-
-def test_root_trivial_and_cube():
-    assert abs(find_root_monotone(lambda x: x - 2.0, 0.0, 5.0).root - 2.0) < 1e-9
-    res = find_root_monotone(lambda x: x**3 - 24.0, 1.0, 5.0)
-    assert abs(res.root - LAMBDA) < 1e-9
-    assert res.monotone
-
-
-def test_root_of_mass_defect_matches_cube_root():
-    # unit-mass defect of the scaled density profile has the same root
-    def defect(lam):
-        if lam <= 0:
-            return -1.0
-        val = integrate_radial(
-            lambda r: np.maximum(lam - r * r, 0.0) ** 1.5 / (3.0 * math.pi**2),
-            math.sqrt(lam),
-            breakpoints=[math.sqrt(lam)],
-        )
-        return val - 1.0
-
-    res = find_root_monotone(defect, 1.0, 5.0, Tolerance(abs=1e-12, rel=1e-14))
-    assert abs(res.root - LAMBDA) < 1e-8
-
-
-def test_root_bracket_certificate():
-    res = find_root_monotone(lambda x: math.tanh(x) - 0.3, -4.0, 4.0)
-    lo, hi = res.bracket
-    flo, fhi = res.bracket_values
-    assert lo <= res.root <= hi
-    assert flo == 0 or fhi == 0 or np.sign(flo) != np.sign(fhi)
-
-
-def test_root_invalid_bracket():
-    with pytest.raises(BracketError):
-        find_root_monotone(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_root_non_monotone_warning():
-    res = find_root_monotone(lambda x: x + 0.5 * math.sin(8.0 * x), -2.0, 3.0)
-    assert abs(res.root) < 1e-6
-    assert not res.monotone
-    assert res.warnings
 
 
 def test_lp_identity_is_zero():

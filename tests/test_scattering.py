@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dilutefermi import scattering
-from dilutefermi.numerics import Tolerance
 from dilutefermi.scattering import (
     GeometryError,
     InteractionSpec,

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -291,9 +292,9 @@ def test_nonradial_grid_path_anisotropic_quadratic(monkeypatch):
         return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
 
     v = Potential(kind="anisotropic", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
-    calls = _record_scan_points(monkeypatch)
+    calls = _count_level_integrals(monkeypatch)
     sol = tf_solve(v)
-    assert calls == [0]
+    assert 0 < len(calls) <= _LEVEL_SOLVE_BUDGET
     exact = (24.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
     assert abs(sol.lambda_TF - exact) / exact < 2e-3
     assert abs(sol.mass - 1.0) < 1e-9
@@ -325,6 +326,31 @@ def test_harmonic_closed_forms_at_rounding_level(offset):
     assert abs(sol.lambda_TF - offset - LAMBDA) / LAMBDA < 1e-14
     assert abs(sol.E_TF - offset - E_EXACT) / E_EXACT < 1e-14
     assert abs(sol.interaction_integral - INTER_EXACT) / INTER_EXACT < 1e-14
+    assert abs(sol.mass - 1.0) < 1e-14
+
+
+def _power_closed_forms(s):
+    """lambda, E_TF and int rho^2 of V = 1 + r^s at unit mass, in 30-digit mpmath.
+
+    The mass condition kappa^(-3/2) 4 pi mu^(3/2 + 3/s) B(3/s, 5/2) / s = 1
+    fixes mu = lambda - 1; the virial identity gives E_TF - 1 = mu (6 + 3s) / (6 + 5s).
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+        kappa = (3 * mpmath.pi**2) ** (mpmath.mpf(2) / 3)
+        mu = (3 * mpmath.pi * s / (4 * mpmath.beta(3 / s, 2.5))) ** (1 / (1.5 + 3 / s))
+        rho2 = 4 * mpmath.pi * mu ** (3 + 3 / s) * mpmath.beta(3 / s, 4) / (s * kappa**3)
+        return 1 + mu, 1 + mu * (6 + 3 * s) / (6 + 5 * s), rho2
+
+
+@pytest.mark.parametrize("s", [3, 4, 6])
+def test_power_closed_forms_at_rounding_level(s):
+    sol = tf_solve(power_trap(float(s)))
+    got = (sol.lambda_TF, sol.E_TF, sol.interaction_integral)
+    for value, exact in zip(got, _power_closed_forms(s)):
+        assert abs(value - float(exact)) / float(exact) < 1e-14
     assert abs(sol.mass - 1.0) < 1e-14
 
 
@@ -412,22 +438,35 @@ def test_density_csv_columns(tmp_path, bare_solution):
     assert cells[0, 1] == pytest.approx((bare_solution.lambda_TF / KAPPA) ** 1.5)
 
 
+# level integrals one level solve may take, the last one included
+_LEVEL_SOLVE_BUDGET = 12
 
-def _record_scan_points(monkeypatch):
+
+def _count_level_integrals(monkeypatch):
     calls = []
-    find = thomas_fermi.find_root_monotone
+    level_integrals = thomas_fermi._level_integrals
 
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("scan_points"))
-        return find(*args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return level_integrals(*args)
 
-    monkeypatch.setattr(thomas_fermi, "find_root_monotone", recording)
+    monkeypatch.setattr(thomas_fermi, "_level_integrals", counting)
+    monkeypatch.setattr(scl, "_level_integrals", counting)
     return calls
 
 
-def test_level_solves_skip_the_monotonicity_scan(monkeypatch):
-    # no caller reads the scan's warning, and each scan point is a mass quadrature
-    calls = _record_scan_points(monkeypatch)
-    tf_solve(harmonic_trap(0.0))
-    scl.lambda_for_filling(harmonic_trap(0.0), 1.0)
-    assert calls == [0, 0]
+def test_level_solves_take_few_level_integrals(monkeypatch):
+    # upward doubling, then Newton steps from above: a slope field that is too
+    # large creeps onto the root and overruns the budget (one that is too small
+    # overshoots below the root, which the closed-form tests catch)
+    calls = _count_level_integrals(monkeypatch)
+    traps = [harmonic_trap(0.0), harmonic_trap(1.0), power_trap(3.0), power_trap(4.0), power_trap(6.0)]
+    solves = [functools.partial(tf_solve, v) for v in traps + [_anisotropic_trap()]]
+    solves += [functools.partial(two_spin_minimize, harmonic_trap(0.0), g) for g in (0.2, 0.1, 0.05, 0.025)]
+    solves += [functools.partial(scl.lambda_for_filling, harmonic_trap(1.0), t) for t in (0.5, 1.0, 2.0)]
+    counts = []
+    for solve in solves:
+        calls.clear()
+        solve()
+        counts.append(len(calls))
+    assert max(counts) <= _LEVEL_SOLVE_BUDGET, counts
