@@ -348,6 +348,8 @@ def cmd_scatter(config, outdir):
             "reduced_ode: u'' = v u / 2, u(0)=0, u'(0)=1",
             "length: a = R - u(R)/u'(R)",
             f"a={sol.a!r} R={sol.range_!r}",
+            f"step_error_estimate={sol.step_error_estimate!r}",
+            f"fit_residual={sol.fit_residual!r}",
         ]),
     )
     paths.append(path)

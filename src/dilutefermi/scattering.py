@@ -1,8 +1,11 @@
 """Zero-energy scattering for radial, compactly supported interactions.
 
-The s-wave reduced equation u'' = (1/2) v u is integrated outward with
-a fixed-step fourth-order scheme; the scattering length is read off the
-exact exterior form u(r) = const * (r - a) at the edge of the support.
+The s-wave reduced equation u'' = (1/2) v u is solved outward segment by
+segment, on a fixed grid whose coefficient samples all lie inside their
+segment: in closed form (cosh/sinh) where the sampled v is one constant,
+as on every square barrier, and with fixed-step fourth-order RK4 where it
+varies.  The scattering length is read off the exact exterior form
+u(r) = const * (r - a) at the edge of the support.
 Also houses the hard-core sweep, the dilation identity of the scaled
 interaction, and the explicit softened-potential kit (U_R, chi_s,
 Gamma).
@@ -146,80 +149,160 @@ class ScatteringSolution:
     spec: InteractionSpec = field(repr=False, default=None)
 
 
+# on a segment with k L above this the closed form divides out e^(kL)
+_EXP_SPLIT_KL = 64.0
+
+
+def _exact_segment(c, s, u0, du0):
+    """Closed-form solution of u'' = c u for one constant c >= 0.
+
+    ``s`` holds the offsets of the nodes from the segment start, its last
+    entry the segment length L.  Returns u, u' and, per node, the log2 of
+    the factor divided out of both.  Nothing is divided out when
+    k L <= 64; above that e^(kL) is, through e^(-kL) cosh(ks) and
+    e^(-kL) sinh(ks) up to ks = 64, where splitting them into e^(+ks) and
+    e^(-ks) would cancel, and through e^(k(s-L)) and e^(-k(s+L)) beyond,
+    where e^(-2ks) < 1e-55 cancels nothing.
+    """
+    if c == 0.0:
+        return u0 + du0 * s, np.full_like(s, du0), np.zeros_like(s)
+    k = math.sqrt(c)
+    L = s[-1]
+    ks = k * s
+    if k * L <= _EXP_SPLIT_KL:
+        cosh, sinh, shift = np.cosh(ks), np.sinh(ks), 0.0
+    else:
+        near = ks <= _EXP_SPLIT_KL
+        ks_near = np.where(near, ks, 0.0)
+        scale = math.exp(-k * L)
+        grow = np.exp(k * (s - L))
+        decay = np.exp(-k * (s + L))
+        cosh = np.where(near, np.cosh(ks_near) * scale, 0.5 * (grow + decay))
+        sinh = np.where(near, np.sinh(ks_near) * scale, 0.5 * (grow - decay))
+        shift = k * L / math.log(2.0)
+    return u0 * cosh + du0 * sinh / k, u0 * k * sinh + du0 * cosh, np.full_like(s, shift)
+
+
+def _rk4_steps(c0, ch, c1, h, u, du):
+    """Fixed-step RK4 on u'' = c u from the coefficient samples of each step.
+
+    ``c0``, ``ch`` and ``c1`` hold c at every step's start, midpoint and
+    end.  Returns u, u' after every step and, per step, the log2 of the
+    factor divided out so far: whenever a component passes 2.5e120 both
+    are divided by 2^400.
+
+    The loop runs on Python floats: the coefficients are read, and the
+    samples written, through memoryviews of float64 arrays, which round
+    exactly like NumPy scalars at a fraction of the per-operation cost.
+    """
+    n = len(c0)
+    hh = 0.5 * h
+    h6 = h / 6.0
+    shift = 0.0
+    us = np.empty(n)
+    dus = np.empty(n)
+    shifts = np.empty(n)
+    us_out, dus_out, shifts_out = memoryview(us), memoryview(dus), memoryview(shifts)
+    for i, (a0, am, a1) in enumerate(zip(memoryview(c0), memoryview(ch), memoryview(c1))):
+        k1u = du
+        k1d = a0 * u
+        k2u = du + hh * k1d
+        k2d = am * (u + hh * k1u)
+        k3u = du + hh * k2d
+        k3d = am * (u + hh * k2u)
+        k4u = du + h * k3d
+        k4d = a1 * (u + h * k3u)
+        u = u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        du = du + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        if abs(u) > 2.5e120 or abs(du) > 2.5e120:
+            u *= 2.0**-400
+            du *= 2.0**-400
+            shift += 400.0
+        us_out[i] = u
+        dus_out[i] = du
+        shifts_out[i] = shift
+    return us, dus, shifts
+
+
 def _rk4_outward(vfun, r0, u0, du0, segments, steps_per_unit):
-    """Fixed-step RK4 on u'' = (1/2) v u through the given segments.
+    """Outward solution of u'' = (1/2) v u through the given segments.
 
-    Returns node positions and (u, u') samples at every step, rescaled
+    Returns node positions and (u, u') samples at every node, rescaled
     to the final magnitude.  Segments end exactly at declared
-    discontinuities, preserving fourth order; the potential is sampled
-    once per segment in vectorized form.  Because the equation is
-    linear, the solution may grow like exp(kappa r); whenever it passes
-    2^400 both components are rescaled by an exact power of two (the
-    extraction a = R - u/u' is scale-free), so barrier amplitudes up to
-    the hard-core regime never overflow.
+    discontinuities; each is cut into n equal steps, and the coefficient
+    c = v/2 is sampled in vectorized form at every step's start,
+    midpoint and end.  All samples lie inside the open segment (the end
+    samples one ulp inward), so none reads the neighbouring piece of a
+    jump.  Each segment then takes one of two rules on the same nodes:
 
-    The step loop runs on Python floats: the sampled coefficients are
-    read, and the (u, u', shift) samples written, through memoryviews of
-    float64 arrays, which round exactly like NumPy scalars at a fraction
-    of the per-operation cost.
+    - if every sample equals one constant c >= 0, the closed form
+      u = u0 cosh(ks) + u0' sinh(ks)/k, u' = u0 k sinh(ks) + u0' cosh(ks)
+      with k = sqrt(c), or the linear solution when c = 0
+      (`_exact_segment`), exact and vectorized over the nodes;
+    - otherwise the fixed-step fourth-order RK4 loop (`_rk4_steps`).
+
+    Because the equation is linear, the solution may grow like
+    exp(k r).  Both rules carry it divided by a factor whose log2 is
+    recorded per node: RK4 divides by 2^400 whenever a component passes
+    2.5e120, the closed form by e^(kL) on a segment with large kL, and
+    the carried state is brought back under 2.5e120 by an exact power of
+    two after each closed-form segment.  The extraction a = R - u/u' is
+    scale-free, so barrier heights up to the hard-core regime never
+    overflow; early samples may underflow to zero at the final scale.
     """
     rs_parts = [np.array([r0])]
     us_parts = [np.array([u0])]
     dus_parts = [np.array([du0])]
-    shift_parts = [np.array([0.0])]
+    shift_parts = [np.array([0.0])]  # per node: log2 of the factor divided out in its segment
     r, u, du = float(r0), float(u0), float(du0)
-    shift = 0.0  # log2 of the factor divided out so far
     for seg_end in segments:
         if seg_end <= r:
             continue
         n = max(1, int(math.ceil((seg_end - r) * steps_per_unit)))
         h = float((seg_end - r) / n)
-        hh = 0.5 * h
-        h6 = h / 6.0
         base = r + h * np.arange(n)
-        # clamp stage points into the segment: one ulp of overshoot at the
-        # last node would otherwise sample the potential on the wrong side
-        # of a discontinuity
-        c0 = 0.5 * np.asarray(vfun(base), dtype=float)
-        ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, seg_end)), dtype=float)
-        c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, seg_end)), dtype=float)
-        us = np.empty(n)
-        dus = np.empty(n)
-        shifts = np.empty(n)
-        us_out, dus_out, shifts_out = memoryview(us), memoryview(dus), memoryview(shifts)
-        for i, (a0, am, a1) in enumerate(zip(memoryview(c0), memoryview(ch), memoryview(c1))):
-            k1u = du
-            k1d = a0 * u
-            k2u = du + hh * k1d
-            k2d = am * (u + hh * k1u)
-            k3u = du + hh * k2d
-            k3d = am * (u + hh * k2u)
-            k4u = du + h * k3d
-            k4d = a1 * (u + h * k3u)
-            u = u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            du = du + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            if abs(u) > 2.5e120 or abs(du) > 2.5e120:
-                u *= 2.0**-400
-                du *= 2.0**-400
-                shift += 400.0
-            us_out[i] = u
-            dus_out[i] = du
-            shifts_out[i] = shift
+        lo, hi = np.nextafter(r, seg_end), np.nextafter(seg_end, r)
+        c0 = 0.5 * np.asarray(vfun(np.maximum(base, lo)), dtype=float)
+        ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, hi)), dtype=float)
+        c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, hi)), dtype=float)
+        nodes = base + h
+        c = float(c0[0])
+        if c >= 0.0 and np.all(c0 == c) and np.all(ch == c) and np.all(c1 == c):
+            s = nodes - r
+            s[-1] = seg_end - r
+            us, dus, shifts = _exact_segment(c, s, u, du)
+            big = max(abs(us[-1]), abs(dus[-1]))
+            if big > 2.5e120:
+                e = math.frexp(big)[1]
+                us, dus, shifts = np.ldexp(us, -e), np.ldexp(dus, -e), shifts + e
+        else:
+            us, dus, shifts = _rk4_steps(c0, ch, c1, h, u, du)
+        u, du = float(us[-1]), float(dus[-1])
         r = seg_end
-        rs_parts.append(base + h)
+        rs_parts.append(nodes)
         us_parts.append(us)
         dus_parts.append(dus)
         shift_parts.append(shifts)
     rs = np.concatenate(rs_parts)
     us = np.concatenate(us_parts)
     dus = np.concatenate(dus_parts)
-    shifts = np.concatenate(shift_parts)
-    if shift > 0.0:
-        # express every sample at the final scale; early values underflow
-        # gracefully to zero
-        factor = np.exp2(shifts - shift)
-        us = us * factor
-        dus = dus * factor
+    if any(shifts[-1] for shifts in shift_parts):
+        # express every sample at the final scale, summing the segments'
+        # shifts from the last one back, so that a huge early shift never
+        # absorbs a small later one.  The whole powers of two go through
+        # ldexp, so a sample underflows to zero only where its value at
+        # the final scale does
+        tail = 0.0
+        exponents = []
+        for shifts in reversed(shift_parts):
+            exponents.append(shifts - shifts[-1] - tail)
+            tail += shifts[-1]
+        exponent = np.concatenate(exponents[::-1])
+        whole = np.floor(exponent)
+        fraction = np.exp2(exponent - whole)
+        whole = np.maximum(whole, -2200.0).astype(np.int64)  # 2^-2200 of any float is 0
+        us = np.ldexp(us * fraction, whole)
+        dus = np.ldexp(dus * fraction, whole)
     return rs, us, dus
 
 
@@ -288,6 +371,11 @@ def zero_energy_solve(spec: InteractionSpec, r_max=None) -> ScatteringSolution:
     def run(mult):
         rs, us, dus = _rk4_outward(spec, 0.0, 0.0, 1.0, segments, steps_per_unit * mult)
         uR, duR = us[-1], dus[-1]
+        if not (math.isfinite(uR) and math.isfinite(duR)):
+            raise StiffnessError(
+                "the outward solution overflowed at the support edge; "
+                "reduce the amplitude or use the hardcore representation"
+            )
         if duR <= 0.0:
             raise NonPhysicalSolutionError(
                 "u'(R) <= 0 at the support edge; attractive-like data is out of scope"

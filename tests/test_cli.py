@@ -327,6 +327,26 @@ def test_scatter_command_with_amplitude_sweep(tmp_path):
     assert abs(lengths[0] - (1.0 - math.tanh(1.0))) < 1e-6
 
 
+@pytest.mark.parametrize("height", [1e-300, 1e-12, 1e12, 1e100, 1e300])
+@pytest.mark.parametrize("command", ["scatter", "predict"])
+def test_extreme_barrier_heights_exit_cleanly(tmp_path, command, height):
+    cfg = write_config(tmp_path, {
+        "potential": {"kind": "harmonic"},
+        "interaction": {"kind": "square_barrier", "height": height, "radius": 0.5},
+    })
+    out = tmp_path / "out"
+    code = run_cli([command, "--config", cfg, "--out", str(out)])
+    assert code in (0, 1)
+    if command == "scatter":
+        assert code == 0
+        comments, _, rows = read_table(out / "scattering_profile.csv")
+        assert all(math.isfinite(float(c)) for row in rows for c in row)
+        fields = dict(kv.split("=") for c in comments for kv in c.split()[2:] if "=" in kv)
+        assert set(fields) >= {"a", "R", "step_error_estimate", "fit_residual"}
+        if height == 1e300:
+            assert float(fields["a"]) == float(fields["R"]) == 0.5
+
+
 def test_semiclass_command(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -33,9 +33,16 @@ def test_free_equation():
 
 
 def test_square_barrier_closed_forms():
-    for A in (2.0, 200.0):
+    """Constant segments are solved exactly: a meets R - tanh(kR)/k to rounding."""
+    import mpmath
+
+    for A in (1e-300, 0.5, 2.0, 200.0, 2e3, 1e6, 2e12):
         sol = zero_energy_solve(square_barrier(A))
-        assert abs(sol.a - barrier_length(A)) < 1e-6
+        with mpmath.workdps(40):
+            k = mpmath.sqrt(mpmath.mpf(A) / 2)
+            ref = float(1 - mpmath.tanh(k) / k)
+        assert abs(sol.a - ref) <= 4.4e-16, A
+        assert sol.step_error_estimate == 0.0
 
 
 def test_length_stays_in_physical_window():
@@ -191,7 +198,11 @@ def test_richardson_estimate_is_tight():
 
 
 def _rk4_outward_scalar(vfun, r0, u0, du0, segments, steps_per_unit):
-    """Reference: the RK4 step loop on NumPy scalars, indexing each coefficient."""
+    """Reference: the RK4 step loop on NumPy scalars, indexing each coefficient.
+
+    Samples the coefficient inside each open segment and brings the
+    samples to the final scale with ldexp, as the solver does.
+    """
     rs_parts = [np.array([r0])]
     us_parts = [np.array([u0])]
     dus_parts = [np.array([du0])]
@@ -204,9 +215,10 @@ def _rk4_outward_scalar(vfun, r0, u0, du0, segments, steps_per_unit):
         n = max(1, int(math.ceil((seg_end - r) * steps_per_unit)))
         h = (seg_end - r) / n
         base = r + h * np.arange(n)
-        c0 = 0.5 * np.asarray(vfun(base), dtype=float)
-        ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, seg_end)), dtype=float)
-        c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, seg_end)), dtype=float)
+        lo, hi = np.nextafter(r, seg_end), np.nextafter(seg_end, r)
+        c0 = 0.5 * np.asarray(vfun(np.maximum(base, lo)), dtype=float)
+        ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, hi)), dtype=float)
+        c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, hi)), dtype=float)
         us = np.empty(n)
         dus = np.empty(n)
         shifts = np.empty(n)
@@ -239,25 +251,33 @@ def _rk4_outward_scalar(vfun, r0, u0, du0, segments, steps_per_unit):
     dus = np.concatenate(dus_parts)
     shifts = np.concatenate(shift_parts)
     if shift > 0.0:
-        factor = np.exp2(shifts - shift)
-        us = us * factor
-        dus = dus * factor
+        whole = np.maximum(shifts - shift, -2200.0).astype(np.int64)
+        us = np.ldexp(us, whole)
+        dus = np.ldexp(dus, whole)
     return rs, us, dus
 
 
+def _ramp(amplitude):
+    """amplitude * (1 + r) on r <= 1: no segment is constant, so RK4 runs."""
+    return InteractionSpec(fn=lambda r: 1.0 + np.asarray(r, dtype=float), range_=1.0, amplitude=amplitude)
+
+
+def _two_step(amplitude, inner_closed=True):
+    """3 on r <= 0.5 (or r < 0.5), 1 out to r = 1, times the amplitude."""
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        inner = r <= 0.5 if inner_closed else r < 0.5
+        return np.where(inner, 3.0, 1.0)
+
+    return InteractionSpec(fn=fn, range_=1.0, amplitude=amplitude, breakpoints=(0.5,))
+
+
 def test_rk4_outward_matches_scalar_reference(monkeypatch):
-    two_step = InteractionSpec(
-        fn=lambda r: np.where(np.asarray(r, dtype=float) <= 0.5, 3.0, 1.0),
-        range_=1.0,
-        amplitude=40.0,
-        breakpoints=(0.5,),
-    )
-    specs = [square_barrier(A) for A in (2.0, 2e3, 2e12)] + [two_step]
+    specs = [_ramp(A) for A in (2.0, 2e3, 2e12)]
     for spec in specs:
-        segments = sorted(set(b for b in spec.breakpoints if 0.0 < b < spec.range_)) + [spec.range_]
         for steps_per_unit in (2000.0, 4000.0):
-            got = scattering._rk4_outward(spec, 0.0, 0.0, 1.0, segments, steps_per_unit)
-            want = _rk4_outward_scalar(spec, 0.0, 0.0, 1.0, segments, steps_per_unit)
+            got = scattering._rk4_outward(spec, 0.0, 0.0, 1.0, [1.0], steps_per_unit)
+            want = _rk4_outward_scalar(spec, 0.0, 0.0, 1.0, [1.0], steps_per_unit)
             for g, w in zip(got, want):
                 assert g.dtype == np.float64 and g.flags.writeable
                 assert np.array_equal(g, w)
@@ -273,3 +293,138 @@ def test_rk4_outward_matches_scalar_reference(monkeypatch):
             ref.step_error_estimate,
             ref.fit_residual,
         )
+
+
+def test_rk4_overflow_is_a_stiffness_error():
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(StiffnessError, match="overflowed"):
+        zero_energy_solve(_ramp(1e300))
+
+
+def _barrier_profile(r, A, R=1.0):
+    """Closed form normalized to u = r - a outside, as the benchmark checks it."""
+    k = math.sqrt(A / 2.0)
+    if r >= R:
+        return r - barrier_length(A, R)
+    return math.sinh(k * r) / (k * math.cosh(k * R))
+
+
+@pytest.mark.parametrize("A", [0.5, 2.0])
+def test_exact_rule_barrier_profile(A):
+    sol = zero_energy_solve(square_barrier(A))
+    r = sol.u.nodes
+    u_ref = np.array([_barrier_profile(x, A) for x in r])
+    assert np.all(np.abs(sol.u.values - u_ref) <= 5e-16 * np.abs(u_ref))
+    inner = r > 0
+    f_ref = u_ref[inner] / r[inner]
+    assert np.all(np.abs(sol.f.values[inner] - f_ref) <= 5e-16 * f_ref)
+    f0 = 1.0 / math.cosh(math.sqrt(A / 2.0))
+    assert abs(sol.f.values[0] - f0) <= 5e-16 * f0
+
+
+@pytest.mark.parametrize("amplitude", [4.0, 40.0])
+@pytest.mark.parametrize("inner_closed", [True, False])
+def test_exact_rule_two_step_barrier(amplitude, inner_closed):
+    """Both definitions of the jump at the breakpoint meet the transfer-matrix closed form."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        u, du = mpmath.mpf(0), mpmath.mpf(1)
+        for c in (3 * mpmath.mpf(amplitude) / 2, mpmath.mpf(amplitude) / 2):
+            k, s = mpmath.sqrt(c), mpmath.mpf(0.5)
+            u, du = (u * mpmath.cosh(k * s) + du * mpmath.sinh(k * s) / k,
+                     u * k * mpmath.sinh(k * s) + du * mpmath.cosh(k * s))
+        ref = float(1 - u / du)
+    sol = zero_energy_solve(_two_step(amplitude, inner_closed))
+    assert abs(sol.a - ref) <= 1e-15
+
+
+def test_exact_rule_many_segments_keeps_its_scale():
+    """Thirty alternating steps grow the solution by about e^8250.
+
+    The closed form divides out e^(kL) on the steep steps and the carried
+    state is rescaled after each step, so nothing overflows, and every
+    node still sits at the final scale.
+    """
+    import mpmath
+
+    edges = [i / 30.0 for i in range(1, 31)]
+
+    def fn(r):
+        piece = np.searchsorted(edges, np.asarray(r, dtype=float))  # r <= edges[piece]
+        return np.where(piece % 2 == 0, 1.0, 100.0)
+
+    spec = InteractionSpec(fn=fn, range_=1.0, amplitude=4.5e6, breakpoints=tuple(edges[:-1]))
+    sol = zero_energy_solve(spec)
+    with mpmath.workdps(60):
+        starts, states = [mpmath.mpf(0)], [(mpmath.mpf(0), mpmath.mpf(1))]
+        for i, end in enumerate(edges):
+            k = mpmath.sqrt(mpmath.mpf(4.5e6) * (1 if i % 2 == 0 else 100) / 2)
+            u, du = states[-1]
+            s = mpmath.mpf(end) - starts[-1]
+            states.append((u * mpmath.cosh(k * s) + du * mpmath.sinh(k * s) / k,
+                           u * k * mpmath.sinh(k * s) + du * mpmath.cosh(k * s)))
+            starts.append(mpmath.mpf(end))
+        uR, duR = states[-1]
+        assert abs(sol.a - float(1 - uR / duR)) <= 1e-15
+        # the profile at the last node of every segment, where u is not tiny
+        for end, (u, _) in zip(edges, states[1:]):
+            i = int(np.argmin(np.abs(sol.r_nodes - end)))
+            want = u / duR
+            if want > 1e-300:
+                assert abs(sol.u_values[i] - float(want)) <= 1e-12 * float(want)
+
+
+def test_constant_segments_take_no_rk4_steps(monkeypatch):
+    steps = []
+    rk4_steps = scattering._rk4_steps
+
+    def counting(c0, *args):
+        steps.append(len(c0))
+        return rk4_steps(c0, *args)
+
+    monkeypatch.setattr(scattering, "_rk4_steps", counting)
+    barrier = square_barrier(2.0)
+    for spec in (
+        barrier,
+        square_barrier(2e12),
+        scaled_interaction(barrier, 200.0),
+        dilated_interaction(barrier, 1000.0 ** 0.8, 1000.0 ** 0.4),
+        _two_step(4.0),
+    ):
+        zero_energy_solve(spec)
+        assert sum(steps) == 0, spec.label
+    # the counter sees the step loop: a varying coefficient runs it twice
+    zero_energy_solve(_ramp(2.0))
+    assert sum(steps) == 2000 + 4000
+
+
+def _bump(amplitude, jump=False):
+    """amplitude * (1 - r^2)^2 on r <= 1: smooth, so RK4 keeps fourth order.
+
+    With ``jump`` the inner half r <= 0.5 is doubled, a declared jump.
+    """
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        smooth = (1.0 - r**2) ** 2
+        return np.where(r <= 0.5, 2.0 * smooth, smooth) if jump else smooth
+
+    return InteractionSpec(fn=fn, range_=1.0, amplitude=amplitude, breakpoints=(0.5,) if jump else ())
+
+
+@pytest.mark.parametrize("jump", [False, True])
+@pytest.mark.parametrize("A", [2e3, 2e5])
+def test_rk4_error_and_its_estimate_on_a_smooth_interaction(A, jump):
+    spec = _bump(A, jump)
+    segments = [0.5, 1.0] if jump else [1.0]
+
+    def length(steps_per_unit):
+        _, us, dus = scattering._rk4_outward(spec, 0.0, 0.0, 1.0, segments, steps_per_unit)
+        return 1.0 - us[-1] / dus[-1]
+
+    sol = zero_energy_solve(spec)  # runs at 2000 and 4000 steps per unit
+    a_ref = length(16000.0)
+    errors = [abs(length(n) - a_ref) for n in (1000.0, 2000.0, 4000.0)]
+    assert errors[2] == abs(sol.a - a_ref)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+    assert abs(sol.a - a_ref) <= 2.0 * sol.step_error_estimate
