@@ -181,15 +181,59 @@ def _sturm_count(diag, off, x):
 # run.  A level farther than that from its neighbours leaks at most about
 # eps / _RUN_GAP ~ 1e-8 of them into its vector per iteration.
 _RUN_GAP = 1e-8
+# A run of levels whose wall bounds sum to at most this, half the 1e-8
+# boundary-mass limit of fd_catalog_1d, needs no inverse iteration.
+_WALL_CERTIFIED = 0.5e-8
 
 
-def _end_masses(diag, off, w):
+def _wall_sum(rows, lam, t):
+    """Sum of u_j^2 of the eigenvector recurrence run inward from one wall.
+
+    u_{-1} = 0, u_0 = 1 and u_{j+1} = c_j u_j - u_{j-1} with
+    c_j = (rows[j] - lam) / t.  It runs only while c_j > 2 (the potential
+    lies above lam), where u grows monotonically and the recurrence is
+    forward-stable, and it stops once the sum reaches 2 / _WALL_CERTIFIED.
+    """
+    u_prev, u, total = 0.0, 1.0, 1.0
+    stop = 2.0 / _WALL_CERTIFIED
+    for d in rows:
+        c = (d - lam) / t
+        if not (c > 2.0 and total < stop):
+            break
+        u_prev, u = u, c * u - u_prev
+        total += u * u
+    return total
+
+
+def _wall_bounds(diag, off, w):
+    """Upper bounds on v[0]^2 + v[-1]^2 of the unit eigenvector of each level in w.
+
+    ``off`` is the constant off-diagonal -t < 0 of the finite-difference
+    matrix.  Next to each wall the unit eigenvector is v[0] u with u from
+    ``_wall_sum``, so v[0]^2 <= 1 / sum(u^2), and likewise at the other
+    wall.  The recurrence runs on Python floats read through memoryviews.
+    """
+    t = -float(off[0])
+    levels = w.tolist()
+    bounds = np.zeros(w.size)
+    for rows in (diag, diag[::-1]):
+        rows = memoryview(np.ascontiguousarray(rows, dtype=float))
+        bounds += [1.0 / _wall_sum(rows, lam, t) for lam in levels]
+    return bounds
+
+
+def _end_masses(diag, off, w, bounds=None):
     """v[0]^2 + v[-1]^2 of the unit eigenvector of each level in w.
 
     LAPACK ``stein`` runs once per run of near-degenerate levels and
     reorthogonalizes only within it.  Called on all levels at once, it
     would treat every level within 1e-3 ||T||_1 of the next as one cluster
     and pay O(k^2 n) Gram-Schmidt; no eigenvector matrix is formed here.
+
+    ``bounds`` are upper bounds on the masses (``_wall_bounds``); none by
+    default.  A run whose bounds sum to at most ``_WALL_CERTIFIED`` keeps
+    them in place of its masses and skips ``stein``: every unit vector in
+    the span of its levels has at most that sum at the walls.
     """
     from scipy.linalg.lapack import dstein
 
@@ -199,8 +243,12 @@ def _end_masses(diag, off, w):
     cuts = np.flatnonzero(np.diff(w) > _RUN_GAP * norm1) + 1
     iblock = np.ones(n, dtype=np.int32)
     isplit = np.full(n, n, dtype=np.int32)
-    masses = np.empty(w.size)
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, w.size]):
+    if bounds is None:
+        bounds = np.full(w.size, np.inf)
+    starts, ends = np.r_[0, cuts], np.r_[cuts, w.size]
+    open_runs = np.add.reduceat(bounds, starts) > _WALL_CERTIFIED
+    masses = bounds.copy()
+    for lo, hi in zip(starts[open_runs], ends[open_runs]):
         z, info = dstein(diag, off, w[lo:hi], iblock, isplit)
         if info != 0:
             # the error SciPy raises when its own stein call fails
@@ -222,17 +270,21 @@ def fd_catalog_1d(
     first read of ``discretization_error`` and is cached.
 
     With ``keep_vectors=False`` the solve is eigenvalues only and no
-    eigenvector matrix is formed: the boundary mass of each level comes
-    from inverse iteration on that level (``_end_masses``).  The energies
-    are bit-identical to the ``keep_vectors=True`` ones.
+    eigenvector matrix is formed.  The boundary mass of each level is
+    certified from the wall rows, where the potential lies above the
+    level: the eigenvector recurrence run inward from each wall bounds it
+    (``_wall_bounds``).  Only levels that bound leaves above half the 1e-8
+    limit get their mass from inverse iteration (``stein``, in
+    ``_end_masses``).  The energies are bit-identical to the
+    ``keep_vectors=True`` ones.
     """
     if points < MIN_FD_POINTS:
         raise ValueError(f"need at least {MIN_FD_POINTS} grid points")
-    # classically allowed region must fit with >= 20% margin
+    # classically allowed region must fit with >= 20% margin on both sides
     xs = np.linspace(0.0, halfwidth, 4096)
+    xs = np.concatenate((-xs[:0:-1], xs))
     vx = np.asarray(v(xs), dtype=float)
-    allowed = xs[vx <= lambda_max]
-    turning = float(allowed[-1]) if allowed.size else 0.0
+    turning = float(np.max(np.abs(xs[vx <= lambda_max]), initial=0.0))
     if turning * 1.2 > halfwidth:
         raise DomainTooSmallError(
             f"classically allowed region |x| <= {turning:.3g} needs a 20% margin "
@@ -261,7 +313,10 @@ def fd_catalog_1d(
     sturm_ok = _sturm_count(diag, off, lambda_max) == w.size
 
     # unit l2 vectors: entry^2 is already a mass fraction
-    masses = vecs[0, :] ** 2 + vecs[-1, :] ** 2 if keep_vectors else _end_masses(diag, off, w)
+    if keep_vectors:
+        masses = vecs[0, :] ** 2 + vecs[-1, :] ** 2
+    else:
+        masses = _end_masses(diag, off, w, _wall_bounds(diag, off, w))
     boundary_mass = float(np.max(masses))
     if boundary_mass > 1e-8:
         raise DomainTooSmallError(

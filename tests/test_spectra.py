@@ -135,6 +135,11 @@ def test_fd_eigenvalues_monotone_in_potential():
 def test_fd_domain_margin_guard():
     with pytest.raises(DomainTooSmallError):
         fd_catalog_1d(lambda x: x * x, 1.0, 3.5, 500, 12.0)
+    # the allowed region |x + 1.2| <= sqrt(2) reaches x = -2.61, past 3 / 1.2,
+    # on the left for one trap and on the right for its mirror image
+    for shift in (1.2, -1.2):
+        with pytest.raises(DomainTooSmallError, match=r"\|x\| <= 2\.61"):
+            fd_catalog_1d(lambda x: (x + shift) ** 2, 1.0, 3.0, 500, 2.0)
     with pytest.raises(ValueError):
         fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 150, 10.0)
 
@@ -185,6 +190,7 @@ def _assert_same_end_masses(masses, reference):
 def test_end_masses_match_clustered_vectors(v, hbar, halfwidth, points, lambda_max, leaks):
     diag, off, w, reference = _fd_matrix(v, hbar, halfwidth, points, lambda_max)
     _assert_same_end_masses(spectra._end_masses(diag, off, w), reference)
+    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
     args = (v, hbar, halfwidth, points, lambda_max)
     if leaks:
         with pytest.raises(DomainTooSmallError, match="boundary mass"):
@@ -196,11 +202,9 @@ def test_end_masses_match_clustered_vectors(v, hbar, halfwidth, points, lambda_m
         assert np.array_equal(dropped.energies, w) and dropped.sturm_certified
 
 
-@pytest.mark.parametrize("tilt, runs", [(1e-6, [2, 2]), (1e-3, [1, 1, 1, 1])])
-def test_end_masses_solve_near_degenerate_levels_together(monkeypatch, tilt, runs):
-    # tilted double well: each level of the lowest two pairs sits in one
-    # well, and the pairs split by about 2 * tilt, far above the tunnelling
-    # splitting (~1e-11).  ||T||_1 is 2.5e3, so a 2e-6 split is one run.
+@pytest.fixture
+def stein_calls(monkeypatch):
+    """The number of levels of every call to LAPACK dstein."""
     from scipy.linalg import lapack
 
     sizes = []
@@ -211,20 +215,46 @@ def test_end_masses_solve_near_degenerate_levels_together(monkeypatch, tilt, run
         return dstein(d, e, w, iblock, isplit)
 
     monkeypatch.setattr(lapack, "dstein", recorder)
+    return sizes
+
+
+@pytest.mark.parametrize("tilt, runs", [(1e-6, [2, 2]), (1e-3, [1, 1, 1, 1])])
+def test_end_masses_solve_near_degenerate_levels_together(stein_calls, tilt, runs):
+    # tilted double well: each level of the lowest two pairs sits in one
+    # well, and the pairs split by about 2 * tilt, far above the tunnelling
+    # splitting (~1e-11).  ||T||_1 is 2.5e3, so a 2e-6 split is one run.
     v = lambda x: (x * x - 1.0) ** 2 + tilt * x
     diag, off, w, reference = _fd_matrix(v, 0.05, 1.6, 2000, 0.3)
     masses = spectra._end_masses(diag, off, w)
-    assert sizes == runs
+    assert stein_calls == runs
     assert np.all(reference > 1e-13)
     _assert_same_end_masses(masses, reference)
+    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
+
+
+def test_wall_bounds_spare_stein_only_where_they_certify(stein_calls):
+    # the top catalog of the quartic Weyl scan: every level is certified
+    quartic = fd_catalog_1d(lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, keep_vectors=False)
+    assert quartic.energies.size == 187
+    assert stein_calls == []
+    # a leaky catalog still gets its exact masses, and the same error
+    with pytest.raises(DomainTooSmallError, match="boundary mass 5.396e-07 exceeds 1e-8"):
+        fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
+    assert stein_calls == [1, 1]
+    # near threshold (mass 8.0e-9): only the top level needs stein
+    stein_calls.clear()
+    fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5, keep_vectors=False)
+    assert stein_calls == [1]
 
 
 def test_end_masses_raise_on_failed_inverse_iteration(monkeypatch):
     from scipy.linalg import lapack
 
     monkeypatch.setattr(lapack, "dstein", lambda d, e, w, *_: (np.zeros((d.size, w.size)), 1))
+    # near threshold: the top level's wall bound does not certify it, so
+    # its mass comes from stein
     with pytest.raises(np.linalg.LinAlgError, match="info=1"):
-        fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 500, 10.0, keep_vectors=False)
+        fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5, keep_vectors=False)
 
 
 @pytest.fixture
