@@ -33,7 +33,7 @@ print(f"\nsmoothness probe: score={rep.score:.4f} flagged={rep.flagged}")
 
 # --- quantum vs semiclassical counting errors ----------------------------
 lam = 48.0 ** (1.0 / 3.0)
-scan = weyl_error_scan("harmonic", [10**3, 10**4, 10**5, 10**6], lam)
+scan = weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**5, 10**6], lam)
 print(f"\ncounting errors at L = 48^(1/3), hbar = N^(-1/3)")
 print("      N      n_q        |n_q - N n_cl|   |e_q - N e_cl|")
 for N, nq, ne, ee in zip(scan.N, scan.n_q, scan.n_err, scan.e_err):

@@ -167,8 +167,8 @@ def criterion_7():
     lam = 48.0 ** (1.0 / 3.0)
 
     def run():
-        full = sp.weyl_error_scan("harmonic", [10**3, 10**4, 10**5, 10**6], lam)
-        span = sp.weyl_error_scan("harmonic", [10**3, 10**4, 10**6], lam)
+        full = sp.weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**5, 10**6], lam)
+        span = sp.weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**6], lam)
         return full, span
 
     (full, span), dt = _timed(run)
@@ -392,6 +392,11 @@ def criterion_15():
     kin_ok = rep.kinetic_identity_residual <= 1e-6 * rep.kinetic_reference
     factor = rep.potential_identity_residual / rep_half.potential_identity_residual
     pot_ok = factor >= 1.3
+    # for V = x^2 the potential residual is fill hbar_x / 2 exactly
+    closed = [r.fill * r.hbar_x / 2.0 for r in (rep, rep_half)]
+    distances = [
+        (r.potential_identity_residual - c) / c for r, c in zip((rep, rep_half), closed)
+    ]
     m_ok = rep.m_min >= 0.0 and rep.m_max <= 1.0 + 1e-9
     passed = res_ok and kin_ok and pot_ok and m_ok
     return CriterionResult(
@@ -405,6 +410,8 @@ def criterion_15():
             "kinetic_bound": 1e-6 * rep.kinetic_reference,
             "potential_halving_factor": factor,
             "halving_bound": 1.3,
+            "potential_closed_forms": closed,
+            "potential_closed_form_distances": distances,
             "m_min": rep.m_min,
             "m_max": rep.m_max,
         },

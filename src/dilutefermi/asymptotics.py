@@ -209,10 +209,6 @@ class BoxEstimate:
         return self.total / self.prediction_total
 
     @property
-    def r_over_l(self):
-        return self.gap / self.l
-
-    @property
     def mass_sum_doubled(self):
         return int(2 * np.sum(self.masses))
 
@@ -358,7 +354,7 @@ class ErrorBudget:
     f(N) = N^(5/6) + p_F^-2 N
          + delta^-1 N^(1/3 - beta) (N^(-1/18) + N^(1/6 - beta/2)) (R^-3 + 1/(eps s^2 R))
          + N^(1/3 - beta) / (eps s^2 R).
-    The default eps = (N^(-1/18) + N^(1/6 - beta/2))^(1/8) sits strictly
+    The coupling eps = (N^(-1/18) + N^(1/6 - beta/2))^(1/8) sits strictly
     inside the corridor 1 >> eps >> (...)^(1/4).
     """
 
@@ -384,16 +380,14 @@ class ErrorBudget:
         return self.total / float(self.N) ** (4.0 / 3.0 - self.beta)
 
 
-def error_budget(N, beta, epsilon=None) -> ErrorBudget:
-    """Evaluate the error budget at (N, beta) with the default or explicit eps."""
+def error_budget(N, beta) -> ErrorBudget:
+    """Evaluate the error budget at (N, beta) with the coupling eps of ``ErrorBudget``."""
     N = int(N)
     beta = float(beta)
     if not (1.0 / 3.0 < beta < 0.5):
         raise RegimeError("error budget needs 1/3 < beta < 1/2")
     A = float(N) ** (-1.0 / 18.0) + float(N) ** (1.0 / 6.0 - beta / 2.0)
-    eps = A ** (1.0 / 8.0) if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = A ** (1.0 / 8.0)
     hbar = float(N) ** (-1.0 / 3.0)
     delta = eps
     p_F = (eps * float(N) ** (1.0 / 3.0 - beta)) ** (-0.5)

@@ -142,7 +142,7 @@ SCHEMA = {
                "p_F": ["> 0"]},
     "spectra": {"hbar": "> 0", "lambda_max": "number", "offset": "number", "scan_lambda": "number",
                 "density": {"hbar": "> 0", "M": "integer >= 1", "r_max": "> 0",
-                            "nodes": "integer >= 16"}},
+                            "nodes": f"integer >= 16 and <= {sp.MAX_DENSITY_NODES}"}},
     "husimi": {"hbar": "> 0", "fill": "integer >= 1", "halfwidth": "> 0",
                "points": f"integer >= {sp.MIN_FD_POINTS} and <= {sp.MAX_FD_POINTS}",
                "lambda_max": "number"},
@@ -176,18 +176,22 @@ def _husimi_fills(c):
     return h.get("lambda_max", math.inf) > h["hbar"] * (2 * h["fill"] - 1)
 
 
+def _increasing(values):
+    return sorted(set(values)) == values
+
+
 # (commands, what a command needs, holds(merged config)), checked in this order
 RULES = (
     (COMMANDS, "a growth exponent potential.s for power_plus_one",
      lambda c: c["potential"]["kind"] != "power_plus_one" or "s" in c["potential"]),
     (("tf", "scatter", "predict", "boxes"), "tolerances with abs + rel > 0",
      lambda c: c["tolerances"]["abs"] + c["tolerances"]["rel"] > 0),
-    (COMMANDS, "an increasing sweeps.A",
-     lambda c: sorted(set(c["sweeps"]["A"])) == c["sweeps"]["A"]),
+    (COMMANDS, "an increasing sweeps.A", lambda c: _increasing(c["sweeps"]["A"])),
     (("predict", "boxes", "budget"), "a nonempty sweeps.beta and sweeps.N, every N >= 2",
      lambda c: c["sweeps"]["beta"] and min(c["sweeps"]["N"] or [0]) >= 2),
     (("budget",), "every sweeps.beta < 1/2", lambda c: max(c["sweeps"]["beta"]) < 0.5),
-    (("semiclass",), "a nonempty sweeps.Lambda", lambda c: c["sweeps"]["Lambda"]),
+    (("semiclass",), "an increasing sweeps.Lambda of at least two levels",
+     lambda c: len(c["sweeps"]["Lambda"]) >= 2 and _increasing(c["sweeps"]["Lambda"])),
     (("spectra",), "a spectra.scan_lambda above spectra.offset", _spectra_caps),
     (("husimi",), "a husimi.lambda_max above hbar (2 fill - 1)", _husimi_fills),
 )
@@ -266,7 +270,9 @@ def resolve_potential(config):
     spec = config["potential"]
     if spec["kind"] == "harmonic":
         return pots.harmonic_trap(float(spec.get("offset", 0.0)))
-    return pots.make_potential(spec)
+    if spec["kind"] == "power_plus_one":
+        return pots.power_trap(float(spec["s"]))
+    return pots.harmonic_trap(1.0)
 
 
 def resolve_interaction(config):

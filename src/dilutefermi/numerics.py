@@ -1,9 +1,10 @@
 """Shared deterministic numeric kernel.
 
 Adaptive radial quadrature of trial profiles and L^p distances between
-radial profiles.  Level multipliers are fixed elsewhere, by Newton steps
-from above in ``thomas_fermi``.  Everything here is pure: no global
-mutable state, no randomness, identical inputs give identical outputs.
+radial profiles, which vanish beyond their last node.  Level multipliers
+are fixed elsewhere, by Newton steps from above in ``thomas_fermi``.
+Everything here is pure: no global mutable state, no randomness,
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -15,16 +16,10 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "RadialProfile",
-    "PowerTail",
     "RefinementError",
-    "DomainMismatchError",
     "integrate_radial",
     "lp_distance",
 ]
-
-
-class DomainMismatchError(ValueError):
-    """Two radial profiles cannot be compared on a common domain."""
 
 
 class RefinementError(RuntimeError):
@@ -58,25 +53,15 @@ class Tolerance:
 
 
 @dataclass(frozen=True)
-class PowerTail:
-    """Declared analytic tail value(r) = coefficient * r**(-power) beyond the last node."""
-
-    coefficient: float
-    power: float
-
-
-@dataclass(frozen=True)
 class RadialProfile:
-    """Sampled radial function with a declared extrapolation rule.
+    """Sampled radial function that vanishes beyond its last node.
 
-    ``tail`` is either the string ``"zero"`` or a :class:`PowerTail`.
     Inside the node range values are linearly interpolated; below the
     first node the first value is held constant.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    tail: object = "zero"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -91,8 +76,6 @@ class RadialProfile:
             raise ValueError("nodes must be strictly increasing")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
             raise ValueError("nodes and values must be finite")
-        if self.tail != "zero" and not isinstance(self.tail, PowerTail):
-            raise ValueError("tail must be 'zero' or a PowerTail")
 
     @property
     def r_max(self):
@@ -103,10 +86,7 @@ class RadialProfile:
         out = np.interp(r, self.nodes, self.values)
         beyond = r > self.nodes[-1]
         if np.any(beyond):
-            if self.tail == "zero":
-                out = np.where(beyond, 0.0, out)
-            else:
-                out = np.where(beyond, self.tail.coefficient * r ** (-self.tail.power), out)
+            out = np.where(beyond, 0.0, out)
         return out
 
 
@@ -251,15 +231,6 @@ def _segment_lp_mass(d0, d1, r0, r1, p):
     return 4.0 * np.pi / s * (alpha * alpha * f0 + 2.0 * alpha / s * f1 + f2 / (s * s))
 
 
-def _compatible_tails(f, g):
-    if f.tail == "zero" and g.tail == "zero":
-        return True
-    if f.tail == g.tail and abs(f.r_max - g.r_max) <= 1e-15 * max(f.r_max, g.r_max):
-        # identical declared tails cancel exactly beyond the shared domain
-        return True
-    return False
-
-
 def lp_distance(f, g, p):
     """L^p distance (weight 4 pi r^2) between two radial profiles.
 
@@ -273,19 +244,13 @@ def lp_distance(f, g, p):
         raise ValueError("p must be >= 1")
     if not isinstance(f, RadialProfile) or not isinstance(g, RadialProfile):
         raise TypeError("lp_distance expects RadialProfile inputs")
-    if not _compatible_tails(f, g):
-        raise DomainMismatchError(
-            "profiles carry incompatible extrapolation rules; "
-            "declare matching tails before comparing"
-        )
     r_hi = max(f.r_max, g.r_max)
     nodes = np.union1d(np.concatenate([[0.0], f.nodes, g.nodes]), [r_hi])
     nodes = nodes[(nodes >= 0.0) & (nodes <= r_hi)]
 
     def segment_values(prof):
-        # one-sided values at both ends of every segment; beyond the
-        # profile domain a zero tail contributes exactly 0 and an
-        # identical tail cancels, so both count as 0 there
+        # one-sided values at both ends of every segment; beyond its
+        # last node a profile is exactly 0
         vals = prof(nodes)
         outside = nodes[:-1] >= prof.r_max
         return np.where(outside, 0.0, vals[:-1]), np.where(outside, 0.0, vals[1:])

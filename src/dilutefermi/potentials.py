@@ -21,7 +21,6 @@ __all__ = [
     "H1Report",
     "ConfigurationError",
     "UnsupportedDiagnosticError",
-    "make_potential",
     "harmonic_trap",
     "power_trap",
     "custom_radial_trap",
@@ -30,7 +29,7 @@ __all__ = [
 
 
 class ConfigurationError(ValueError):
-    """A potential spec names an unknown kind or carries out-of-range parameters."""
+    """A configuration value or trap parameter is unknown or out of range."""
 
 
 class UnsupportedDiagnosticError(RuntimeError):
@@ -54,12 +53,10 @@ class Potential:
     radial: bool
     growth: float
     radial_fn: object
-    grad_norm: object = None
     laplacian: object = None
     grad_laplacian_norm: object = None
     hessian_frobenius_sq: object = None
     eval_3d: object = None
-    notes: tuple = ()
     kinks: tuple = field(default=(), init=False)
 
     def __call__(self, x):
@@ -108,7 +105,6 @@ def harmonic_trap(offset=0.0):
         radial=True,
         growth=2.0,
         radial_fn=fn,
-        grad_norm=lambda r: 2.0 * np.asarray(r, dtype=float),
         laplacian=lambda r: np.full_like(np.asarray(r, dtype=float), 6.0),
         grad_laplacian_norm=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         hessian_frobenius_sq=lambda r: np.full_like(np.asarray(r, dtype=float), 12.0),
@@ -156,66 +152,44 @@ def power_trap(s):
         radial=True,
         growth=s,
         radial_fn=fn,
-        grad_norm=lambda r: s * np.asarray(r, dtype=float) ** (s - 1.0),
         laplacian=lap,
         grad_laplacian_norm=grad_lap,
         hessian_frobenius_sq=hess_sq,
     )
 
 
-def custom_radial_trap(table: RadialProfile, growth=2.0):
-    """Trap interpolated from a radial table with a declared growth tail.
+# growth exponent of a custom trap beyond its last node
+CUSTOM_GROWTH = 2.0
+
+
+def custom_radial_trap(table: RadialProfile):
+    """Trap interpolated from a radial table with a quadratic tail.
 
     The table must be confining in the declared sense: values >= 1 and
     nondecreasing.  Beyond the last node the trap continues as
-    V(last) * (r / r_last)^growth.  Differentiability of the table is
-    declared, not verified, so the curvature diagnostic refuses it.
+    V(last) * (r / r_last)^CUSTOM_GROWTH.  The table has no analytic
+    derivatives, so the curvature diagnostic refuses it.
     """
     if np.min(table.values) < 1.0:
         raise ConfigurationError("custom trap values must satisfy V >= 1")
     if np.any(np.diff(table.values) < 0):
         raise ConfigurationError("custom trap table must be nondecreasing")
-    if not growth > 0:
-        raise ConfigurationError("custom trap needs a positive growth exponent")
     r_last = table.r_max
     v_last = float(table.values[-1])
 
     def fn(r):
         r = np.asarray(r, dtype=float)
         inside = np.interp(r, table.nodes, table.values)
-        return np.where(r <= r_last, inside, v_last * (r / r_last) ** growth)
+        return np.where(r <= r_last, inside, v_last * (r / r_last) ** CUSTOM_GROWTH)
 
     trap = Potential(
         kind="custom_radial",
         radial=True,
-        growth=float(growth),
+        growth=CUSTOM_GROWTH,
         radial_fn=fn,
-        notes=("W^{3,inf}_loc regularity declared, not verified",),
     )
     object.__setattr__(trap, "kinks", tuple(table.nodes.tolist()))
     return trap
-
-
-_BUILTINS = {"harmonic_plus_one", "power_plus_one", "custom_radial"}
-
-
-def make_potential(spec):
-    """Build a Potential from a configuration entry (a mapping with 'kind')."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("potential spec must be a mapping with a 'kind' key")
-    kind = spec["kind"]
-    if kind not in _BUILTINS:
-        raise ConfigurationError(f"unknown potential kind {kind!r}")
-    if kind == "harmonic_plus_one":
-        return harmonic_trap(offset=1.0)
-    if kind == "power_plus_one":
-        if "s" not in spec:
-            raise ConfigurationError("power_plus_one needs a growth exponent 's'")
-        return power_trap(float(spec["s"]))
-    table = spec.get("table")
-    if not isinstance(table, RadialProfile):
-        raise ConfigurationError("custom_radial needs a RadialProfile under 'table'")
-    return custom_radial_trap(table, growth=float(spec.get("growth", 2.0)))
 
 
 def h1_diagnostic(v: Potential, radius, samples=1024):

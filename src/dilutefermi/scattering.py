@@ -306,19 +306,22 @@ def _rk4_outward(vfun, r0, u0, du0, segments, steps_per_unit):
     return rs, us, dus
 
 
-def zero_energy_solve(spec: InteractionSpec, r_max=None) -> ScatteringSolution:
+# nodes of the force-free exterior (R, r_max], where u is exactly linear
+EXTERIOR_NODES = 2000
+
+
+def zero_energy_solve(spec: InteractionSpec) -> ScatteringSolution:
     """Scattering length and zero-energy profile of a finite-range interaction.
 
     Integrates outward from u(0) = 0, u'(0) = 1 (or from the hard-core
     wall), extracts a = R - u(R)/u'(R) exactly at the support edge, then
     renormalizes so u(r) = r - a outside.  A half-step rerun provides a
-    Richardson error estimate; the fine run is the one reported.
+    Richardson error estimate; the fine run is the one reported.  The
+    profile reaches r_max = max(2R, R + 1, 1), through ``EXTERIOR_NODES``
+    evenly spaced exterior nodes.
     """
     R = spec.range_
-    if r_max is None:
-        r_max = max(2.0 * R, R + 1.0, 1.0)
-    if R > 0 and r_max < 2.0 * R:
-        raise ValueError("r_max must be at least twice the interaction range")
+    r_max = max(2.0 * R, R + 1.0, 1.0)
 
     if R == 0.0 or (spec.amplitude == 0.0 and not spec.hardcore):
         nodes = np.linspace(0.0, r_max, 512)
@@ -387,8 +390,7 @@ def zero_energy_solve(spec: InteractionSpec, r_max=None) -> ScatteringSolution:
     err_est = abs(a - a_coarse) / 15.0
 
     # continue through the force-free exterior: u stays exactly linear
-    n_out = max(64, int((r_max - R) * steps_per_unit))
-    r_out = np.linspace(R, r_max, n_out + 1)[1:]
+    r_out = np.linspace(R, r_max, EXTERIOR_NODES + 1)[1:]
     uR, duR = us[-1], dus[-1]
     u_out = uR + duR * (r_out - R)
     du_out = np.full_like(r_out, duR)
@@ -445,14 +447,14 @@ def scattering_energy(sol: ScatteringSolution) -> float:
     return 4.0 * np.pi * (core + sol.a**2 / R)
 
 
-def hardcore_limit(spec: InteractionSpec, amplitudes, r_max=None):
+def hardcore_limit(spec: InteractionSpec, amplitudes):
     """Scattering length along an increasing amplitude sweep of A * v."""
     amps = [float(a) for a in amplitudes]
     if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
         raise ValueError("amplitudes must be positive and increasing")
     out = []
     for a_mult in amps:
-        sol = zero_energy_solve(scaled_interaction(spec, a_mult), r_max)
+        sol = zero_energy_solve(scaled_interaction(spec, a_mult))
         out.append((a_mult, sol.a))
     return out
 
@@ -503,7 +505,11 @@ class DysonKit:
         return self.Gamma(p) - (1.0 - self.s**2 * self.p_F**2) * self.chi_s(p) ** 2
 
 
-def dyson_parts(R0, R, s, p_F, tol=Tolerance(abs=1e-13, rel=1e-13)) -> DysonKit:
+# quadrature tolerance of the bump's unit-mass check
+DYSON_TOL = Tolerance(abs=1e-13, rel=1e-13)
+
+
+def dyson_parts(R0, R, s, p_F) -> DysonKit:
     """Assemble the softened-potential kit with the unit-mass shell bump."""
     if not (R > R0 >= 0.0):
         raise GeometryError("need R > R0 >= 0")
@@ -525,7 +531,7 @@ def dyson_parts(R0, R, s, p_F, tol=Tolerance(abs=1e-13, rel=1e-13)) -> DysonKit:
             out = 1.0 - (p_F / p) ** 2
         return np.maximum(out, 0.0)
 
-    check = integrate_radial(U_R, R * 1.5, tol, breakpoints=(R0, R))
+    check = integrate_radial(U_R, R * 1.5, DYSON_TOL, breakpoints=(R0, R))
     return DysonKit(
         R0=float(R0), R=float(R), s=float(s), p_F=float(p_F),
         U_R=U_R, chi_s=chi_s, Gamma=Gamma, U_integral_check=check,

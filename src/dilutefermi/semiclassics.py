@@ -108,7 +108,11 @@ class H2Report:
     counts: np.ndarray = field(repr=False, default=None)
 
 
-def h2_probe(v, lambda_grid, threshold=0.1) -> H2Report:
+# score above which the probe flags the count as not smooth
+H2_THRESHOLD = 0.1
+
+
+def h2_probe(v, lambda_grid) -> H2Report:
     """Probe smoothness of Lambda -> n_cl on an increasing grid of levels."""
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size < 8 or np.any(np.diff(grid) <= 0):
@@ -126,8 +130,8 @@ def h2_probe(v, lambda_grid, threshold=0.1) -> H2Report:
         lambdas=mids,
         derivatives=derivs,
         score=score,
-        flagged=bool(score > threshold),
-        threshold=float(threshold),
+        flagged=bool(score > H2_THRESHOLD),
+        threshold=H2_THRESHOLD,
         counts=counts,
     )
 

@@ -8,6 +8,12 @@ sit spectral counting, Weyl-error exponent scans, the radial density of
 the filled free ground state, and coherent-state (Husimi) identity
 checks.
 
+The choices are fixed: the coherent states split hbar^2 into
+hbar_x = hbar^(4/3) in position and hbar_p = hbar^(2/3) in momentum, the
+low-frequency identity uses p_F = ``HUSIMI_P_F`` = 1, and configured sizes
+stop at ``MAX_FD_POINTS`` grid points, ``MAX_SHELLS`` shells and
+``MAX_DENSITY_NODES`` density nodes.
+
 The one-dimensional analog of the bulk scaling hbar = N^(-1/3) is
 hbar = N^(-1), so the number of bound states below a fixed level again
 grows like N.
@@ -21,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -65,17 +70,17 @@ class DepthError(ValueError):
 
 
 class ResolutionError(RuntimeError):
-    """Grid too coarse for the coherent-state width."""
+    """Grid unable to represent the operator: too coarse for its levels or
+    the coherent-state width, or a potential that is not finite on it."""
 
 
 @dataclass
 class SpectralCatalog:
     """Sorted eigenvalue list with degeneracies, complete below lambda_max.
 
-    ``discretization_error`` is None unless the catalog carries a
-    ``refinement``: a callable that solves a refined grid and returns the
-    largest level shift.  It runs on the first read of
-    ``discretization_error``, and the value is cached.
+    Finite-difference catalogs also carry their grid, the potential and,
+    when kept, the eigenvectors, and report whether a Sturm count
+    certifies the completeness.
     """
 
     hbar: float
@@ -86,7 +91,6 @@ class SpectralCatalog:
     grid: np.ndarray = field(repr=False, default=None)
     vectors: np.ndarray = field(repr=False, default=None)  # columns, unit h-weighted norm
     potential_1d: object = field(repr=False, default=None)
-    refinement: object = field(repr=False, default=None, compare=False)
     sturm_certified: bool = None
 
     def __post_init__(self):
@@ -99,16 +103,14 @@ class SpectralCatalog:
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "degeneracies", d)
 
-    @cached_property
-    def discretization_error(self):
-        """Largest level shift under grid refinement; None for analytic catalogs."""
-        return None if self.refinement is None else self.refinement()
-
 
 MIN_FD_POINTS = 200
 # grid points of a configured finite-difference catalog: its eigenvector
 # matrix holds up to points^2 doubles, 128 MB at this cap
 MAX_FD_POINTS = 4001
+# nodes of a configured free-state density: its Hermite table holds
+# (shells + 1) x nodes doubles, 105 MB at this cap and the 200-shell depth
+MAX_DENSITY_NODES = 65537
 # shells of one analytic catalog; the level count sum (n+1)(n+2)/2 of
 # 10^6 shells is 1.7e17, well inside int64
 MAX_SHELLS = 10**6
@@ -265,9 +267,8 @@ def fd_catalog_1d(
     Symmetric second differences with homogeneous Dirichlet boundary
     conditions.  Completeness below lambda_max is certified by a Sturm
     count; eigenfunction mass at the boundary above 1e-8 raises a domain
-    error.  The discretization-error estimate compares the levels with a
-    solve (eigenvalues only) on twice the points; that solve runs on the
-    first read of ``discretization_error`` and is cached.
+    error.  A diagonal that is not finite, such as x^2 overflowing on a
+    huge halfwidth, raises ``ResolutionError`` before the eigensolve.
 
     With ``keep_vectors=False`` the solve is eigenvalues only and no
     eigenvector matrix is formed.  The boundary mass of each level is
@@ -291,20 +292,20 @@ def fd_catalog_1d(
             f"inside halfwidth {halfwidth}"
         )
 
-    def solve(n, eigvals_only):
-        x = np.linspace(-halfwidth, halfwidth, n + 2)[1:-1]
-        h = x[1] - x[0]
-        diag = hbar**2 * 2.0 / h**2 + np.asarray(v(x), dtype=float)
-        off = np.full(n - 1, -(hbar**2) / h**2)
-        lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)  # below every level (Gershgorin)
-        if lo >= lambda_max:
-            raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
-        out = eigh_tridiagonal(
-            diag, off, eigvals_only=eigvals_only, select="v", select_range=(lo, lambda_max)
+    x = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
+    h = x[1] - x[0]
+    diag = hbar**2 * 2.0 / h**2 + np.asarray(v(x), dtype=float)
+    if not np.all(np.isfinite(diag)):
+        raise ResolutionError(
+            f"the operator is not finite on the grid of halfwidth {halfwidth} and spacing {h:.3g}"
         )
-        return x, h, diag, off, out
-
-    x, h, diag, off, out = solve(points, eigvals_only=not keep_vectors)
+    off = np.full(points - 1, -(hbar**2) / h**2)
+    lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)  # below every level (Gershgorin)
+    if lo >= lambda_max:
+        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
+    out = eigh_tridiagonal(
+        diag, off, eigvals_only=not keep_vectors, select="v", select_range=(lo, lambda_max)
+    )
     w, vecs = out if keep_vectors else (out, None)
     if w.size == 0:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
@@ -323,13 +324,6 @@ def fd_catalog_1d(
             f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
         )
 
-    # refine lives as long as the catalog: it must not reference vecs
-    def refine():
-        # bisection gives the same eigenvalues with or without vectors
-        *_, w_fine = solve(2 * points, eigvals_only=True)
-        k = min(w.size, w_fine.size)
-        return float(np.max(np.abs(w[:k] - w_fine[:k]))) if k else math.inf
-
     return SpectralCatalog(
         hbar=float(hbar),
         energies=w,
@@ -339,7 +333,6 @@ def fd_catalog_1d(
         grid=x,
         vectors=vecs / math.sqrt(h) if keep_vectors else None,
         potential_1d=v,
-        refinement=refine,
         sturm_certified=bool(sturm_ok),
     )
 
@@ -418,15 +411,15 @@ def weyl_scan_sizes(N_list):
 def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
     """Scan |n_q - N n_cl| and |e_q - N e_cl| over N with hbar tied to N.
 
-    ``trap`` is "harmonic" (optionally {"kind": "harmonic", "offset": c})
+    ``trap`` is {"kind": "harmonic", "offset": c} (offset 0 if absent)
     for the 3d analytic oracle with hbar = N^(-1/3), or
     {"kind": "fd_1d", "v": ..., "halfwidth": ..., "points": ...} for the
     one-dimensional oracle with hbar = N^(-1).  Least-squares slopes of
     log-error against log N are reported alongside the raw errors.
     """
     Ns = weyl_scan_sizes(N_list)
-    if trap == "harmonic" or (isinstance(trap, dict) and trap.get("kind") == "harmonic"):
-        offset = float(trap.get("offset", 0.0)) if isinstance(trap, dict) else 0.0
+    if trap.get("kind") == "harmonic":
+        offset = float(trap.get("offset", 0.0))
         budget = phase_space_counts(harmonic_trap(offset=offset), Lambda)
         n_cl, e_cl = budget.n_cl, budget.e_cl
         hbars = [n ** (-1.0 / 3.0) for n in Ns]
@@ -434,7 +427,7 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
         for hb in hbars:
             cat = harmonic_catalog(hb, Lambda + 1e-12, offset=offset)
             counts.append(spectral_counts(cat, Lambda))
-    elif isinstance(trap, dict) and trap.get("kind") == "fd_1d":
+    elif trap.get("kind") == "fd_1d":
         v = trap["v"]
         halfwidth = float(trap["halfwidth"])
         points = int(trap.get("points", 2000))
@@ -445,7 +438,7 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
             cat = fd_catalog_1d(v, hb, halfwidth, points, Lambda + 1e-12, keep_vectors=False)
             counts.append(spectral_counts(cat, Lambda))
     else:
-        raise ValueError("trap must be 'harmonic' or an fd_1d spec")
+        raise ValueError("trap must be a harmonic or an fd_1d spec")
 
     n_err = [abs(nq - n * n_cl) for (nq, _), n in zip(counts, Ns)]
     e_err = [abs(eq - n * e_cl) for (_, eq), n in zip(counts, Ns)]
@@ -553,20 +546,24 @@ class HusimiReport:
     grad_window_sq: float
 
 
-def coherent_identity_check_1d(
-    catalog: SpectralCatalog, fill, hbar_x=None, hbar_p=None, p_F=1.0
-) -> HusimiReport:
+# Fermi momentum of the low-frequency weight 1 - Gamma(p) = min(1, (p_F / p)^2)
+HUSIMI_P_F = 1.0
+
+
+def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     """Husimi-transform identity residuals for a filled 1d projector.
 
     Builds m(x, p) by testing the rank-``fill`` projector against
-    Gaussian coherent states with widths (hbar_x, hbar_p), default split
-    sqrt(hbar_x) = hbar_p = hbar^(2/3).  Reports residuals of (a) the
-    resolution of identity, (b) the exact kinetic convolution identity
-    tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2, (c) the
-    potential smearing of order hbar_x, and (d) the low-frequency
-    kinetic identity weighted by 1 - Gamma(p).  The coherent vectors are
-    normalized in the discrete norm, so m lies in [0, 1] up to roundoff
-    by Bessel's inequality.
+    Gaussian coherent states of position variance hbar_x / 2 and momentum
+    variance hbar_p / 2, with the fixed split hbar_x = hbar^(4/3),
+    hbar_p = hbar^(2/3), so hbar_x hbar_p = hbar^2.  Reports residuals of
+    (a) the resolution of identity, (b) the exact kinetic convolution
+    identity tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2, (c) the
+    potential smearing of order hbar_x, and (d) the low-frequency kinetic
+    identity weighted by 1 - Gamma(p) at p_F = ``HUSIMI_P_F``.  For
+    V = x^2 the smearing (c) equals fill hbar_x / 2 exactly.  The
+    coherent vectors are normalized in the discrete norm, so m lies in
+    [0, 1] up to roundoff by Bessel's inequality.
 
     Each window is cut to the band of 2K + 1 grid samples around its
     node, K = ceil(10 sigma / h), where the Gaussian is still above
@@ -581,13 +578,8 @@ def coherent_identity_check_1d(
     if fill > n_levels:
         raise TruncationError(f"fill={fill} exceeds the {n_levels} levels below lambda_max")
     hbar = catalog.hbar
-    if hbar_x is None and hbar_p is None:
-        hbar_p = hbar ** (2.0 / 3.0)
-        hbar_x = hbar ** (4.0 / 3.0)
-    if hbar_x is None or hbar_p is None:
-        raise ValueError("give both hbar_x and hbar_p or neither")
-    if abs(hbar_x * hbar_p - hbar**2) > 1e-10 * hbar**2:
-        raise ValueError("need hbar_x * hbar_p = hbar^2")
+    hbar_p = hbar ** (2.0 / 3.0)
+    hbar_x = hbar ** (4.0 / 3.0)
 
     x = catalog.grid
     h = float(x[1] - x[0])
@@ -614,7 +606,7 @@ def coherent_identity_check_1d(
 
     kinetic_spec = float(np.sum(p_spec**2 * t_spec))
     with np.errstate(divide="ignore", over="ignore"):
-        weight_lf = np.minimum(1.0, (p_F / np.maximum(np.abs(p_spec), 1e-300)) ** 2)
+        weight_lf = np.minimum(1.0, (HUSIMI_P_F / np.maximum(np.abs(p_spec), 1e-300)) ** 2)
     lowfreq_spec = float(np.sum(p_spec**2 * weight_lf * t_spec))
 
     p_occ = float(np.max(np.abs(p_spec)[t_spec > 1e-14 * np.max(t_spec)]))
@@ -667,7 +659,7 @@ def coherent_identity_check_1d(
     potential_residual = abs(pot_husimi - pot_trace)
 
     with np.errstate(divide="ignore", over="ignore"):
-        lf_weight = np.minimum(1.0, (p_F / np.maximum(np.abs(p), 1e-300)) ** 2)
+        lf_weight = np.minimum(1.0, (HUSIMI_P_F / np.maximum(np.abs(p), 1e-300)) ** 2)
     lf_husimi = float(np.sum(m * (p**2 * lf_weight)[None, :])) * dx * dp / (
         2.0 * math.pi * hbar
     )

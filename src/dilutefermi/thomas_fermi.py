@@ -41,7 +41,6 @@ __all__ = [
     "C_TF",
     "KAPPA",
     "KAPPA_SPIN",
-    "TFConstants",
     "TFSolution",
     "TwoSpinState",
     "CutoffTFSolution",
@@ -61,12 +60,6 @@ C_TF = 0.6 * (6.0 * math.pi**2) ** (2.0 / 3.0)
 KAPPA = (3.0 * math.pi**2) ** (2.0 / 3.0)
 #: per-spin Euler-Lagrange constant, (5/3) c_TF = (6 pi^2)^(2/3)
 KAPPA_SPIN = (6.0 * math.pi**2) ** (2.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class TFConstants:
-    c_tf: float = C_TF
-    kappa: float = KAPPA
 
 
 class DomainError(ValueError):
@@ -374,7 +367,11 @@ def tf_solve(v) -> TFSolution:
     )
 
 
-def tf_functional(v, rho, tol=Tolerance(abs=1e-12, rel=1e-12)):
+# quadrature tolerance of the trial-density energy
+FUNCTIONAL_TOL = Tolerance(abs=1e-12, rel=1e-12)
+
+
+def tf_functional(v, rho):
     """Energy of a trial total density (no normalization enforced).
 
     ``rho`` is a RadialProfile; negative samples are a domain error.
@@ -385,8 +382,12 @@ def tf_functional(v, rho, tol=Tolerance(abs=1e-12, rel=1e-12)):
         raise DomainError("trial density has negative samples")
     vr = v.radial_fn
     bps = rho.nodes if rho.nodes.size <= 128 else ()
-    kin = integrate_radial(lambda r: np.maximum(rho(r), 0.0) ** (5.0 / 3.0), rho.r_max, tol, bps)
-    pot = integrate_radial(lambda r: vr(r) * np.maximum(rho(r), 0.0), rho.r_max, tol, bps)
+    kin = integrate_radial(
+        lambda r: np.maximum(rho(r), 0.0) ** (5.0 / 3.0), rho.r_max, FUNCTIONAL_TOL, bps
+    )
+    pot = integrate_radial(
+        lambda r: vr(r) * np.maximum(rho(r), 0.0), rho.r_max, FUNCTIONAL_TOL, bps
+    )
     return 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
 
 

@@ -44,3 +44,10 @@ def test_verify_all_cli_round_trip(tmp_path):
         assert proc.stdout.count("[PASS]") == 17
         outputs.append((out / "acceptance_summary.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_criterion_15_potential_residual_is_its_closed_form(results):
+    # for V = x^2 the residual is fill hbar_x / 2 exactly, at both rungs
+    details = results[14].details
+    assert len(details["potential_closed_form_distances"]) == 2
+    assert all(abs(d) <= 1e-11 for d in details["potential_closed_form_distances"])

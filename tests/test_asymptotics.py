@@ -252,13 +252,12 @@ def test_budget_bulk_term_subcritical_at_large_beta():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_budget_explicit_epsilon_bookkeeping():
-    b = error_budget(10**4, 0.45, epsilon=0.5)
+def test_budget_epsilon_bookkeeping():
+    b = error_budget(10**4, 0.45)
     parts = (b.bulk_term, b.cutoff_term, b.softening_term, b.remainder_term)
     assert all(x >= 0.0 for x in parts)
     assert b.total == pytest.approx(sum(parts))
-    assert b.epsilon == 0.5
-    assert b.delta == 0.5
+    assert b.delta == b.epsilon
     assert b.s**2 == pytest.approx(b.epsilon**2 * (10.0**4) ** (1.0 / 3.0 - 0.45))
     assert b.p_F**-2 == pytest.approx(b.epsilon * (10.0**4) ** (1.0 / 3.0 - 0.45))
     assert b.R == pytest.approx(b.epsilon * (10.0**4) ** (-1.0 / 3.0))

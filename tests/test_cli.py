@@ -186,6 +186,10 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("scatter", {"interaction": {"kind": {"hardcore": 1}}}),
         ("husimi", {"husimi": {"points": 4002}}),  # one past spectra.MAX_FD_POINTS
         ("husimi", {"husimi": {"points": 10**9}}),  # an 8e18-byte eigenvector matrix
+        # d_n_cl is a central difference: one level has none, a repeated level divides by zero
+        ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": [2.0]}}),
+        ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": [2.0, 2.0, 3.0]}}),
+        ("spectra", {"spectra": {"density": {"nodes": 65538}}}),  # one past MAX_DENSITY_NODES
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):
@@ -216,6 +220,7 @@ def test_bad_output_directory_without_out_flag(tmp_path, monkeypatch):
         ({"halfwidth": 792}, "TruncationError"),  # one level below lambda_max, fill 10
         ({"halfwidth": 5000, "points": 200}, "TruncationError"),  # none at all
         ({"hbar": 1e-9}, "ResolutionError"),  # levels that coincide in floating point
+        ({"halfwidth": 1e300}, "ResolutionError"),  # x^2 overflows on the grid
     ],
 )
 def test_husimi_grid_shortfall_is_numerical_failure(tmp_path, capsys, husimi, error):
@@ -345,6 +350,20 @@ def test_extreme_barrier_heights_exit_cleanly(tmp_path, command, height):
         assert set(fields) >= {"a", "R", "step_error_estimate", "fit_residual"}
         if height == 1e300:
             assert float(fields["a"]) == float(fields["R"]) == 0.5
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-6])
+def test_tiny_interaction_radius_keeps_the_profile_bounded(tmp_path, radius):
+    # the exterior has a fixed node count, not one that grows like 1/radius
+    cfg = write_config(tmp_path, {
+        "interaction": {"kind": "square_barrier", "height": 2.0, "radius": radius},
+        "sweeps": {"A": []},
+    })
+    out = tmp_path / "out"
+    assert run_cli(["scatter", "--config", cfg, "--out", str(out)]) in (0, 1)
+    if (out / "scattering_profile.csv").exists():
+        _, _, rows = read_table(out / "scattering_profile.csv")
+        assert len(rows) <= 6001
 
 
 def test_semiclass_command(tmp_path):

@@ -1,7 +1,12 @@
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
+
+from dilutefermi import asymptotics, cli, numerics, potentials, scattering, semiclassics
+from dilutefermi import spectra, thomas_fermi
 
 SRC = Path(__file__).parents[1] / "src" / "dilutefermi"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -39,3 +44,65 @@ def test_module_imports_are_used(path):
 def test_unused_import_guard_sees_what_it_should():
     source = "from __future__ import annotations\nimport os, numpy as np\nfrom .x import a, b as c\n__all__ = ['a']\nnp.zeros(1)\n"
     assert _unused_imports(source) == ["c", "os"]
+
+
+# The library calls and attribute reads of bench/workloads.py, bench/worker.py
+# and bench/tracer.py.  The benchmark is frozen against library changes, so
+# every shape here must keep binding and every attribute must keep existing.
+BENCH_CALLS = [
+    (spectra.fd_catalog_1d, ("v", 0.05, 4.0, 1001, 1.06), {}),
+    (spectra.fd_catalog_1d, ("v", 0.05, 3.0, 1000, 2.0), {"keep_vectors": False}),
+    (spectra.coherent_identity_check_1d, ("cat", 10), {}),
+    (spectra.free_ground_state_density_fn, (0.2, 50), {}),
+    (spectra.weyl_error_scan, ({"kind": "fd_1d"}, [2, 20, 200], 2.0), {}),
+    (asymptotics.make_context, (10**6, 0.4, "w"), {}),
+    (asymptotics.predict_energy, ("v", "ctx", "tf"), {}),
+    (asymptotics.box_estimate, ("v", "ctx", 0.2, "tf"), {}),
+    (numerics.integrate_radial, ("fn", 6.0, numerics.Tolerance(abs=1e-10, rel=1e-10)), {}),
+    (numerics.lp_distance, ("a", "b", 1.0), {}),
+    (numerics.RadialProfile, ("nodes", "values"), {}),
+    (thomas_fermi.tf_solve, ("v",), {}),
+    (thomas_fermi.two_spin_minimize, ("v", 0.2), {}),
+    (thomas_fermi.cutoff_gap_scan, ("v", [1.2, 4.0]), {}),
+    (thomas_fermi.cutoff_tf_solve, ("v", 1.2), {}),
+    (semiclassics.phase_space_counts, ("v", 1.5), {}),
+    (semiclassics.lambda_for_filling, ("v", 0.5), {}),
+    (scattering.square_barrier, (2.0, 1.0), {}),
+    (scattering.zero_energy_solve, ("spec",), {}),
+    (scattering.hardcore_limit, ("spec", [2.0, 20.0]), {}),
+    (potentials.harmonic_trap, (0.0,), {}),
+    (potentials.power_trap, (3.0,), {}),
+    (cli.main, (["tf", "--config", "c.json", "--out", "o"],), {}),
+]
+BENCH_READS = [
+    (thomas_fermi.TFSolution, ("lambda_TF", "E_TF", "interaction_integral", "rho_fn")),
+    (thomas_fermi.TwoSpinState,
+     ("energy", "lambda_two_spin", "rho_up_values", "rho_down_values", "iterations")),
+    (thomas_fermi.CutoffScan, ("gaps",)),
+    (semiclassics.PhaseSpaceBudget, ("n_cl", "e_cl")),
+    (asymptotics.EnergyPrediction, ("main", "correction")),
+    (asymptotics.BoxEstimate, ("l", "gap", "masses", "centers", "prediction_total",
+                               "rho53_defect", "rho2_defect", "n_cells")),
+    (spectra.SpectralCatalog, ("energies", "grid", "sturm_certified")),
+    (spectra.HusimiReport, ("resolution_residual", "m_min", "m_max",
+                            "kinetic_identity_residual", "kinetic_reference")),
+    (spectra.WeylScan, ("n_q", "n_cl")),
+    (scattering.ScatteringSolution, ("a",)),
+    (scattering.InteractionSpec, ("hardcore", "range_")),
+    (potentials.Potential, ("growth", "min_value")),
+]
+TRACER_HOOKS = [(spectra, "eigh_tridiagonal"), (spectra, "np"), (scattering, "_rk4_outward"),
+                (cli, "_mirror_csv_as_json")]
+
+
+def test_bench_call_shapes_still_bind():
+    for fn, args, kwargs in BENCH_CALLS:
+        inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_bench_reads_and_tracer_hooks_still_exist():
+    for cls, names in BENCH_READS:
+        present = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
+        assert set(names) <= present, (cls.__name__, set(names) - present)
+    for module, name in TRACER_HOOKS:
+        assert hasattr(module, name), (module.__name__, name)

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from dilutefermi import numerics, thomas_fermi
 from dilutefermi.numerics import (
-    DomainMismatchError,
-    PowerTail,
     RadialProfile,
     RefinementError,
     Tolerance,
@@ -102,14 +100,6 @@ def test_lp_union_domain_with_zero_tails():
     assert abs(lp_distance(short, longer, 1.0) - 4.0 * math.pi / 3.0) < 1e-12
 
 
-def test_lp_incompatible_tails():
-    nodes = np.linspace(0.0, 1.0, 17)
-    a = RadialProfile(nodes, np.ones(17), tail=PowerTail(1.0, 4.0))
-    b = RadialProfile(np.linspace(0.0, 2.0, 17), np.ones(17))
-    with pytest.raises(DomainMismatchError):
-        lp_distance(a, b, 2.0)
-
-
 def _lp_distance_per_segment(f, g, p):
     """Scalar reference: both profiles evaluated at the ends of each segment separately."""
     r_hi = max(f.r_max, g.r_max)
@@ -137,13 +127,6 @@ def test_lp_distance_equals_per_segment_reference(p):
     g = RadialProfile(b, np.exp(-b) + 1e-3 * rng.standard_normal(b.size))
     assert lp_distance(f, g, p) == _lp_distance_per_segment(f, g, p)
     assert lp_distance(g, f, p) == _lp_distance_per_segment(g, f, p)
-    # matching power tails on a shared r_max, different node sets
-    tail = PowerTail(0.5, 4.0)
-    c = np.concatenate([np.sort(rng.uniform(0.0, 2.5, 30)), [2.5]])
-    d = np.linspace(0.0, 2.5, 57)
-    h = RadialProfile(c, 0.5 * (1.0 + c) ** -4, tail=tail)
-    k = RadialProfile(d, 0.5 * (1.0 + d) ** -4 + 1e-2 * np.sin(5.0 * d), tail=tail)
-    assert lp_distance(h, k, p) == _lp_distance_per_segment(h, k, p)
 
 
 _values = st.lists(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dilutefermi.cli import resolve_potential
 from dilutefermi.numerics import RadialProfile
 from dilutefermi.potentials import (
     ConfigurationError,
@@ -8,34 +9,29 @@ from dilutefermi.potentials import (
     custom_radial_trap,
     h1_diagnostic,
     harmonic_trap,
-    make_potential,
     power_trap,
 )
 
 
 def test_make_harmonic_plus_one():
-    v = make_potential({"kind": "harmonic_plus_one"})
+    v = resolve_potential({"potential": {"kind": "harmonic_plus_one"}})
     assert v(np.zeros((1, 3)))[0] == 1.0
     assert v.radial_fn(np.array([2.0]))[0] == 5.0
 
 
 def test_make_power_at_unit_radius():
-    v = make_potential({"kind": "power_plus_one", "s": 4})
+    v = resolve_potential({"potential": {"kind": "power_plus_one", "s": 4}})
     assert v.radial_fn(np.array([1.0]))[0] == 2.0
 
 
 def test_out_of_range_growth_rejected():
     with pytest.raises(ConfigurationError):
-        make_potential({"kind": "power_plus_one", "s": 0.5})
-    with pytest.raises(ConfigurationError):
-        make_potential({"kind": "nonsense"})
-    with pytest.raises(ConfigurationError):
-        make_potential({"not_kind": 1})
+        power_trap(0.5)
 
 
 def test_builtins_bounded_below_by_one():
     rs = np.linspace(0.0, 25.0, 401)
-    for v in (make_potential({"kind": "harmonic_plus_one"}), power_trap(1.7), power_trap(6.0)):
+    for v in (harmonic_trap(1.0), power_trap(1.7), power_trap(6.0)):
         assert np.all(v.radial_fn(rs) >= 1.0)
 
 
@@ -82,7 +78,7 @@ def test_h1_rejects_tables():
 
 def test_custom_table_interpolation_and_tail():
     nodes = np.linspace(0.0, 2.0, 21)
-    v = custom_radial_trap(RadialProfile(nodes, 1.0 + nodes**2), growth=2.0)
+    v = custom_radial_trap(RadialProfile(nodes, 1.0 + nodes**2))
     assert abs(v.radial_fn(np.array([1.0]))[0] - 2.0) < 5e-3
     assert abs(v.radial_fn(np.array([4.0]))[0] - 5.0 * 4.0) < 1e-12  # V(2)*(r/2)^2
 

@@ -5,6 +5,7 @@ import pytest
 
 from dilutefermi import scattering
 from dilutefermi.scattering import (
+    EXTERIOR_NODES,
     GeometryError,
     InteractionSpec,
     StiffnessError,
@@ -57,8 +58,12 @@ def test_length_stays_in_physical_window():
 
 
 def test_exterior_exactness():
-    sol = zero_energy_solve(square_barrier(2.0), r_max=3.0)
-    assert sol.fit_residual <= 1e-8 * 3.0
+    # r_max = max(2R, R + 1, 1), reached through a fixed number of exterior nodes
+    for radius, r_max in ((1.0, 2.0), (0.1, 1.1), (3.0, 6.0)):
+        sol = zero_energy_solve(square_barrier(2.0, radius))
+        assert sol.r_nodes[-1] == r_max
+        assert np.sum(sol.r_nodes > radius) == EXTERIOR_NODES
+        assert sol.fit_residual <= 1e-8 * r_max
 
 
 def test_variational_energy_matches_length():

@@ -91,7 +91,7 @@ def test_h2_probe_flags_plateau():
         nodes < 0.8, 1.0 + nodes**2, np.where(nodes < 1.6, 1.64, 1.64 + (nodes - 1.6) ** 2)
     )
     vals = np.maximum.accumulate(vals)
-    v = custom_radial_trap(RadialProfile(nodes, vals), growth=2.0)
+    v = custom_radial_trap(RadialProfile(nodes, vals))
     rep = h2_probe(v, np.arange(1.2, 2.21, 0.1))
     assert rep.flagged
 

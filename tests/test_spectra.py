@@ -144,11 +144,10 @@ def test_fd_domain_margin_guard():
         fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 150, 10.0)
 
 
-def test_fd_refinement_without_vectors_is_exact():
+def test_fd_without_vectors_is_exact():
     kept = fd_catalog_1d(lambda x: x**4, 0.02, 3.0, 2000, 2.0)
     dropped = fd_catalog_1d(lambda x: x**4, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
     assert np.array_equal(kept.energies, dropped.energies)
-    assert kept.discretization_error == dropped.discretization_error
     assert kept.sturm_certified and dropped.sturm_certified
     assert kept.vectors is not None and dropped.vectors is None
     # the 20% margin holds (turning point 1.87), but the second level leaks
@@ -277,7 +276,7 @@ def eigensolves(monkeypatch):
     return calls, vector_refs
 
 
-def test_refinement_solves_on_first_read_only(eigensolves, tmp_path):
+def test_eigensolves_form_vectors_only_when_kept(eigensolves, tmp_path):
     calls, vector_refs = eigensolves
     quartic = lambda x: x**4
     weyl_error_scan(
@@ -296,34 +295,18 @@ def test_refinement_solves_on_first_read_only(eigensolves, tmp_path):
     calls.clear()
     vector_refs.clear()
 
-    cat = fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
+    fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
     assert calls == [(2000, True)]
-    first = cat.discretization_error
-    assert calls == [(2000, True), (4000, True)]
     assert vector_refs == []
-    assert cat.discretization_error == first
-    assert len(calls) == 2
-
-    from scipy.linalg import eigh_tridiagonal
-
-    x = np.linspace(-3.0, 3.0, 4002)[1:-1]
-    h = x[1] - x[0]
-    diag = 0.02**2 * 2.0 / h**2 + x**4
-    off = np.full(3999, -(0.02**2) / h**2)
-    lo = float(np.min(diag) - 3.0 * 0.02**2 / h**2)
-    fine = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(lo, 2.0))
-    k = min(cat.energies.size, fine.size)
-    assert first == float(np.max(np.abs(cat.energies[:k] - fine[:k])))
-    assert harmonic_catalog(1.0, 7.5).discretization_error is None
 
 
 def test_weyl_scan_harmonic_exponents():
     lam = 48.0 ** (1.0 / 3.0)
-    scan = weyl_error_scan("harmonic", [10**3, 10**4, 10**5, 10**6], lam)
+    scan = weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**5, 10**6], lam)
     bound = 8.0 / 9.0 + 0.05
     assert scan.n_exponent <= bound
     assert scan.e_exponent <= bound
-    span = weyl_error_scan("harmonic", [10**3, 10**4, 10**6], lam)
+    span = weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**6], lam)
     assert all(b < a for a, b in zip(span.n_err_over_N, span.n_err_over_N[1:]))
     assert all(b < a for a, b in zip(span.e_err_over_N, span.e_err_over_N[1:]))
 
@@ -340,9 +323,9 @@ def test_weyl_single_particle_sanity_row():
 
 def test_weyl_scan_validation():
     with pytest.raises(ValueError):
-        weyl_error_scan("harmonic", [100, 200], 2.0)  # less than two decades
+        weyl_error_scan({"kind": "harmonic"}, [100, 200], 2.0)  # less than two decades
     with pytest.raises(ValueError):
-        weyl_error_scan("harmonic", [100], 2.0)
+        weyl_error_scan({"kind": "harmonic"}, [100], 2.0)
 
 
 def test_weyl_scan_fd_1d():
@@ -457,7 +440,7 @@ def test_husimi_potential_residual_shrinks_with_hbar(husimi_catalog):
 
 
 def test_husimi_lowfreq_residual_within_envelope(husimi_catalog):
-    rep = coherent_identity_check_1d(husimi_catalog, 10, p_F=1.0)
+    rep = coherent_identity_check_1d(husimi_catalog, 10)
     envelope = math.sqrt(rep.hbar_p) * (rep.kinetic_reference + rep.fill)
     assert rep.lowfreq_identity_residual <= envelope
 
@@ -470,8 +453,9 @@ def test_husimi_report_fields_are_plain_floats(husimi_catalog):
 
 
 def test_husimi_split_validation(husimi_catalog):
-    with pytest.raises(ValueError):
-        coherent_identity_check_1d(husimi_catalog, 10, hbar_x=0.1, hbar_p=0.1)
+    rep = coherent_identity_check_1d(husimi_catalog, 1)
+    assert rep.hbar_x == 0.05 ** (4.0 / 3.0) and rep.hbar_p == 0.05 ** (2.0 / 3.0)
+    assert rep.hbar_x * rep.hbar_p == pytest.approx(0.05**2, rel=1e-15)
     with pytest.raises(ValueError):
         coherent_identity_check_1d(husimi_catalog, 0)
 
@@ -568,7 +552,7 @@ def test_catalog_and_scan_csv(tmp_path):
     p1 = tmp_path / "cat.csv"
     write_catalog_csv(p1, cat, ["x"])
     assert p1.read_text().splitlines()[1] == "level,degeneracy"
-    scan = weyl_error_scan("harmonic", [10**3, 10**4, 10**5], 2.0)
+    scan = weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**5], 2.0)
     p2 = tmp_path / "scan.csv"
     write_scan_csv(p2, scan, ["y"])
     lines = p2.read_text().splitlines()

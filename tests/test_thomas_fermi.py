@@ -15,7 +15,6 @@ from dilutefermi.thomas_fermi import (
     KAPPA,
     KAPPA_SPIN,
     DomainError,
-    TFConstants,
     cutoff_gap_scan,
     cutoff_tf_solve,
     tf_functional,
@@ -36,12 +35,11 @@ def bare_solution():
 
 
 def test_constants_reproducible():
-    c = TFConstants()
-    assert abs(c.c_tf - 0.6 * (6.0 * math.pi**2) ** (2.0 / 3.0)) < 1e-10
-    assert abs(c.kappa - (3.0 * math.pi**2) ** (2.0 / 3.0)) < 1e-10
+    assert abs(C_TF - 0.6 * (6.0 * math.pi**2) ** (2.0 / 3.0)) < 1e-10
+    assert abs(KAPPA - (3.0 * math.pi**2) ** (2.0 / 3.0)) < 1e-10
     # four-digit landmarks (the closed forms above are the authority)
-    assert abs(c.c_tf - 9.1156) < 5e-4
-    assert abs(c.kappa - 9.5708) < 5e-4
+    assert abs(C_TF - 9.1156) < 5e-4
+    assert abs(KAPPA - 9.5708) < 5e-4
     # kappa = (5/3) 2^(-2/3) c_tf
     assert abs(KAPPA - (5.0 / 3.0) * 2.0 ** (-2.0 / 3.0) * C_TF) < 1e-12
 
