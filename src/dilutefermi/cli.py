@@ -134,8 +134,9 @@ SCHEMA = {
         "harmonic": {"offset": "number"},
     }},
     "interaction": {"kind": {
-        "square_barrier": {"height": ">= 0", "radius": "> 0"},
-        "hardcore": {"radius": "> 0"},
+        # below about 2e-305 the scattering solve's steps per unit length overflow
+        "square_barrier": {"height": ">= 0", "radius": ">= 1e-300"},
+        "hardcore": {"radius": ">= 1e-300"},
     }},
     "tolerances": {"abs": ">= 0", "rel": ">= 0", "max_refinements": "integer >= 1"},
     "sweeps": {"N": ["integer >= 1"], "beta": ["> 1/3"], "Lambda": ["number"], "A": ["> 0"],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tables import write_table
-from .thomas_fermi import NormalizationError, _fix_level, _level_integrals
+from .thomas_fermi import NormalizationError, _fix_level, _level_integrals, _rays
 
 __all__ = [
     "PhaseSpaceBudget",
@@ -50,10 +50,10 @@ class PhaseSpaceBudget:
         return self.e_cl - self.Lambda * self.n_cl
 
 
-def _counts(v, Lambda, fields):
+def _counts(rays, Lambda, fields):
     """Level integrals of ``fields`` over {V <= Lambda}; a trap that does not confine diverges."""
     try:
-        return _level_integrals(v, Lambda, fields)[0]
+        return _level_integrals(rays, Lambda, fields)[0]
     except NormalizationError as exc:
         raise DivergenceError(str(exc)) from exc
 
@@ -67,7 +67,7 @@ def phase_space_counts(v, Lambda) -> PhaseSpaceBudget:
         g15 = gap**1.5
         return g15, 0.2 * gap**2.5 + vr / 3.0 * g15
 
-    n_cl, e_cl = _counts(v, Lambda, fields)
+    n_cl, e_cl = _counts(_rays(v), Lambda, fields)
     return PhaseSpaceBudget(
         float(Lambda), float(n_cl) / (6.0 * math.pi**2), float(e_cl) / (2.0 * math.pi**2)
     )
@@ -82,11 +82,13 @@ def lambda_for_filling(v, target):
     if not target > 0:
         raise NormalizationError("filling target must be positive (bracket degenerates)")
 
+    rays = _rays(v)
+
     def level(lam):
-        n, slope = _counts(v, lam, lambda gap, vr: (gap**1.5, 1.5 * gap**0.5))
+        n, slope = _counts(rays, lam, lambda gap, vr: (gap**1.5, 1.5 * gap**0.5))
         return float(n) / (6.0 * math.pi**2) - target, float(slope) / (6.0 * math.pi**2)
 
-    return _fix_level(level, v.min_value(), "filling level")[0]
+    return _fix_level(level, rays.vmin, "filling level")[0]
 
 
 @dataclass

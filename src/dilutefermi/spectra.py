@@ -34,6 +34,7 @@ from .numerics import RadialProfile
 from .semiclassics import phase_space_counts
 from .potentials import harmonic_trap
 from .tables import write_table
+from .thomas_fermi import DomainError, _level_integrals, _Rays
 
 __all__ = [
     "SpectralCatalog",
@@ -383,12 +384,33 @@ def _fit_exponent(Ns, errs):
 
 
 def _counts_cl_1d(v, Lambda, halfwidth):
-    xs = np.linspace(-halfwidth, halfwidth, 65537)
+    """n_cl and e_cl of a 1-d trap: (1/pi) times the integrals of (Lambda - v)^(1/2)
+    and (Lambda - v)^(3/2) / 3 + v (Lambda - v)^(1/2) over {v <= Lambda}.
+
+    v's minimum is taken on a 4097-point grid of [-halfwidth, halfwidth],
+    where v must be nonincreasing to its left and nondecreasing to its
+    right (a DomainError otherwise).  The level rule of ``thomas_fermi``
+    then integrates along the two half-lines from it, with the same
+    support search and edge-resolved Gauss rule as the 3-d counts.
+    """
+    xs = np.linspace(-halfwidth, halfwidth, 4097)
     vx = np.asarray(v(xs), dtype=float)
-    gap = np.maximum(Lambda - vx, 0.0)
-    n_cl = float(np.trapezoid(np.sqrt(gap), xs)) / math.pi
-    e_cl = float(np.trapezoid(gap ** 1.5 / 3.0 + vx * np.sqrt(gap), xs)) / math.pi
-    return n_cl, e_cl
+    i = int(np.argmin(vx))
+    if np.any(np.diff(vx[: i + 1]) > 0.0) or np.any(np.diff(vx[i:]) < 0.0):
+        raise DomainError("a 1-d trap must be nondecreasing away from its minimum")
+    sides = np.array([[1.0], [-1.0]])
+
+    def trace(r):
+        return np.asarray(v(xs[i] + sides * r), dtype=float)
+
+    def fields(gap, vr):
+        root = np.sqrt(gap)
+        return root, gap * root / 3.0 + vr * root
+
+    rays = _Rays(np.ones(2), trace, float(vx[i]), np.empty(0), dim=1)
+
+    (n_cl, e_cl), _ = _level_integrals(rays, Lambda, fields)
+    return float(n_cl) / math.pi, float(e_cl) / math.pi
 
 
 def weyl_scan_sizes(N_list):

@@ -14,11 +14,13 @@ exactly through its saturation structure.
 Every integral of a minimizer, and every count in ``semiclassics``, is a
 level integral of F((lam - V)_+, V) over {V <= lam}, and one private rule
 computes them all.  Along each ray from the origin it finds the support
-edge R with one bisection on V <= lam, then integrates with Gauss-Legendre
-panels ending at 0, the trap's kinks and R, substituting r = R - s^2 on the
-edge panel; an n-against-2n estimate doubles n up to a fixed cap.  A radial
-trap is one ray; a non-radial trap uses a product rule over directions and
-must be nondecreasing along every ray.
+edge R by a bracketing search on V <= lam that tests points around the
+secant estimate of the crossing, then integrates with Gauss-Legendre panels
+ending at 0, the trap's kinks and R, substituting r = R - s^2 on the edge
+panel; an n-against-2n estimate doubles n up to a fixed cap.  A radial trap
+is one ray; a non-radial trap uses a product rule over directions and must
+be nondecreasing along every ray; the 1-d classical counts of ``spectra``
+use the two half-lines from the trap's minimum.
 """
 
 from __future__ import annotations
@@ -120,8 +122,10 @@ class CutoffTFSolution:
 _RULE_START = 16
 _RULE_CAP = 256
 _RULE_REL = 1e-13
-# sections per step of the support search, shared among the rays
+# the support search: even sections per step, shared among the rays, and
+# ladder points on each side of the secant estimate
 _SECTIONS = 64
+_LADDER = 24
 # non-radial traps: Gauss-Legendre in cos(theta) times a trapezoid in phi
 _RAY_THETA = 24
 _RAY_PHI = 48
@@ -158,14 +162,27 @@ def _gauss(n):
     return np.array(nodes + [-x for x in reversed(nodes)]), np.array(weights + weights[::-1])
 
 
-def _rays(v):
-    """Solid-angle weights of the rays and V along them.
+class _Rays:
+    """The rays from a trap's minimum along which the level rule integrates.
 
-    ``trace(r)`` takes radii of shape (rays, m).  A radial trap is the
-    one-ray case with weight 4 pi.
+    ``trace(r)`` gives V at radii of shape (rays, m); ``weights`` are the
+    rays' solid angles, or ones for the two half-lines of a 1-d trap
+    (``dim`` 1, measure dr in place of r^2 dr).  ``kinks`` are the trap's
+    positive kinks.  Built once per solve, outside its Newton loop.
     """
+
+    __slots__ = ("weights", "trace", "vmin", "kinks", "dim")
+
+    def __init__(self, weights, trace, vmin, kinks, dim=3):
+        self.weights, self.trace, self.vmin, self.kinks, self.dim = weights, trace, vmin, kinks, dim
+
+
+def _rays(v):
+    """The rays of a 3-d trap; a radial trap is the one-ray case with weight 4 pi."""
+    kinks = np.asarray(v.kinks, dtype=float)
+    kinks = kinks[kinks > 0.0]
     if v.radial:
-        return np.array([4.0 * np.pi]), v.radial_fn
+        return _Rays(np.array([4.0 * np.pi]), v.radial_fn, v.min_value(), kinks)
     ct, wt = _gauss(_RAY_THETA)
     phi = 2.0 * np.pi * np.arange(_RAY_PHI) / _RAY_PHI
     st = np.sqrt(1.0 - ct * ct)[:, None]
@@ -173,57 +190,83 @@ def _rays(v):
         [st * np.cos(phi), st * np.sin(phi), np.repeat(ct[:, None], _RAY_PHI, axis=1)], axis=-1
     ).reshape(-1, 3)
     weights = np.repeat(wt, _RAY_PHI) * (2.0 * np.pi / _RAY_PHI)
-    return weights, lambda r: v(r[..., None] * dirs[:, None, :])
+    return _Rays(weights, lambda r: v(r[..., None] * dirs[:, None, :]), v.min_value(), kinks)
 
 
-def _support(trace, rays, lam):
-    """Largest r on each ray with V <= lam, by bisection on that predicate.
+@functools.cache
+def _search_points(sections):
+    """The points u = t * scale + shift of one support-search step, as (scale, shift).
 
-    The bracket's upper end doubles from 1 until V exceeds lam on every
-    ray.  Each step then tests the predicate at evenly spaced interior
-    points of every bracket at once (63 on a single ray, the midpoint
-    alone on many) and keeps the section between the last point inside
-    and the first beyond, until no float lies strictly inside any
-    bracket.  For a trap nondecreasing along the ray, plateaus included,
-    that leaves the largest r with V <= lam.
+    With t in [0, 1] each u is in [0, 1] exactly: t itself, the ladder
+    t - t 2^-j and t + (1 - t) 2^-j for j = 1.._LADDER, and k / sections.
     """
-    lo = np.zeros(rays)
-    hi = np.ones(rays)
-    for _ in range(200):
-        inside = trace(hi[:, None])[:, 0] <= lam
+    ladder = np.ldexp(1.0, -np.arange(_LADDER + 1))
+    evens = np.arange(sections + 1) / sections
+    scale = np.concatenate([1.0 - ladder, 1.0 - ladder[1:], np.zeros(evens.size)])
+    shift = np.concatenate([np.zeros(ladder.size), ladder[1:], evens])
+    return scale, shift
+
+
+def _support(trace, count, lam):
+    """Largest r on each of ``count`` rays with V <= lam, by a bracketing search on that predicate.
+
+    The first call tests r = 0 and the powers 1, 2, ..., 128 of two, which
+    brackets the edge on every ray unless V stays <= lam at 128; those
+    rays go on from there.  Then each step tests, on every ray at once,
+    points u of the bracket [lo, hi] mapped onto [0, 1]: the secant
+    estimate t of the crossing, the ladder t - t 2^-j and t + (1 - t) 2^-j
+    (j = 1.._LADDER) around it, and the even sections k / s, s = _SECTIONS
+    shared among the rays (at least 2), which shrink the bracket s-fold
+    whatever the estimate.  The last point inside and the first beyond
+    become the bracket, until no float lies strictly inside it on any ray.
+    For a trap nondecreasing along the ray, plateaus included, that leaves
+    the largest r with V <= lam, whichever points the steps tested.
+    """
+    lo, hi = np.zeros(count), np.ones(count)
+    powers = np.ldexp(1.0, np.arange(8))
+    for _ in range(25):  # up to 2^199, as far as 200 doublings of 1 reach
+        pts = np.concatenate([lo[:, None], hi[:, None] * powers], axis=1)
+        f = trace(pts) - lam
+        inside = f[:, -1] <= 0.0
         if not inside.any():
             break
-        lo = np.where(inside, hi, lo)
-        hi = np.where(inside, 2.0 * hi, hi)
+        lo, hi = np.where(inside, pts[:, -1], lo), np.where(inside, 2.0 * pts[:, -1], hi)
     else:
         raise NormalizationError("potential does not exceed the multiplier; not confining?")
-    sections = max(2, _SECTIONS // rays)
-    steps = np.arange(1, sections) / sections
-    rows = np.arange(rays)
-    while (np.nextafter(lo, hi) < hi).any():
-        pts = np.minimum(lo[:, None] + (hi - lo)[:, None] * steps, hi[:, None])
-        inside = trace(pts) <= lam
-        last = np.sum(inside, axis=1)  # points inside come first on a nondecreasing ray
-        lo = np.where(last > 0, pts[rows, np.maximum(last - 1, 0)], lo)
-        hi = np.where(last < sections - 1, pts[rows, np.minimum(last, sections - 2)], hi)
-    return lo
+    scale, shift = _search_points(max(2, _SECTIONS // count))
+    while True:
+        # points inside (V - lam <= 0) come first on a nondecreasing ray, and pts[:, 0]
+        # is lo, so the last point inside is at the flat index j, the first beyond at j + 1
+        j = np.arange(count) * pts.shape[1] + (f[:, 1:] <= 0.0).argmin(axis=1)
+        lo, f_lo = pts.ravel().take(j), f.ravel().take(j)
+        hi, f_hi = pts.ravel().take(j + 1), f.ravel().take(j + 1)
+        if not np.count_nonzero(np.nextafter(lo, hi) < hi):
+            return lo
+        u = (f_lo / (f_lo - f_hi))[:, None] * scale + shift
+        u.sort(axis=1)
+        pts = lo[:, None] + (hi - lo)[:, None] * u
+        pts[:, -1] = hi
+        f = trace(pts) - lam
 
 
-def _level_integrals(v, lam, fields):
+def _level_integrals(rays, lam, fields, R=None):
     """Integrals over {V <= lam} of the arrays ``fields(gap, V)`` returns, gap = lam - V.
 
-    Every field must vanish where gap = 0.  Returns the integrals and the
-    support edge R of each ray.  A rule node inside a ray's support where
-    V exceeds lam is a DomainError: the trap is not nondecreasing along
+    ``rays`` is a ``_Rays``.  Every field must vanish where gap = 0.
+    Returns the integrals and the support edge R of each ray; an R passed
+    in, from an earlier call at the same lam, skips the support search.
+    Each ray is cut into Gauss-Legendre panels ending at 0, the kinks and
+    R, with r = R - s^2 on the edge panel; every sum over the stacked
+    fields is one reduction.  A rule node inside a ray's support where V
+    exceeds lam is a DomainError: the trap is not nondecreasing along
     that ray, so the support is not the set the rule integrates.
     """
-    weights, trace = _rays(v)
-    vmin = v.min_value()
+    weights, trace, vmin = rays.weights, rays.trace, rays.vmin
     if not lam > vmin:
         return np.zeros(len(fields(np.zeros(1), np.zeros(1)))), np.zeros(weights.size)
-    R = _support(trace, weights.size, lam)
-    kinks = np.asarray(v.kinks, dtype=float)
-    kinks = kinks[(kinks > 0.0) & (kinks < R.max())]
+    if R is None:
+        R = _support(trace, weights.size, lam)
+    kinks = rays.kinks[rays.kinks < R.max()]
     a = np.minimum(np.concatenate([[0.0], kinks])[None, :], R[:, None])
     b = np.minimum(np.concatenate([kinks, [np.inf]])[None, :], R[:, None])
     width = (b - a)[..., None]
@@ -238,27 +281,25 @@ def _level_integrals(v, lam, fields):
         u, w = 0.5 * (1.0 + x), 0.5 * w
         # on the edge panel s = sqrt(b - a) u, so r = b - s^2 and dr = 2 s ds
         r = np.where(edge, b[..., None] - width * u * u, a[..., None] + width * u)
-        dr = np.where(edge, 2.0 * width * u * w, width * w)
+        dr = np.where(edge, 2.0 * width * u * w, width * w).reshape(weights.size, -1)
         r = r.reshape(weights.size, -1)
-        wr = (dr.reshape(weights.size, -1) * r * r) * weights[:, None]
+        wr = (dr * r * r if rays.dim == 3 else dr) * weights[:, None]
         vr = trace(r)
         gap = lam - vr
-        if np.any(gap < -slack):
+        if np.count_nonzero(gap < -slack):
             raise DomainError(
                 f"V exceeds {lam!r} inside the support of a ray: the trap is not "
                 "nondecreasing along every ray from the origin"
             )
-        vals = fields(np.maximum(gap, 0.0), vr)
-        return (
-            np.array([np.sum(f * wr) for f in vals]),
-            np.array([np.sum(np.abs(f) * wr) for f in vals]),
-        )
+        return np.array(fields(np.maximum(gap, 0.0), vr)), wr
 
     n = _RULE_START
-    coarse, _ = rule(n)
+    F, wr = rule(n)
+    coarse = (F * wr).sum(axis=(1, 2))
     while True:
-        fine, scale = rule(2 * n)
-        if np.all(np.abs(fine - coarse) <= rel * scale):
+        F, wr = rule(2 * n)
+        fine = (F * wr).sum(axis=(1, 2))
+        if np.all(np.abs(fine - coarse) <= rel * (np.abs(F) * wr).sum(axis=(1, 2))):
             return fine, R
         if n >= _RULE_CAP:
             raise RefinementError(
@@ -278,7 +319,8 @@ def _fix_level(level, vmin, what):
     from vmin doubles until the defect turns positive.  From above the root,
     each Newton step on a convex increasing function stays above it, so the
     iterates descend onto the root; the loop ends once a step no longer
-    lowers lam, as in ``_cubic_root``.  Returns lam and the number of steps.
+    lowers lam, as in ``_cubic_root``.  Returns lam and the number of steps;
+    the last call of ``level`` is at the returned lam.
     """
     lam = vmin + 1.0
     for _ in range(200):
@@ -321,27 +363,31 @@ def tf_solve(v) -> TFSolution:
     reported integrals come from one call of the level rule.  Non-radial
     traps report no density profile (``rho`` and ``rho_fn`` are None).
     """
+    rays = _rays(v)
+    edges = None
+
     def level(lam):
-        (mass, slope), _ = _level_integrals(
-            v, lam, lambda gap, vr: (_tf_density(gap), 1.5 * gap**0.5 * KAPPA**-1.5)
+        nonlocal edges
+        (mass, slope), edges = _level_integrals(
+            rays, lam, lambda gap, vr: (_tf_density(gap), 1.5 * gap**0.5 * KAPPA**-1.5)
         )
         return mass - 1.0, slope
 
-    lam, _ = _fix_level(level, v.min_value(), "chemical potential")
+    lam, _ = _fix_level(level, rays.vmin, "chemical potential")
 
     def fields(gap, vr):
         rho = _tf_density(gap)
         return rho, rho ** (5.0 / 3.0), vr * rho, rho * rho
 
-    integrals, edges = _level_integrals(v, lam, fields)
+    # the last Newton evaluation was at lam, so its support edges are lam's
+    integrals, edges = _level_integrals(rays, lam, fields, edges)
     mass, kin, pot, inter = map(float, integrals)
     r_support = float(np.max(edges))
     e_tf = 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
 
     # Euler-Lagrange residual on 2048 sample radii shared among the rays, 16 per ray at least
-    _, trace = _rays(v)
     inner = edges[:, None] * np.linspace(0.0, 1.0 - 1e-9, max(2048 // edges.size, 16))
-    vv = trace(inner)
+    vv = rays.trace(inner)
     dens = _tf_density(np.maximum(lam - vv, 0.0))
     on = dens > 0
     residual = float(np.max(np.abs(KAPPA * dens[on] ** (2.0 / 3.0) + vv[on] - lam), initial=0.0))
@@ -443,21 +489,26 @@ def two_spin_minimize(v, g) -> TwoSpinState:
     def invert(gap):
         return (KAPPA_SPIN / g * _cubic_root(gap * scale)) ** 3
 
-    def level(mu):
-        def fields(gap, vr):
-            u = _cubic_root(gap * scale)
-            return (KAPPA_SPIN / g * u) ** 3, 3.0 * u / (g * (3.0 * u + 2.0))
+    rays = _rays(v)
+    edges = None
 
-        (mass, slope), _ = _level_integrals(v, mu, fields)
+    def fields(gap, vr):
+        u = _cubic_root(gap * scale)
+        return (KAPPA_SPIN / g * u) ** 3, 3.0 * u / (g * (3.0 * u + 2.0))
+
+    def level(mu):
+        nonlocal edges
+        (mass, slope), edges = _level_integrals(rays, mu, fields)
         return 2.0 * mass - 1.0, 2.0 * slope
 
-    mu, steps = _fix_level(level, v.min_value(), "chemical potential")
+    mu, steps = _fix_level(level, rays.vmin, "chemical potential")
 
     def energy_density(gap, vr):
         rho_s = invert(gap)
         return (2.0 * C_TF * rho_s ** (5.0 / 3.0) + 2.0 * vr * rho_s + g * rho_s**2,)
 
-    (energy,), edges = _level_integrals(v, mu, energy_density)
+    # the last Newton evaluation was at mu, so its support edges are mu's
+    (energy,), edges = _level_integrals(rays, mu, energy_density, edges)
     rho = _radial_density(v, mu, invert)
     r = np.linspace(0.0, float(edges[0]) * 1.02, 1537)
     rho_s = rho(r)
@@ -490,8 +541,8 @@ def cutoff_tf_solve(v, p_F) -> CutoffTFSolution:
     return cutoff_gap_scan(v, [p_F]).solutions[0]
 
 
-def _capped_minimizer(v, p_F, base: TFSolution) -> CutoffTFSolution:
-    lam_sat = v.min_value() + p_F * p_F
+def _capped_minimizer(rays, p_F, base: TFSolution) -> CutoffTFSolution:
+    lam_sat = rays.vmin + p_F * p_F
     if base.lambda_TF <= lam_sat:
         return CutoffTFSolution(
             p_F=float(p_F),
@@ -507,7 +558,7 @@ def _capped_minimizer(v, p_F, base: TFSolution) -> CutoffTFSolution:
         rho_s = _tf_density(gap, KAPPA_SPIN)
         return rho_s, rho_s ** (5.0 / 3.0), vr * rho_s
 
-    integrals, _ = _level_integrals(v, lam_sat, fields)
+    integrals, _ = _level_integrals(rays, lam_sat, fields)
     mass, kin, pot = map(float, integrals)
     regular_mass = 2.0 * mass
     spike = max(0.0, 1.0 - regular_mass)
@@ -546,7 +597,8 @@ def cutoff_gap_scan(v, p_F_list) -> CutoffScan:
     if not v.radial:
         raise NotImplementedError("cutoff functional is implemented for radial traps")
     base = tf_solve(v)
-    solutions = [_capped_minimizer(v, p, base) for p in p_F_list]
+    rays = _rays(v)
+    solutions = [_capped_minimizer(rays, p, base) for p in p_F_list]
     gaps = [base.E_TF - sol.E_TF_pF for sol in solutions]
     floor = 1e-12 * max(1.0, abs(base.E_TF))
     usable = [(p, gap) for p, gap in zip(p_F_list, gaps) if gap > floor]

@@ -190,6 +190,11 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": [2.0]}}),
         ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": [2.0, 2.0, 3.0]}}),
         ("spectra", {"spectra": {"density": {"nodes": 65538}}}),  # one past MAX_DENSITY_NODES
+        # below the radius floor the scattering solve's steps per unit length overflow
+        ("scatter", {"interaction": {"kind": "square_barrier", "radius": 1e-310}}),
+        ("scatter", {"interaction": {"kind": "square_barrier", "radius": 5e-324}}),
+        ("scatter", {"interaction": {"kind": "hardcore", "radius": 1e-310}}),
+        ("predict", {"potential": {"kind": "harmonic"}, "interaction": {"kind": "hardcore", "radius": 5e-324}}),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):
@@ -360,10 +365,9 @@ def test_tiny_interaction_radius_keeps_the_profile_bounded(tmp_path, radius):
         "sweeps": {"A": []},
     })
     out = tmp_path / "out"
-    assert run_cli(["scatter", "--config", cfg, "--out", str(out)]) in (0, 1)
-    if (out / "scattering_profile.csv").exists():
-        _, _, rows = read_table(out / "scattering_profile.csv")
-        assert len(rows) <= 6001
+    assert run_cli(["scatter", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_table(out / "scattering_profile.csv")
+    assert len(rows) <= 6001
 
 
 def test_semiclass_command(tmp_path):

@@ -27,7 +27,7 @@ from dilutefermi.spectra import (
     write_catalog_csv,
     write_scan_csv,
 )
-from dilutefermi.thomas_fermi import tf_solve
+from dilutefermi.thomas_fermi import DomainError, tf_solve
 
 
 def test_harmonic_catalog_shells():
@@ -339,6 +339,28 @@ def test_weyl_scan_fd_1d():
     )
     assert scan.n_err_over_N[-1] < scan.n_err_over_N[0]
     assert scan.e_err_over_N[-1] < scan.e_err_over_N[0]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_classical_counts_1d_match_beta_closed_forms(q):
+    # over |x|^q <= L: n_cl = (2 / (pi q)) L^(1/2 + 1/q) B(1/q, 3/2) and
+    # e_cl = (2 / (pi q)) L^(3/2 + 1/q) [B(1/q, 5/2) / 3 + B(1 + 1/q, 3/2)]
+    import mpmath
+
+    with mpmath.workdps(30):
+        L, q_ = mpmath.mpf(2), mpmath.mpf(q)
+        n_cl = 2 / (mpmath.pi * q_) * L ** (0.5 + 1 / q_) * mpmath.beta(1 / q_, 1.5)
+        e_cl = 2 / (mpmath.pi * q_) * L ** (1.5 + 1 / q_) * (
+            mpmath.beta(1 / q_, 2.5) / 3 + mpmath.beta(1 + 1 / q_, 1.5)
+        )
+    got = spectra._counts_cl_1d(lambda x: x**q, 2.0, 3.0)
+    assert abs(got[0] - float(n_cl)) <= 1e-14 * float(n_cl)
+    assert abs(got[1] - float(e_cl)) <= 1e-14 * float(e_cl)
+
+
+def test_classical_counts_1d_refuse_a_double_well():
+    with pytest.raises(DomainError, match="nondecreasing away from its minimum"):
+        spectra._counts_cl_1d(lambda x: (x * x - 1.0) ** 2, 2.0, 3.0)
 
 
 def test_hermite_recurrence_depth_guard():
