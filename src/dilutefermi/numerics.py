@@ -9,6 +9,7 @@ identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,74 +175,112 @@ def integrate_radial(f, r_max, tol=Tolerance(), breakpoints=()):
     return total
 
 
-def _abs_power_moment(u, p, k):
-    """Antiderivative of |t|^p t^k evaluated from 0 to u (p > -1)."""
-    q = p + k + 1.0
-    if u >= 0.0:
-        return u**q / q
-    return (-1.0) ** (k + 1) * (-u) ** q / q
+def _moments(u, p):
+    """Antiderivatives of |t|^p t^k from 0 to u, for k = 0, 1, 2.
 
-
-def _segment_lp_mass(d0, d1, r0, r1, p):
-    """Integral of |delta(r)|^p 4 pi r^2 on [r0, r1] to machine accuracy.
-
-    delta is the linear interpolant through (r0, d0), (r1, d1).  When
-    the difference varies strongly across the segment (including every
-    zero crossing, split exactly) the closed form via u = delta(r) is
-    well conditioned and exact.  When it varies weakly the closed form
-    cancels catastrophically, but then |delta|^p is analytic with
-    geometrically small derivatives and a fixed Gauss panel is exact to
-    machine precision.
+    |u|^(p+k+1) is |u|^p times k + 1 factors |u|, so only the p-th power
+    goes through ``pow``, and at p = 1 and 2 not even that (see
+    ``lp_distance``).
     """
+    a = np.abs(u)
+    neg = u < 0  # for even k the antiderivative is odd in u
+    power = a**p
+    out = []
+    for k in range(3):
+        power = power * a
+        m = power / (p + k + 1.0)
+        out.append(np.where(neg, -m, m) if k % 2 == 0 else m)
+    return out
+
+
+def _gauss_masses(d0, d1, r0, r1, p):
+    """Mild-variation rule: one 10-point Gauss panel per segment."""
     length = r1 - r0
-    if length <= 0:
-        return 0.0
-    scale = max(abs(d0), abs(d1))
-    if scale == 0.0:
-        return 0.0
-    if scale < 1e-100:
-        dm = 0.5 * (abs(d0) + abs(d1))
-        return dm**p * (4.0 * np.pi / 3.0) * (r1**3 - r0**3)
     s = (d1 - d0) / length
-    if d0 * d1 < 0:
-        rc = r0 - d0 / s
-        return _segment_lp_mass(d0, 0.0, r0, rc, p) + _segment_lp_mass(0.0, d1, rc, r1, p)
-    if abs(d1 - d0) <= 0.5 * scale:
-        # same sign, mild variation: |d0 + s (r - r0)|^p has Taylor
-        # coefficients decaying like 2^-n, so GL10 is exact in floats
-        mid = 0.5 * (r0 + r1)
-        half = 0.5 * length
-        pts = mid + half * _GL_X
-        vals = np.abs(d0 + s * (pts - r0)) ** p * 4.0 * np.pi * pts * pts
-        return float(half * (vals @ _GL_W))
+    mid = 0.5 * (r0 + r1)
+    half = 0.5 * length
+    pts = mid + half * _GL_X[:, None]  # one row per Gauss node
+    vals = np.abs(d0 + s * (pts - r0)) ** p * 4.0 * np.pi * pts * pts
+    acc = vals[0] * _GL_W[0]
+    for row, w in zip(vals[1:], _GL_W[1:]):
+        acc = acc + row * w
+    return half * acc
+
+
+def _closed_form_masses(d0, d1, r0, r1, p):
+    """Strong-variation rule: exact moments in u = delta(r)."""
+    s = (d1 - d0) / (r1 - r0)
     alpha = r0 - d0 / s
-
-    def moments(u):
-        return (
-            _abs_power_moment(u, p, 0),
-            _abs_power_moment(u, p, 1),
-            _abs_power_moment(u, p, 2),
-        )
-
-    m1 = moments(d1)
-    m0 = moments(d0)
+    m1 = _moments(d1, p)
+    m0 = _moments(d0, p)
     f0 = m1[0] - m0[0]
     f1 = m1[1] - m0[1]
     f2 = m1[2] - m0[2]
     return 4.0 * np.pi / s * (alpha * alpha * f0 + 2.0 * alpha / s * f1 + f2 / (s * s))
 
 
+def _segment_masses(d0, d1, r0, r1, p):
+    """Integral of |delta(r)|^p 4 pi r^2 on every segment [r0, r1].
+
+    delta is the linear interpolant through (r0, d0), (r1, d1); all four
+    arguments are arrays of one length.  Masks pick one rule per segment:
+
+    - no length or scale = max(|d0|, |d1|) = 0: mass 0;
+    - scale < 1e-100: the midpoint rule, where the powers would
+      underflow;
+    - a zero crossing (d0 d1 < 0): split at rc = r0 - d0/s, each half
+      taking the rules below in a second call that recomputes its own
+      length and slope;
+    - mild variation, |d1 - d0| <= scale/2: |d0 + s (r - r0)|^p has
+      Taylor coefficients decaying like 2^-n, so a 10-point Gauss panel
+      is exact in floats, where the closed form would cancel;
+    - otherwise the closed-form moments in u = delta(r), well
+      conditioned and exact.
+    """
+    length = r1 - r0
+    scale = np.maximum(np.abs(d0), np.abs(d1))
+    mass = np.zeros(length.shape)
+    live = (length > 0) & (scale != 0.0)
+    tiny = live & (scale < 1e-100)
+    live &= ~tiny
+    cross = live & (d0 * d1 < 0)
+    live &= ~cross
+    mild = live & (np.abs(d1 - d0) <= 0.5 * scale)
+    steep = live & ~mild
+    if tiny.any():
+        a, b = r0[tiny], r1[tiny]
+        dm = 0.5 * (np.abs(d0[tiny]) + np.abs(d1[tiny]))
+        mass[tiny] = dm**p * (4.0 * np.pi / 3.0) * (b * b * b - a * a * a)
+    if cross.any():
+        c0, c1, a, b = d0[cross], d1[cross], r0[cross], r1[cross]
+        rc = a - c0 / ((c1 - c0) / (b - a))
+        zero = np.zeros(rc.shape)
+        mass[cross] = _segment_masses(c0, zero, a, rc, p) + _segment_masses(zero, c1, rc, b, p)
+    for rule, sel in ((_gauss_masses, mild), (_closed_form_masses, steep)):
+        if sel.any():
+            mass[sel] = rule(d0[sel], d1[sel], r0[sel], r1[sel], p)
+    return mass
+
+
 def lp_distance(f, g, p):
-    """L^p distance (weight 4 pi r^2) between two radial profiles.
+    """L^p distance (weight 4 pi r^2) between two radial profiles, p >= 1.
 
     The union of both node sets defines segments on which both
-    interpolants are linear; each segment is integrated in closed form,
-    so the only approximation is the interpolants themselves.  Both
-    profiles are evaluated once at all nodes; the segment masses are
-    summed in node order.
+    interpolants are linear, so the only approximation is the
+    interpolants themselves.  Both profiles are evaluated once at all
+    nodes, and one pass of array operations integrates every segment
+    (``_segment_masses`` gives the rule masks).  The Gauss panels reduce
+    their ten columns one after another with element-wise products and
+    sums, not a BLAS dot product, whose rounding depends on the row
+    count and the CPU's kernel; the segment masses are then added
+    sequentially in node order.  So a segment's mass does not depend on
+    how many segments share its rule, and no BLAS kernel is called.  At
+    p = 1 and 2 NumPy's power returns |x| and |x|*|x| exactly, so the
+    result is the same under every SIMD dispatch; at other p the last
+    bit of NumPy's ``pow`` follows the dispatch.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     if not isinstance(f, RadialProfile) or not isinstance(g, RadialProfile):
         raise TypeError("lp_distance expects RadialProfile inputs")
     r_hi = max(f.r_max, g.r_max)
@@ -257,9 +296,6 @@ def lp_distance(f, g, p):
 
     fa, fb = segment_values(f)
     ga, gb = segment_values(g)
-    total = 0.0
-    for a, b, d0, d1 in zip(
-        nodes[:-1].tolist(), nodes[1:].tolist(), (fa - ga).tolist(), (fb - gb).tolist()
-    ):
-        total += _segment_lp_mass(d0, d1, a, b, p)
+    mass = _segment_masses(fa - ga, fb - gb, nodes[:-1], nodes[1:], p)
+    total = float(np.add.accumulate(mass)[-1])
     return max(total, 0.0) ** (1.0 / p)

@@ -1,4 +1,9 @@
+import collections
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +98,17 @@ def test_lp_indicator_against_zero():
     assert abs(d53 - (4.0 * math.pi / 3.0) ** 0.6) < 1e-12
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_lp_rejects_non_finite_p(p):
+    nodes = np.linspace(0.0, 1.0, 17)
+    ones = RadialProfile(nodes, np.ones(17))
+    twos = RadialProfile(nodes, np.full(17, 2.0))
+    zero = RadialProfile(nodes, np.zeros(17))
+    for f in (ones, twos):
+        with pytest.raises(ValueError, match="finite"):
+            lp_distance(f, zero, p)
+
+
 def test_lp_union_domain_with_zero_tails():
     short = RadialProfile(np.linspace(0.0, 1.0, 17), np.ones(17))
     longer = RadialProfile(np.linspace(0.0, 2.0, 33), np.zeros(33))
@@ -100,8 +116,64 @@ def test_lp_union_domain_with_zero_tails():
     assert abs(lp_distance(short, longer, 1.0) - 4.0 * math.pi / 3.0) < 1e-12
 
 
-def _lp_distance_per_segment(f, g, p):
+# Scalar reference for lp_distance: the four segment rules one segment at
+# a time, a zero crossing split by a recursive call.  Its arithmetic is the
+# kernel's: the same fixed-order Gauss sum, |u|^(p+k+1) as |u|^p times
+# factors |u|, and every p-th power through NumPy's array pow (a Python
+# float pow may round differently from NumPy's SIMD one).
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+
+
+def _pow(x, p):
+    return float((np.array([x]) ** p)[0])
+
+
+def _abs_power_moment(u, p, k):
+    """Antiderivative of |t|^p t^k evaluated from 0 to u."""
+    power = _pow(abs(u), p)
+    for _ in range(k + 1):
+        power = power * abs(u)
+    m = power / (p + k + 1.0)
+    return -m if u < 0 and k % 2 == 0 else m
+
+
+def _segment_lp_mass(d0, d1, r0, r1, p, branches):
+    """Integral of |delta(r)|^p 4 pi r^2 on [r0, r1]; tallies its rule in ``branches``."""
+    length = r1 - r0
+    scale = max(abs(d0), abs(d1))
+    if length <= 0 or scale == 0.0:
+        branches["zero"] += 1
+        return 0.0
+    if scale < 1e-100:
+        branches["tiny"] += 1
+        dm = 0.5 * (abs(d0) + abs(d1))
+        return _pow(dm, p) * (4.0 * math.pi / 3.0) * (r1 * r1 * r1 - r0 * r0 * r0)
+    s = (d1 - d0) / length
+    if d0 * d1 < 0:
+        branches["crossing"] += 1
+        rc = r0 - d0 / s
+        return _segment_lp_mass(d0, 0.0, r0, rc, p, branches) + _segment_lp_mass(
+            0.0, d1, rc, r1, p, branches
+        )
+    if abs(d1 - d0) <= 0.5 * scale:
+        branches["gauss"] += 1
+        mid = 0.5 * (r0 + r1)
+        half = 0.5 * length
+        pts = mid + half * _GL_X
+        vals = np.abs(d0 + s * (pts - r0)) ** p * 4.0 * np.pi * pts * pts
+        acc = vals[0] * _GL_W[0]
+        for j in range(1, 10):
+            acc = acc + vals[j] * _GL_W[j]
+        return float(half * acc)
+    branches["closed_form"] += 1
+    alpha = r0 - d0 / s
+    f0, f1, f2 = (_abs_power_moment(d1, p, k) - _abs_power_moment(d0, p, k) for k in range(3))
+    return 4.0 * np.pi / s * (alpha * alpha * f0 + 2.0 * alpha / s * f1 + f2 / (s * s))
+
+
+def _lp_distance_per_segment(f, g, p, branches=None):
     """Scalar reference: both profiles evaluated at the ends of each segment separately."""
+    branches = collections.Counter() if branches is None else branches
     r_hi = max(f.r_max, g.r_max)
     nodes = np.union1d(np.concatenate([[0.0], f.nodes, g.nodes]), [r_hi])
     nodes = nodes[(nodes >= 0.0) & (nodes <= r_hi)]
@@ -110,10 +182,10 @@ def _lp_distance_per_segment(f, g, p):
         return (0.0, 0.0) if a >= prof.r_max else (float(prof(a)), float(prof(b)))
 
     total = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
+    for a, b in zip(nodes[:-1].tolist(), nodes[1:].tolist()):
         fa, fb = ends(f, a, b)
         ga, gb = ends(g, a, b)
-        total += numerics._segment_lp_mass(fa - ga, fb - gb, a, b, p)
+        total += _segment_lp_mass(fa - ga, fb - gb, a, b, p, branches)
     return max(total, 0.0) ** (1.0 / p)
 
 
@@ -127,6 +199,71 @@ def test_lp_distance_equals_per_segment_reference(p):
     g = RadialProfile(b, np.exp(-b) + 1e-3 * rng.standard_normal(b.size))
     assert lp_distance(f, g, p) == _lp_distance_per_segment(f, g, p)
     assert lp_distance(g, f, p) == _lp_distance_per_segment(g, f, p)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("p", [1.0, 5.0 / 3.0, 2.0, 5.0 / 2.0])
+def test_lp_distance_hits_every_rule_like_the_reference(seed, p):
+    rng = np.random.default_rng(seed)
+    # f: first node above 0, r_max 2; g: r_max 3, so beyond 2 the
+    # difference is g alone, and it vanishes in g's zero stretch past 2.5
+    a = np.sort(rng.uniform(0.05, 2.0, 120))
+    shared = rng.choice(a, 30, replace=False)
+    b = np.union1d(np.concatenate([[0.0], rng.uniform(0.0, 3.0, 150), [3.0]]), shared)
+    fv = np.cos(5.0 * a) * np.exp(-a)
+    fv[a < 0.4] = rng.standard_normal(np.sum(a < 0.4))  # steep segments and crossings
+    gv = np.exp(-b) * np.cos(4.0 * b)
+    gv[b > 2.5] = 0.0  # a zero stretch in g's tail
+    near = (a > 1.0) & (a < 1.3)  # |d| < 1e-100: f and g tiny there
+    fv[near] = 1e-110 * rng.uniform(0.5, 1.5, np.sum(near))
+    gv[(b > 1.0) & (b < 1.3)] = 0.0
+    f, g = RadialProfile(a, fv), RadialProfile(b, gv)
+    assert a[0] > 0.0 and f.r_max < g.r_max and np.intersect1d(a, b).size >= 30
+    for x, y in ((f, g), (g, f)):
+        branches = collections.Counter()
+        assert lp_distance(x, y, p) == _lp_distance_per_segment(x, y, p, branches)
+        assert set(branches) == {"zero", "tiny", "crossing", "gauss", "closed_form"}
+        assert min(branches.values()) >= 3, branches
+
+
+# Child processes differ only in one variable: NumPy's SIMD dispatch or
+# OpenBLAS's kernel.  The profiles are polynomials built from products
+# alone (``a**3`` would go through the dispatched pow), on so few nodes
+# that one Gauss panel's last bit shows in the total; a BLAS dot product
+# in the panels moves each of these pairs by an ulp between kernels.
+_DISPATCH_SCRIPT = """
+import numpy as np
+from dilutefermi.numerics import RadialProfile, lp_distance
+out = []
+for n, m in ((17, 17), (24, 23), (39, 17)):
+    a = np.linspace(0.0, 2.0, n)
+    b = np.linspace(0.01, 2.5, m)
+    f = RadialProfile(a, 1.0 - a * a + 0.2 * a * a * a)
+    g = RadialProfile(b, (1.0 - 0.5 * b) * (0.9 - 0.3 * b * b))
+    out += [lp_distance(f, g, p).hex() for p in (1.0, 2.0)]
+print(" ".join(out))
+"""
+
+
+def test_lp_distance_is_independent_of_simd_and_blas_dispatch():
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    base["PYTHONPATH"] = src
+    variants = [{}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}] if found else [{}]
+    variants += [{"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Nehalem"}]
+    outs = []
+    for extra in variants:
+        run = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_SCRIPT],
+            env={**base, **extra}, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout.strip())
+    assert len(set(outs)) == 1, dict(zip(map(str, variants), outs))
+    assert all(float.fromhex(x) > 0.0 for x in outs[0].split())
 
 
 _values = st.lists(
