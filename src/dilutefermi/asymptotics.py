@@ -31,7 +31,6 @@ __all__ = [
     "predict_energy",
     "beta_l_window",
     "box_estimate",
-    "box_kinetic_interaction_sum",
     "error_budget",
     "write_prediction_csv",
     "write_boxes_csv",
@@ -225,14 +224,6 @@ def _box_terms(masses, L, a_w):
     """Per-box 2 c_tf L^-2 M_i^(5/3) + 8 pi a_w L^-3 M_i^2, before the factor N^(2 beta - 2/3)."""
     Mf = np.asarray(masses, dtype=float)
     return 2.0 * C_TF * Mf ** (5.0 / 3.0) / L**2 + 8.0 * math.pi * a_w * Mf**2 / L**3
-
-
-def box_kinetic_interaction_sum(masses, L, N, beta, a_w):
-    """Homogeneous-formula sum over boxes of side L holding 2 M_i particles.
-
-    N^(2 beta - 2/3) sum_i [2 c_tf L^-2 M_i^(5/3) + 8 pi a_w L^-3 M_i^2].
-    """
-    return float(N) ** (2.0 * beta - 2.0 / 3.0) * float(np.sum(_box_terms(masses, L, a_w)))
 
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)

@@ -87,7 +87,6 @@ class SpectralCatalog:
     hbar: float
     energies: np.ndarray
     degeneracies: np.ndarray
-    provenance: str
     lambda_max: float
     grid: np.ndarray = field(repr=False, default=None)
     vectors: np.ndarray = field(repr=False, default=None)  # columns, unit h-weighted norm
@@ -149,7 +148,6 @@ def harmonic_catalog(hbar, lambda_max, offset=0.0) -> SpectralCatalog:
         hbar=float(hbar),
         energies=energies,
         degeneracies=degs,
-        provenance="analytic_harmonic_3d",
         lambda_max=float(lambda_max),
     )
 
@@ -329,7 +327,6 @@ def fd_catalog_1d(
         hbar=float(hbar),
         energies=w,
         degeneracies=np.ones(w.size, dtype=int),
-        provenance="finite_difference_1d",
         lambda_max=float(lambda_max),
         grid=x,
         vectors=vecs / math.sqrt(h) if keep_vectors else None,
@@ -407,7 +404,7 @@ def _counts_cl_1d(v, Lambda, halfwidth):
         root = np.sqrt(gap)
         return root, gap * root / 3.0 + vr * root
 
-    rays = _Rays(np.ones(2), trace, float(vx[i]), np.empty(0), dim=1)
+    rays = _Rays(np.ones(2), trace, float(vx[i]), dim=1)
 
     (n_cl, e_cl), _ = _level_integrals(rays, Lambda, fields)
     return float(n_cl) / math.pi, float(e_cl) / math.pi
@@ -593,7 +590,7 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     level costs two real (n_xm x band) . (band x n_p) products.
     """
     if catalog.vectors is None or catalog.grid is None:
-        raise ValueError("catalog must carry grid and eigenvectors (fd provenance)")
+        raise ValueError("catalog must carry grid and eigenvectors (a finite-difference catalog)")
     n_levels = catalog.vectors.shape[1]
     if fill < 1:
         raise ValueError("fill must be >= 1")

@@ -15,9 +15,9 @@ Every integral of a minimizer, and every count in ``semiclassics``, is a
 level integral of F((lam - V)_+, V) over {V <= lam}, and one private rule
 computes them all.  Along each ray from the origin it finds the support
 edge R by a bracketing search on V <= lam that tests points around the
-secant estimate of the crossing, then integrates with Gauss-Legendre panels
-ending at 0, the trap's kinks and R, substituting r = R - s^2 on the edge
-panel; an n-against-2n estimate doubles n up to a fixed cap.  A radial trap
+secant estimate of the crossing, then integrates with one Gauss-Legendre
+panel on [0, R], substituting r = R - s^2 to resolve the edge; an
+n-against-2n estimate doubles n up to a fixed cap.  A radial trap
 is one ray; a non-radial trap uses a product rule over directions and must
 be nondecreasing along every ray; the 1-d classical counts of ``spectra``
 use the two half-lines from the trap's minimum.
@@ -111,7 +111,6 @@ class CutoffTFSolution:
     p_F: float
     E_TF_pF: float
     overflow_mass: float
-    lambda_used: float
     regular_mass: float
     active: bool
     E_TF: float
@@ -167,22 +166,20 @@ class _Rays:
 
     ``trace(r)`` gives V at radii of shape (rays, m); ``weights`` are the
     rays' solid angles, or ones for the two half-lines of a 1-d trap
-    (``dim`` 1, measure dr in place of r^2 dr).  ``kinks`` are the trap's
-    positive kinks.  Built once per solve, outside its Newton loop.
+    (``dim`` 1, measure dr in place of r^2 dr).  Built once per solve,
+    outside its Newton loop.
     """
 
-    __slots__ = ("weights", "trace", "vmin", "kinks", "dim")
+    __slots__ = ("weights", "trace", "vmin", "dim")
 
-    def __init__(self, weights, trace, vmin, kinks, dim=3):
-        self.weights, self.trace, self.vmin, self.kinks, self.dim = weights, trace, vmin, kinks, dim
+    def __init__(self, weights, trace, vmin, dim=3):
+        self.weights, self.trace, self.vmin, self.dim = weights, trace, vmin, dim
 
 
 def _rays(v):
     """The rays of a 3-d trap; a radial trap is the one-ray case with weight 4 pi."""
-    kinks = np.asarray(v.kinks, dtype=float)
-    kinks = kinks[kinks > 0.0]
     if v.radial:
-        return _Rays(np.array([4.0 * np.pi]), v.radial_fn, v.min_value(), kinks)
+        return _Rays(np.array([4.0 * np.pi]), v.radial_fn, v.min_value())
     ct, wt = _gauss(_RAY_THETA)
     phi = 2.0 * np.pi * np.arange(_RAY_PHI) / _RAY_PHI
     st = np.sqrt(1.0 - ct * ct)[:, None]
@@ -190,7 +187,7 @@ def _rays(v):
         [st * np.cos(phi), st * np.sin(phi), np.repeat(ct[:, None], _RAY_PHI, axis=1)], axis=-1
     ).reshape(-1, 3)
     weights = np.repeat(wt, _RAY_PHI) * (2.0 * np.pi / _RAY_PHI)
-    return _Rays(weights, lambda r: v(r[..., None] * dirs[:, None, :]), v.min_value(), kinks)
+    return _Rays(weights, lambda r: v(r[..., None] * dirs[:, None, :]), v.min_value())
 
 
 @functools.cache
@@ -255,22 +252,18 @@ def _level_integrals(rays, lam, fields, R=None):
     ``rays`` is a ``_Rays``.  Every field must vanish where gap = 0.
     Returns the integrals and the support edge R of each ray; an R passed
     in, from an earlier call at the same lam, skips the support search.
-    Each ray is cut into Gauss-Legendre panels ending at 0, the kinks and
-    R, with r = R - s^2 on the edge panel; every sum over the stacked
-    fields is one reduction.  A rule node inside a ray's support where V
-    exceeds lam is a DomainError: the trap is not nondecreasing along
-    that ray, so the support is not the set the rule integrates.
+    Each ray is one Gauss-Legendre panel in s, with r = R - s^2; every sum
+    over the stacked fields is one reduction.  A rule node inside a ray's
+    support where V exceeds lam is a DomainError: the trap is not
+    nondecreasing along that ray, so the support is not the set the rule
+    integrates.
     """
     weights, trace, vmin = rays.weights, rays.trace, rays.vmin
     if not lam > vmin:
         return np.zeros(len(fields(np.zeros(1), np.zeros(1)))), np.zeros(weights.size)
     if R is None:
         R = _support(trace, weights.size, lam)
-    kinks = rays.kinks[rays.kinks < R.max()]
-    a = np.minimum(np.concatenate([[0.0], kinks])[None, :], R[:, None])
-    b = np.minimum(np.concatenate([kinks, [np.inf]])[None, :], R[:, None])
-    width = (b - a)[..., None]
-    edge = (b == R[:, None])[..., None]
+    edge = R[:, None]
     slack = 1e-12 * max(1.0, abs(lam))
     # gap = lam - V carries a rounding error of order eps max(|lam|, |V|), so
     # relative to the depth lam - min V no rule resolves the integrals better
@@ -279,10 +272,9 @@ def _level_integrals(rays, lam, fields, R=None):
     def rule(n):
         x, w = _gauss(n)
         u, w = 0.5 * (1.0 + x), 0.5 * w
-        # on the edge panel s = sqrt(b - a) u, so r = b - s^2 and dr = 2 s ds
-        r = np.where(edge, b[..., None] - width * u * u, a[..., None] + width * u)
-        dr = np.where(edge, 2.0 * width * u * w, width * w).reshape(weights.size, -1)
-        r = r.reshape(weights.size, -1)
+        # s = sqrt(R) u, so r = R - s^2 and dr = 2 s ds
+        r = edge - edge * u * u
+        dr = 2.0 * edge * u * w
         wr = (dr * r * r if rays.dim == 3 else dr) * weights[:, None]
         vr = trace(r)
         gap = lam - vr
@@ -303,7 +295,7 @@ def _level_integrals(rays, lam, fields, R=None):
             return fine, R
         if n >= _RULE_CAP:
             raise RefinementError(
-                f"level rule did not converge with {2 * n} points per panel",
+                f"level rule did not converge with {2 * n} points per ray",
                 previous_estimate=coarse,
                 last_estimate=fine,
             )
@@ -548,7 +540,6 @@ def _capped_minimizer(rays, p_F, base: TFSolution) -> CutoffTFSolution:
             p_F=float(p_F),
             E_TF_pF=base.E_TF,
             overflow_mass=0.0,
-            lambda_used=base.lambda_TF,
             regular_mass=base.mass,
             active=False,
             E_TF=base.E_TF,
@@ -567,7 +558,6 @@ def _capped_minimizer(rays, p_F, base: TFSolution) -> CutoffTFSolution:
         p_F=float(p_F),
         E_TF_pF=energy,
         overflow_mass=spike,
-        lambda_used=lam_sat,
         regular_mass=regular_mass,
         active=True,
         E_TF=base.E_TF,
@@ -579,7 +569,6 @@ class CutoffScan:
     p_F: list
     gaps: list
     fitted_exponent: float
-    resolution_floor: float
     solutions: list  # one CutoffTFSolution per cap
 
 
@@ -609,7 +598,7 @@ def cutoff_gap_scan(v, p_F_list) -> CutoffScan:
         exponent = -slope
     else:
         exponent = math.inf
-    return CutoffScan(list(p_F_list), gaps, exponent, floor, solutions)
+    return CutoffScan(list(p_F_list), gaps, exponent, solutions)
 
 
 def write_density_csv(path, solution: TFSolution, header_lines=()):

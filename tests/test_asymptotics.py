@@ -119,24 +119,21 @@ def test_second_exponent_crossing_at_seven_twelfths():
 
 
 def test_single_box_degenerate_formula(bare):
-    # one box over the whole support with M = N/2: the one-term sum equals
-    # the direct homogeneous-formula evaluation
-    from dilutefermi.asymptotics import box_kinetic_interaction_sum
-
+    # one box over the whole support with M = N/2: box_estimate's per-box
+    # terms times N^(2 beta - 2/3) equal the direct homogeneous-formula evaluation
     N, beta = 10**6, 0.40
     l = 2.0 * bare.support_radius
     L = float(N) ** beta * l
     M = N / 2.0
     a_w = A_W_EXACT
-    direct = float(N) ** (2.0 * beta - 2.0 / 3.0) * (
-        2.0 * C_TF * M ** (5.0 / 3.0) / L**2 + 8.0 * math.pi * a_w * M**2 / L**3
-    )
-    summed = box_kinetic_interaction_sum([M], L, N, beta, a_w)
+    n_power = float(N) ** (2.0 * beta - 2.0 / 3.0)
+    direct = n_power * (2.0 * C_TF * M ** (5.0 / 3.0) / L**2 + 8.0 * math.pi * a_w * M**2 / L**3)
+    summed = n_power * float(np.sum(asymptotics._box_terms([M], L, a_w)))
     assert summed == pytest.approx(direct, rel=1e-14)
     # at average density rho = 1/l^3 the kinetic part is the bulk term
     # N * 2^(-2/3) c_tf rho^(2/3) of the trapped functional
     bulk = float(N) * 2.0 ** (-2.0 / 3.0) * C_TF * (1.0 / l**3) ** (2.0 / 3.0)
-    kinetic_only = box_kinetic_interaction_sum([M], L, N, beta, 0.0)
+    kinetic_only = n_power * float(np.sum(asymptotics._box_terms([M], L, 0.0)))
     assert kinetic_only == pytest.approx(bulk, rel=1e-12)
 
 

@@ -12,6 +12,16 @@ SRC = Path(__file__).parents[1] / "src" / "dilutefermi"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _public_names(tree):
+    """The entries of a parsed module's ``__all__``, or none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def _unused_imports(source):
     """Names bound by module-level imports that the module never references.
 
@@ -28,11 +38,7 @@ def _unused_imports(source):
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(_public_names(tree))
     return sorted(name for name in bound if name not in used)
 
 
@@ -44,6 +50,37 @@ def test_module_imports_are_used(path):
 def test_unused_import_guard_sees_what_it_should():
     source = "from __future__ import annotations\nimport os, numpy as np\nfrom .x import a, b as c\n__all__ = ['a']\nnp.zeros(1)\n"
     assert _unused_imports(source) == ["c", "os"]
+
+
+# every public name must be reached from the library, the demos or the
+# benchmark; these are reached only by tests, as the oracles they are
+TEST_ORACLES = ["vlasov_energy"]
+
+
+def _referenced_names(paths):
+    """Every ``Name`` id, ``Attribute`` attr and imported name in the files at ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    root = SRC.parents[1]
+    reached = _referenced_names(
+        [*SRC.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "bench").glob("*.py")]
+    )
+    unreached = {
+        path.stem: sorted(set(_public_names(ast.parse(path.read_text()))) - reached - set(TEST_ORACLES))
+        for path in MODULES
+    }
+    assert {module: names for module, names in unreached.items() if names} == {}
 
 
 # The library calls and attribute reads of bench/workloads.py, bench/worker.py

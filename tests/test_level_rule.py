@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from dilutefermi import semiclassics as scl
-from dilutefermi import thomas_fermi
+from dilutefermi import spectra, thomas_fermi
 from dilutefermi.numerics import RadialProfile
-from dilutefermi.potentials import Potential, custom_radial_trap, harmonic_trap, power_trap
+from dilutefermi.potentials import Potential, harmonic_trap, power_trap
 from dilutefermi.thomas_fermi import tf_solve, two_spin_minimize
 
 
@@ -48,23 +48,32 @@ def _support_reference(trace, rays, lam, sections_total=64):
     return lo
 
 
-# a table trap: V = 1 + r^2 at the nodes, held at 2 from the node at 1 to the one at 1.4
+# a table trap: V = 1 + r^2 at the nodes, held at 2 from the node at 1 to the one at 1.4,
+# interpolated linearly and continued as 10 (r / 3)^2 beyond the last node
 _NODES = np.linspace(0.0, 3.0, 31)
 _PLATEAU = np.concatenate([1.0 + _NODES[:10] ** 2, np.full(5, 2.0), 1.0 + _NODES[15:] ** 2])
+
+
+def _plateau_trap():
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r <= 3, np.interp(r, _NODES, _PLATEAU), 10 * (r / 3) ** 2)
+
+    return Potential(radial=True, growth=2.0, radial_fn=fn)
 
 
 def _anisotropic_trap():
     def eval3d(x):
         return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
 
-    return Potential(kind="anisotropic", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    return Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
 
 
 RADIAL_TRAPS = {
     "harmonic": harmonic_trap(0.0),
     "harmonic+1": harmonic_trap(1.0),
     **{f"power s={s}": power_trap(s) for s in (1.2, 2.5, 3.0, 4.0, 6.0)},
-    "custom with plateau": custom_radial_trap(RadialProfile(_NODES, _PLATEAU)),
+    "custom with plateau": _plateau_trap(),
 }
 
 
@@ -237,3 +246,29 @@ def test_tf_solve_work_budget(monkeypatch):
         "power s=4": (9, 8, 39),
         "power s=6": (8, 7, 34),
     }
+
+
+# the anisotropic trap's tf_solve (lambda, E_TF, int rho^2) and phase_space_counts
+# at Lambda = 3 (n_cl, e_cl), and the 1-d classical counts at Lambda = 2 of x^2
+# and x^4, as the level rule with a panel per kink gave them
+RECORDED_RAYS = {
+    "anisotropic tf_solve": (3.8883225944793667, 2.916241945859525, 0.13397753028643314),
+    "anisotropic counts": (0.22963966338591663, 0.5166892426183124),
+    "1-d x^2 counts": (1.0000000000000002, 1.0),
+    "1-d x^4 counts": (0.9357796256510102, 0.80209682198658),
+}
+
+
+def test_every_ray_geometry_reproduces_the_recorded_values_bit_for_bit():
+    if _numpy_dispatch() != RECORDED_DISPATCH:
+        pytest.skip(f"values recorded under NumPy's {RECORDED_DISPATCH} kernels, not {_numpy_dispatch()}")
+    v = _anisotropic_trap()
+    sol = tf_solve(v)
+    counts = scl.phase_space_counts(v, 3.0)
+    got = {
+        "anisotropic tf_solve": (sol.lambda_TF, sol.E_TF, sol.interaction_integral),
+        "anisotropic counts": (counts.n_cl, counts.e_cl),
+        "1-d x^2 counts": spectra._counts_cl_1d(np.square, 2.0, 3.0),
+        "1-d x^4 counts": spectra._counts_cl_1d(lambda x: x**4, 2.0, 3.0),
+    }
+    assert got == RECORDED_RAYS

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dilutefermi.numerics import RadialProfile
-from dilutefermi.potentials import custom_radial_trap, harmonic_trap
+from dilutefermi.potentials import Potential, harmonic_trap
 from dilutefermi.semiclassics import (
     h2_probe,
     lambda_for_filling,
@@ -86,14 +85,13 @@ def test_h2_probe_smooth_trap():
 
 
 def test_h2_probe_flags_plateau():
-    nodes = np.linspace(0.0, 3.0, 64)
-    vals = np.where(
-        nodes < 0.8, 1.0 + nodes**2, np.where(nodes < 1.6, 1.64, 1.64 + (nodes - 1.6) ** 2)
-    )
-    vals = np.maximum.accumulate(vals)
-    v = custom_radial_trap(RadialProfile(nodes, vals))
-    rep = h2_probe(v, np.arange(1.2, 2.21, 0.1))
-    assert rep.flagged
+    # V = 2.728 + (r - 1.2)^3 has V(0) = 1 and a flat point V' = 0 at r = 1.2,
+    # so n_cl(Lambda) bends sharply where Lambda crosses V(1.2) = 2.728
+    flat = Potential(radial=True, growth=3.0, radial_fn=lambda r: 2.728 + (r - 1.2) ** 3)
+    grid = np.linspace(2.228, 3.228, 11)
+    assert h2_probe(flat, grid).flagged
+    # the same grid on a smooth trap is not flagged
+    assert not h2_probe(harmonic_trap(1.0), grid).flagged
 
 
 def test_h2_probe_below_bottom_is_flat():

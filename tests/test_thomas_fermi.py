@@ -9,7 +9,7 @@ import pytest
 from dilutefermi import semiclassics as scl
 from dilutefermi import thomas_fermi
 from dilutefermi.numerics import RadialProfile, RefinementError, lp_distance
-from dilutefermi.potentials import Potential, custom_radial_trap, harmonic_trap, power_trap
+from dilutefermi.potentials import Potential, harmonic_trap, power_trap
 from dilutefermi.thomas_fermi import (
     C_TF,
     KAPPA,
@@ -289,7 +289,7 @@ def test_nonradial_grid_path_anisotropic_quadratic(monkeypatch):
     def eval3d(x):
         return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
 
-    v = Potential(kind="anisotropic", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    v = Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
     calls = _count_level_integrals(monkeypatch)
     sol = tf_solve(v)
     assert 0 < len(calls) <= _LEVEL_SOLVE_BUDGET
@@ -302,7 +302,7 @@ def _anisotropic_trap():
     def eval3d(x):
         return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
 
-    return Potential(kind="anisotropic", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    return Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
 
 
 def test_nonradial_level_rule_anisotropic_closed_forms():
@@ -387,23 +387,12 @@ def test_level_rule_past_its_cap_raises_refinement_error(monkeypatch):
         r = np.asarray(r, dtype=float)
         return 1.0 + r * r + np.where(r > 0.5, 1.0, 0.0)
 
-    step = Potential(kind="step", radial=True, growth=2.0, radial_fn=fn)
+    step = Potential(radial=True, growth=2.0, radial_fn=fn)
     orders = _recorded_rule_orders(monkeypatch)
     with pytest.raises(RefinementError) as exc:
         scl.phase_space_counts(step, 4.0)
     assert max(orders) == 2 * thomas_fermi._RULE_CAP
     assert np.all(np.isfinite(exc.value.last_estimate))
-
-
-def test_declared_kinks_let_the_rule_converge():
-    # the same jump as a custom table: its nodes are panel edges, so no refinement fails
-    nodes = np.linspace(0.0, 3.0, 61)
-    vals = 1.0 + nodes**2 + np.where(nodes > 0.5, 1.0, 0.0)
-    v = custom_radial_trap(RadialProfile(nodes, vals))
-    assert v.kinks == tuple(nodes.tolist())
-    assert scl.phase_space_counts(v, 4.0).n_cl > 0.0
-    with pytest.raises(TypeError):
-        Potential(kind="x", radial=True, growth=2.0, radial_fn=np.square, kinks=(1.0,))
 
 
 def test_non_star_shaped_trap_is_refused():
@@ -412,7 +401,7 @@ def test_non_star_shaped_trap_is_refused():
         bump = np.exp(-50.0 * ((x[..., 0] - 0.5) ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2))
         return np.sum(x * x, axis=-1) + 10.0 * bump
 
-    v = Potential(kind="bump", radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    v = Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
     with pytest.raises(DomainError, match="nondecreasing along every ray"):
         scl.phase_space_counts(v, 3.0)
     with pytest.raises(DomainError):
