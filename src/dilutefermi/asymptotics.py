@@ -52,7 +52,6 @@ class ScalingContext:
 
     N: int
     beta: float
-    interaction: InteractionSpec
     a_w: float
     R_w: float
 
@@ -81,7 +80,7 @@ def make_context(N, beta, interaction: InteractionSpec) -> ScalingContext:
     """Solve the interaction's scattering problem once and freeze the context."""
     sol = zero_energy_solve(interaction)
     return ScalingContext(
-        N=int(N), beta=float(beta), interaction=interaction, a_w=sol.a, R_w=interaction.range_
+        N=int(N), beta=float(beta), a_w=sol.a, R_w=interaction.range_
     )
 
 
@@ -135,7 +134,6 @@ class WindowReport:
     e_lo2: object
     feasible: bool
     lower_bound_regime: bool  # beta < 1/2, the lower-bound proof window
-    chosen_exponent: float = None
     chosen_l: float = None
 
 
@@ -150,7 +148,6 @@ def beta_l_window(beta, N) -> WindowReport:
     e_lo = max(e_lo1, e_lo2)
     feasible = e_hi > e_lo
     lower_flag = b < one / 2
-    chosen_exponent = None
     chosen_l = None
     if feasible:
         chosen_exponent = float(e_hi + e_lo) / 2.0
@@ -163,7 +160,6 @@ def beta_l_window(beta, N) -> WindowReport:
         e_lo2=e_lo2,
         feasible=bool(feasible),
         lower_bound_regime=bool(lower_flag),
-        chosen_exponent=chosen_exponent,
         chosen_l=chosen_l,
     )
 
@@ -186,7 +182,6 @@ class BoxEstimate:
     gap: float
     L: float
     n_cells: int
-    occupied_cells: int
     masses: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
     kin_per_box: np.ndarray = field(repr=False, default=None)
@@ -289,7 +284,6 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
     _, first, cell_orbit = np.unique(key, return_index=True, return_inverse=True)
     masses = _cell_masses(tf.rho_fn, ax[folded[first]], pitch)[cell_orbit]
     M = np.ceil(ctx.N / 2.0 * masses).astype(np.int64)
-    occupied = M > 0
 
     L = float(ctx.N) ** ctx.beta * l
     Mf = M.astype(float)
@@ -321,7 +315,6 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
         gap=r,
         L=L,
         n_cells=int(centers.shape[0]),
-        occupied_cells=int(np.sum(occupied)),
         masses=M,
         centers=centers,
         kin_per_box=kin_per_box,

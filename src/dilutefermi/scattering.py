@@ -490,7 +490,6 @@ def scaled_identity_check(w: InteractionSpec, N, beta) -> ScaledIdentityReport:
 class DysonKit:
     """Softened-potential ingredients: shell bump U_R, high-pass chi_s, low-pass Gamma."""
 
-    R0: float
     R: float
     s: float
     p_F: float
@@ -533,7 +532,7 @@ def dyson_parts(R0, R, s, p_F) -> DysonKit:
 
     check = integrate_radial(U_R, R * 1.5, DYSON_TOL, breakpoints=(R0, R))
     return DysonKit(
-        R0=float(R0), R=float(R), s=float(s), p_F=float(p_F),
+        R=float(R), s=float(s), p_F=float(p_F),
         U_R=U_R, chi_s=chi_s, Gamma=Gamma, U_integral_check=check,
     )
 

@@ -106,7 +106,6 @@ class H2Report:
     derivatives: np.ndarray
     score: float
     flagged: bool
-    threshold: float
     counts: np.ndarray = field(repr=False, default=None)
 
 
@@ -122,18 +121,14 @@ def h2_probe(v, lambda_grid) -> H2Report:
     counts = np.array([phase_space_counts(v, lam).n_cl for lam in grid])
     mids = grid[1:-1]
     derivs = (counts[2:] - counts[:-2]) / (grid[2:] - grid[:-2])
-    if derivs.size >= 3:
-        second = np.abs(derivs[2:] - 2.0 * derivs[1:-1] + derivs[:-2])
-        scale = np.maximum(np.abs(derivs[1:-1]), 1e-300)
-        score = float(np.max(second / scale))
-    else:
-        score = 0.0
+    second = np.abs(derivs[2:] - 2.0 * derivs[1:-1] + derivs[:-2])
+    scale = np.maximum(np.abs(derivs[1:-1]), 1e-300)
+    score = float(np.max(second / scale))
     return H2Report(
         lambdas=mids,
         derivatives=derivs,
         score=score,
         flagged=bool(score > H2_THRESHOLD),
-        threshold=H2_THRESHOLD,
         counts=counts,
     )
 

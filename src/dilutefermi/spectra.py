@@ -178,13 +178,9 @@ def _sturm_count(diag, off, x):
     return count
 
 
-# Levels closer than this fraction of ||T||_1 share one inverse-iteration
-# run.  A level farther than that from its neighbours leaks at most about
-# eps / _RUN_GAP ~ 1e-8 of them into its vector per iteration.
-_RUN_GAP = 1e-8
-# A run of levels whose wall bounds sum to at most this, half the 1e-8
-# boundary-mass limit of fd_catalog_1d, needs no inverse iteration.
-_WALL_CERTIFIED = 0.5e-8
+# Largest eigenfunction mass a finite-difference catalog may put on its
+# two wall rows.
+MAX_BOUNDARY_MASS = 1e-8
 
 
 def _wall_sum(rows, lam, t):
@@ -193,10 +189,11 @@ def _wall_sum(rows, lam, t):
     u_{-1} = 0, u_0 = 1 and u_{j+1} = c_j u_j - u_{j-1} with
     c_j = (rows[j] - lam) / t.  It runs only while c_j > 2 (the potential
     lies above lam), where u grows monotonically and the recurrence is
-    forward-stable, and it stops once the sum reaches 2 / _WALL_CERTIFIED.
+    forward-stable, and it stops once the sum reaches 4 / MAX_BOUNDARY_MASS,
+    so a level cleared at both walls is bounded by half the limit.
     """
     u_prev, u, total = 0.0, 1.0, 1.0
-    stop = 2.0 / _WALL_CERTIFIED
+    stop = 4.0 / MAX_BOUNDARY_MASS
     for d in rows:
         c = (d - lam) / t
         if not (c > 2.0 and total < stop):
@@ -223,41 +220,6 @@ def _wall_bounds(diag, off, w):
     return bounds
 
 
-def _end_masses(diag, off, w, bounds=None):
-    """v[0]^2 + v[-1]^2 of the unit eigenvector of each level in w.
-
-    LAPACK ``stein`` runs once per run of near-degenerate levels and
-    reorthogonalizes only within it.  Called on all levels at once, it
-    would treat every level within 1e-3 ||T||_1 of the next as one cluster
-    and pay O(k^2 n) Gram-Schmidt; no eigenvector matrix is formed here.
-
-    ``bounds`` are upper bounds on the masses (``_wall_bounds``); none by
-    default.  A run whose bounds sum to at most ``_WALL_CERTIFIED`` keeps
-    them in place of its masses and skips ``stein``: every unit vector in
-    the span of its levels has at most that sum at the walls.
-    """
-    from scipy.linalg.lapack import dstein
-
-    n = diag.size
-    a = np.abs(off)
-    norm1 = float(np.max(np.abs(diag) + np.r_[a, 0.0] + np.r_[0.0, a]))
-    cuts = np.flatnonzero(np.diff(w) > _RUN_GAP * norm1) + 1
-    iblock = np.ones(n, dtype=np.int32)
-    isplit = np.full(n, n, dtype=np.int32)
-    if bounds is None:
-        bounds = np.full(w.size, np.inf)
-    starts, ends = np.r_[0, cuts], np.r_[cuts, w.size]
-    open_runs = np.add.reduceat(bounds, starts) > _WALL_CERTIFIED
-    masses = bounds.copy()
-    for lo, hi in zip(starts[open_runs], ends[open_runs]):
-        z, info = dstein(diag, off, w[lo:hi], iblock, isplit)
-        if info != 0:
-            # the error SciPy raises when its own stein call fails
-            raise np.linalg.LinAlgError(f"stein failed with info={info} for levels {lo}..{hi - 1}")
-        masses[lo:hi] = z[0] ** 2 + z[-1] ** 2
-    return masses
-
-
 def fd_catalog_1d(
     v, hbar, halfwidth, points, lambda_max, keep_vectors=True
 ) -> SpectralCatalog:
@@ -265,25 +227,26 @@ def fd_catalog_1d(
 
     Symmetric second differences with homogeneous Dirichlet boundary
     conditions.  Completeness below lambda_max is certified by a Sturm
-    count; eigenfunction mass at the boundary above 1e-8 raises a domain
-    error.  A diagonal that is not finite, such as x^2 overflowing on a
-    huge halfwidth, raises ``ResolutionError`` before the eigensolve.
+    count; eigenfunction mass on the two wall rows above
+    ``MAX_BOUNDARY_MASS`` raises a domain error.  A diagonal that is not
+    finite, such as x^2 overflowing on a huge halfwidth, raises
+    ``ResolutionError`` before the eigensolve.
 
-    With ``keep_vectors=False`` the solve is eigenvalues only and no
-    eigenvector matrix is formed.  The boundary mass of each level is
-    certified from the wall rows, where the potential lies above the
-    level: the eigenvector recurrence run inward from each wall bounds it
-    (``_wall_bounds``).  Only levels that bound leaves above half the 1e-8
-    limit get their mass from inverse iteration (``stein``, in
-    ``_end_masses``).  The energies are bit-identical to the
-    ``keep_vectors=True`` ones.
+    With ``keep_vectors=False`` the solve is eigenvalues only.  The
+    eigenvector recurrence run inward from each wall, where the potential
+    lies above the level, bounds each level's boundary mass
+    (``_wall_bounds``).  Only if some bound exceeds the limit is the
+    catalog solved once more with vectors, the solve ``keep_vectors=True``
+    makes, and the exact masses read from them.  The energies are
+    bit-identical to the ``keep_vectors=True`` ones.
     """
     if points < MIN_FD_POINTS:
         raise ValueError(f"need at least {MIN_FD_POINTS} grid points")
     # classically allowed region must fit with >= 20% margin on both sides
     xs = np.linspace(0.0, halfwidth, 4096)
     xs = np.concatenate((-xs[:0:-1], xs))
-    vx = np.asarray(v(xs), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx = np.asarray(v(xs), dtype=float)
     turning = float(np.max(np.abs(xs[vx <= lambda_max]), initial=0.0))
     if turning * 1.2 > halfwidth:
         raise DomainTooSmallError(
@@ -293,7 +256,8 @@ def fd_catalog_1d(
 
     x = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
     h = x[1] - x[0]
-    diag = hbar**2 * 2.0 / h**2 + np.asarray(v(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = hbar**2 * 2.0 / h**2 + np.asarray(v(x), dtype=float)
     if not np.all(np.isfinite(diag)):
         raise ResolutionError(
             f"the operator is not finite on the grid of halfwidth {halfwidth} and spacing {h:.3g}"
@@ -302,23 +266,26 @@ def fd_catalog_1d(
     lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)  # below every level (Gershgorin)
     if lo >= lambda_max:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
-    out = eigh_tridiagonal(
-        diag, off, eigvals_only=not keep_vectors, select="v", select_range=(lo, lambda_max)
-    )
-    w, vecs = out if keep_vectors else (out, None)
+
+    def solve(vectors):
+        return eigh_tridiagonal(
+            diag, off, eigvals_only=not vectors, select="v", select_range=(lo, lambda_max)
+        )
+
+    w, vecs = solve(True) if keep_vectors else (solve(False), None)
     if w.size == 0:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
     if np.any(np.diff(w) <= 0):
         raise ResolutionError(f"grid spacing {h:.3g} too coarse to separate levels at hbar={hbar}")
     sturm_ok = _sturm_count(diag, off, lambda_max) == w.size
 
-    # unit l2 vectors: entry^2 is already a mass fraction
-    if keep_vectors:
-        masses = vecs[0, :] ** 2 + vecs[-1, :] ** 2
-    else:
-        masses = _end_masses(diag, off, w, _wall_bounds(diag, off, w))
+    masses = None if keep_vectors else _wall_bounds(diag, off, w)
+    if masses is None or np.max(masses) > MAX_BOUNDARY_MASS:
+        # unit l2 vectors: entry^2 is already a mass fraction
+        u = vecs if keep_vectors else solve(True)[1]
+        masses = u[0, :] ** 2 + u[-1, :] ** 2
     boundary_mass = float(np.max(masses))
-    if boundary_mass > 1e-8:
+    if boundary_mass > MAX_BOUNDARY_MASS:
         raise DomainTooSmallError(
             f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
         )

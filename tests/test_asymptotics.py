@@ -35,9 +35,9 @@ def bare():
 def test_context_validation():
     w = square_barrier(2.0)
     with pytest.raises(ValueError):
-        ScalingContext(N=1, beta=0.4, interaction=w, a_w=0.2, R_w=1.0)
+        ScalingContext(N=1, beta=0.4, a_w=0.2, R_w=1.0)
     with pytest.raises(RegimeError):
-        ScalingContext(N=10, beta=0.3, interaction=w, a_w=0.2, R_w=1.0)
+        ScalingContext(N=10, beta=0.3, a_w=0.2, R_w=1.0)
     ctx = make_context(1000, 0.4, w)
     assert ctx.hbar == pytest.approx(0.1)
     assert ctx.gap == pytest.approx(1000.0 ** (-0.4))

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,9 +230,12 @@ def test_bad_output_directory_without_out_flag(tmp_path, monkeypatch):
     ],
 )
 def test_husimi_grid_shortfall_is_numerical_failure(tmp_path, capsys, husimi, error):
-    # no schema rule can see these without solving: each must end as a named failure
+    # no schema rule can see these without solving: each must end as a named
+    # failure, and none may print a warning on the way
     cfg = write_config(tmp_path, {"husimi": husimi})
-    assert run_cli(["husimi", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["husimi", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert f"numerical failure: {error}" in capsys.readouterr().err
 
 

@@ -143,3 +143,73 @@ def test_bench_reads_and_tracer_hooks_still_exist():
         assert set(names) <= present, (cls.__name__, set(names) - present)
     for module, name in TRACER_HOOKS:
         assert hasattr(module, name), (module.__name__, name)
+
+
+def _dataclass_outputs(path):
+    """(class, name) of every dataclass field and every property declared in ``path``."""
+    outputs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        is_dataclass = any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+        for stmt in node.body:
+            if is_dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                outputs.append((node.name, stmt.target.id))
+            elif isinstance(stmt, ast.FunctionDef) and any(
+                getattr(d, "id", None) == "property" for d in stmt.decorator_list
+            ):
+                outputs.append((node.name, stmt.name))
+    return outputs
+
+
+# outputs that nothing reads as an attribute, with the reason each stays
+UNREAD_OUTPUTS = {
+    ("CriterionResult", "runtime"): "the intended source of the per-criterion run record",
+    ("HusimiReport", "lowfreq_reference"): (
+        "read by name, with every other reference entry, in test_husimi_band_matches_dense_products"
+    ),
+}
+
+
+def test_every_dataclass_output_is_read():
+    root = SRC.parents[1]
+    reads = set()
+    for folder in (SRC, root / "demos", root / "bench", root / "tests"):
+        for path in folder.glob("*.py"):
+            reads.update(
+                node.attr
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    unread = {
+        (cls, name)
+        for path in MODULES
+        for cls, name in _dataclass_outputs(path)
+        if name not in reads
+    }
+    assert unread == set(UNREAD_OUTPUTS)
+
+
+def _scipy_imports(tree, scope="<module>"):
+    """(enclosing function, import statement) of every SciPy import under ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names
+            ]
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append((scope, ast.unparse(node)))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        found += _scipy_imports(node, inner)
+    return found
+
+
+def test_src_imports_scipy_once():
+    imports = [
+        (f"{path.stem}.{scope}", statement)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, statement in _scipy_imports(ast.parse(path.read_text()))
+    ]
+    assert imports == [("spectra.eigh_tridiagonal", "from scipy.linalg import eigh_tridiagonal as solve")]

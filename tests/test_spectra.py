@@ -169,93 +169,6 @@ def _fd_matrix(v, hbar, halfwidth, points, lambda_max):
     return diag, off, w, vecs[0] ** 2 + vecs[-1] ** 2
 
 
-def _assert_same_end_masses(masses, reference):
-    # tail entries below ~1e-15 are rounding noise in either solve
-    big = (masses > 1e-30) | (reference > 1e-30)
-    np.testing.assert_allclose(masses[big], reference[big], rtol=1e-10, atol=0.0)
-    assert np.all(masses[~big] <= 1e-30) and np.all(reference[~big] <= 1e-30)
-
-
-@pytest.mark.parametrize(
-    "v, hbar, halfwidth, points, lambda_max, leaks",
-    [
-        (lambda x: x * x, 1.0, 2.3, 500, 3.5, True),  # boundary mass 5.4e-7
-        (lambda x: x * x, 1.0, 3.6, 500, 3.5, False),  # boundary mass 8.0e-9, just passes
-        # the top catalog of the quartic Weyl scan; test_weyl_scan_fd_1d builds it
-        (lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, None),
-    ],
-    ids=["leaky_x2", "near_threshold_x2", "quartic_1e4"],
-)
-def test_end_masses_match_clustered_vectors(v, hbar, halfwidth, points, lambda_max, leaks):
-    diag, off, w, reference = _fd_matrix(v, hbar, halfwidth, points, lambda_max)
-    _assert_same_end_masses(spectra._end_masses(diag, off, w), reference)
-    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
-    args = (v, hbar, halfwidth, points, lambda_max)
-    if leaks:
-        with pytest.raises(DomainTooSmallError, match="boundary mass"):
-            fd_catalog_1d(*args, keep_vectors=False)
-        with pytest.raises(DomainTooSmallError, match="boundary mass"):
-            fd_catalog_1d(*args)
-    elif leaks is False:
-        dropped = fd_catalog_1d(*args, keep_vectors=False)
-        assert np.array_equal(dropped.energies, w) and dropped.sturm_certified
-
-
-@pytest.fixture
-def stein_calls(monkeypatch):
-    """The number of levels of every call to LAPACK dstein."""
-    from scipy.linalg import lapack
-
-    sizes = []
-    dstein = lapack.dstein
-
-    def recorder(d, e, w, iblock, isplit):
-        sizes.append(len(w))
-        return dstein(d, e, w, iblock, isplit)
-
-    monkeypatch.setattr(lapack, "dstein", recorder)
-    return sizes
-
-
-@pytest.mark.parametrize("tilt, runs", [(1e-6, [2, 2]), (1e-3, [1, 1, 1, 1])])
-def test_end_masses_solve_near_degenerate_levels_together(stein_calls, tilt, runs):
-    # tilted double well: each level of the lowest two pairs sits in one
-    # well, and the pairs split by about 2 * tilt, far above the tunnelling
-    # splitting (~1e-11).  ||T||_1 is 2.5e3, so a 2e-6 split is one run.
-    v = lambda x: (x * x - 1.0) ** 2 + tilt * x
-    diag, off, w, reference = _fd_matrix(v, 0.05, 1.6, 2000, 0.3)
-    masses = spectra._end_masses(diag, off, w)
-    assert stein_calls == runs
-    assert np.all(reference > 1e-13)
-    _assert_same_end_masses(masses, reference)
-    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
-
-
-def test_wall_bounds_spare_stein_only_where_they_certify(stein_calls):
-    # the top catalog of the quartic Weyl scan: every level is certified
-    quartic = fd_catalog_1d(lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, keep_vectors=False)
-    assert quartic.energies.size == 187
-    assert stein_calls == []
-    # a leaky catalog still gets its exact masses, and the same error
-    with pytest.raises(DomainTooSmallError, match="boundary mass 5.396e-07 exceeds 1e-8"):
-        fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
-    assert stein_calls == [1, 1]
-    # near threshold (mass 8.0e-9): only the top level needs stein
-    stein_calls.clear()
-    fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5, keep_vectors=False)
-    assert stein_calls == [1]
-
-
-def test_end_masses_raise_on_failed_inverse_iteration(monkeypatch):
-    from scipy.linalg import lapack
-
-    monkeypatch.setattr(lapack, "dstein", lambda d, e, w, *_: (np.zeros((d.size, w.size)), 1))
-    # near threshold: the top level's wall bound does not certify it, so
-    # its mass comes from stein
-    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
-        fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5, keep_vectors=False)
-
-
 @pytest.fixture
 def eigensolves(monkeypatch):
     """(points, eigvals_only) of every call to spectra.eigh_tridiagonal.
@@ -274,6 +187,61 @@ def eigensolves(monkeypatch):
 
     monkeypatch.setattr(spectra, "eigh_tridiagonal", recorder)
     return calls, vector_refs
+
+
+@pytest.mark.parametrize(
+    "v, hbar, halfwidth, points, lambda_max, leaks",
+    [
+        (lambda x: x * x, 1.0, 2.3, 500, 3.5, True),  # boundary mass 5.4e-7
+        (lambda x: x * x, 1.0, 3.6, 500, 3.5, False),  # boundary mass 8.0e-9, just passes
+        # the top catalog of the quartic Weyl scan; test_weyl_scan_fd_1d builds it
+        (lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, None),
+    ],
+    ids=["leaky_x2", "near_threshold_x2", "quartic_1e4"],
+)
+def test_end_masses_match_clustered_vectors(v, hbar, halfwidth, points, lambda_max, leaks):
+    diag, off, w, reference = _fd_matrix(v, hbar, halfwidth, points, lambda_max)
+    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
+    args = (v, hbar, halfwidth, points, lambda_max)
+    if leaks:
+        for keep in (True, False):
+            with pytest.raises(DomainTooSmallError, match="boundary mass"):
+                fd_catalog_1d(*args, keep_vectors=keep)
+    elif leaks is False:
+        for keep in (True, False):
+            cat = fd_catalog_1d(*args, keep_vectors=keep)
+            assert np.array_equal(cat.energies, w) and cat.sturm_certified
+
+
+@pytest.mark.parametrize("tilt", [1e-6, 1e-3])
+def test_wall_bounds_cover_tilted_double_wells(tilt):
+    # tilted double well: each level of the lowest two pairs sits in one
+    # well, and the pairs split by about 2 * tilt, far above the tunnelling
+    # splitting (~1e-11)
+    v = lambda x: (x * x - 1.0) ** 2 + tilt * x
+    diag, off, w, reference = _fd_matrix(v, 0.05, 1.6, 2000, 0.3)
+    assert np.all(reference > 1e-13)
+    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
+
+
+def test_wall_bounds_spare_stein_only_where_they_certify(eigensolves):
+    calls, _ = eigensolves
+    # the top catalog of the quartic Weyl scan: the bounds certify every level
+    quartic = fd_catalog_1d(lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, keep_vectors=False)
+    assert quartic.energies.size == 187
+    assert calls == [(10**4, True)]
+    # a leaky catalog gets its exact masses from the vectors, and the same error
+    calls.clear()
+    with pytest.raises(DomainTooSmallError, match="boundary mass 5.396e-07 exceeds 1e-8"):
+        fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
+    assert calls == [(500, True), (500, False)]
+    # near threshold (mass 8.0e-9): the bounds leave it open, the vectors pass it
+    calls.clear()
+    dropped = fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5, keep_vectors=False)
+    assert calls == [(500, True), (500, False)]
+    kept = fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5)
+    assert np.array_equal(dropped.energies, kept.energies)
+    assert dropped.vectors is None
 
 
 def test_eigensolves_form_vectors_only_when_kept(eigensolves, tmp_path):
