@@ -3,7 +3,7 @@
 The package decomposes into small, pure submodules:
 
 - ``numerics``: quadrature of trial profiles, L^p profile distances
-- ``potentials``: trap families
+- ``potentials``: radial trap families
 - ``thomas_fermi``: single-spin, two-spin and momentum-cutoff density functionals
 - ``scattering``: zero-energy scattering lengths and the Dyson kit
 - ``semiclassics``: phase-space counting and filling levels

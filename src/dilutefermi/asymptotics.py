@@ -43,7 +43,8 @@ class RegimeError(ValueError):
 
 
 class DegenerateTilingError(ValueError):
-    """Box side exceeds the support diameter; the tiling is degenerate."""
+    """Box side exceeds the support diameter, or the lattice has more than
+    ``MAX_BOX_CELLS`` cells; the tiling is degenerate."""
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,10 @@ def _cell_masses(rho_fn, centers, pitch, chunk=8192):
     return out
 
 
+# cells of the largest lattice box_estimate builds; l0/16 at N = 10^6 is 182^3
+MAX_BOX_CELLS = 2**24
+
+
 def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimate:
     """Evaluate the box-decomposition sums for box side l.
 
@@ -267,6 +272,10 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
     r = ctx.gap
     pitch = l + r
     n_side = int(math.ceil(2.0 * R / pitch))
+    if n_side**3 > MAX_BOX_CELLS:
+        raise DegenerateTilingError(
+            f"box side {l} makes a {n_side}^3 lattice, more than {MAX_BOX_CELLS} cells"
+        )
     start = -0.5 * n_side * pitch + 0.5 * pitch
     ax = start + pitch * np.arange(n_side)
     cx, cy, cz = np.meshgrid(ax, ax, ax, indexing="ij")

@@ -1,4 +1,4 @@
-"""Trap potential families.
+"""Radial trap potential families.
 
 Built-in traps are radial and confining with V >= 1 (the normalization
 the rest of the pipeline assumes); a bare harmonic variant without the
@@ -25,33 +25,18 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Evaluable trap potential.
+    """Radial trap potential.
 
-    ``radial_fn`` maps radii (ndarray-ready) to energies.  For radial
-    potentials ``__call__`` accepts either radii or (..., 3) position
-    arrays.  Every trap must be nondecreasing along each ray from the
-    origin.
+    ``radial_fn`` maps radii (ndarray-ready) to energies and must be
+    nondecreasing in the radius.
     """
 
-    radial: bool
     growth: float
     radial_fn: object
-    eval_3d: object = None
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim >= 1 and x.shape[-1] == 3 and not self.radial:
-            return self.eval_3d(x)
-        if x.ndim >= 1 and x.shape[-1] == 3:
-            r = np.sqrt(np.sum(x * x, axis=-1))
-            return self.radial_fn(r)
-        if not self.radial:
-            raise ValueError("non-radial potential requires (..., 3) positions")
-        return self.radial_fn(x)
 
     def min_value(self):
-        """V at the origin, the minimum of a trap nondecreasing along every ray."""
-        return float(self(np.zeros(3)))
+        """V at the origin, the minimum of a trap nondecreasing in the radius."""
+        return float(self.radial_fn(0.0))
 
 
 def harmonic_trap(offset=0.0):
@@ -62,7 +47,7 @@ def harmonic_trap(offset=0.0):
         r = np.asarray(r, dtype=float)
         return offset + r * r
 
-    return Potential(radial=True, growth=2.0, radial_fn=fn)
+    return Potential(growth=2.0, radial_fn=fn)
 
 
 def power_trap(s):
@@ -73,6 +58,7 @@ def power_trap(s):
 
     def fn(r):
         r = np.asarray(r, dtype=float)
-        return 1.0 + r**s
+        with np.errstate(over="ignore"):  # V = +inf where r^s overflows
+            return 1.0 + r**s
 
-    return Potential(radial=True, growth=s, radial_fn=fn)
+    return Potential(growth=s, radial_fn=fn)

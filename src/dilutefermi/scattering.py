@@ -1,9 +1,9 @@
 """Zero-energy scattering for radial, compactly supported interactions.
 
-The s-wave reduced equation u'' = (1/2) v u is solved outward segment by
-segment, on a fixed grid whose coefficient samples all lie inside their
-segment: in closed form (cosh/sinh) where the sampled v is one constant,
-as on every square barrier, and with fixed-step fourth-order RK4 where it
+The s-wave reduced equation u'' = (1/2) v u is solved outward across the
+support [0, R] on a fixed grid whose coefficient samples all lie inside
+it: in closed form (cosh/sinh) where the sampled v is one constant, as on
+every square barrier, and with fixed-step fourth-order RK4 where it
 varies.  The scattering length is read off the exact exterior form
 u(r) = const * (r - a) at the edge of the support.
 Also houses the hard-core sweep, the dilation identity of the scaled
@@ -57,18 +57,15 @@ class InteractionSpec:
     """Radial nonnegative interaction of finite range.
 
     ``fn`` maps radii to values and must vanish beyond ``range_``;
-    ``amplitude`` is an overall scale A multiplying ``fn``;
-    ``breakpoints`` lists interior discontinuity radii so the integrator
-    can align steps with them; ``hardcore`` selects the infinite-wall
-    representation u(range_) = 0 instead of a finite profile.
+    ``amplitude`` is an overall scale A multiplying ``fn``; ``hardcore``
+    selects the infinite-wall representation u(range_) = 0 instead of a
+    finite profile.
     """
 
     fn: object
     range_: float
     amplitude: float = 1.0
-    breakpoints: tuple = ()
     hardcore: bool = False
-    label: str = "custom"
 
     def __post_init__(self):
         if self.range_ < 0:
@@ -88,8 +85,6 @@ def square_barrier(height, radius=1.0):
         fn=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         range_=float(radius),
         amplitude=float(height),
-        breakpoints=(),
-        label=f"square_barrier(A={height}, R={radius})",
     )
 
 
@@ -100,7 +95,6 @@ def hardcore(radius):
         range_=float(radius),
         amplitude=0.0,
         hardcore=True,
-        label=f"hardcore(R={radius})",
     )
 
 
@@ -110,9 +104,7 @@ def scaled_interaction(spec: InteractionSpec, scale):
         fn=spec.fn,
         range_=spec.range_,
         amplitude=spec.amplitude * float(scale),
-        breakpoints=spec.breakpoints,
         hardcore=spec.hardcore,
-        label=f"{spec.label} x {scale}",
     )
 
 
@@ -127,9 +119,7 @@ def dilated_interaction(spec: InteractionSpec, amplitude_factor, length_factor):
         fn=fn,
         range_=spec.range_ / b,
         amplitude=spec.amplitude * float(amplitude_factor),
-        breakpoints=tuple(x / b for x in spec.breakpoints),
         hardcore=spec.hardcore,
-        label=f"{spec.label} dilated",
     )
 
 
@@ -224,80 +214,59 @@ def _rk4_steps(c0, ch, c1, h, u, du):
     return us, dus, shifts
 
 
-def _rk4_outward(vfun, r0, u0, du0, segments, steps_per_unit):
-    """Outward solution of u'' = (1/2) v u through the given segments.
+def _rk4_outward(vfun, R, steps_per_unit):
+    """Outward solution of u'' = (1/2) v u on [0, R] from u(0) = 0, u'(0) = 1.
 
     Returns node positions and (u, u') samples at every node, rescaled
-    to the final magnitude.  Segments end exactly at declared
-    discontinuities; each is cut into n equal steps, and the coefficient
-    c = v/2 is sampled in vectorized form at every step's start,
-    midpoint and end.  All samples lie inside the open segment (the end
-    samples one ulp inward), so none reads the neighbouring piece of a
-    jump.  Each segment then takes one of two rules on the same nodes:
+    to the final magnitude.  [0, R] is cut into n equal steps, and the
+    coefficient c = v/2 is sampled in vectorized form at every step's
+    start, midpoint and end.  All samples lie inside the open interval
+    (the end samples one ulp inward), so none reads a jump at either
+    end.  The steps then take one of two rules on the same nodes:
 
     - if every sample equals one constant c >= 0, the closed form
-      u = u0 cosh(ks) + u0' sinh(ks)/k, u' = u0 k sinh(ks) + u0' cosh(ks)
-      with k = sqrt(c), or the linear solution when c = 0
-      (`_exact_segment`), exact and vectorized over the nodes;
+      u = sinh(ks)/k, u' = cosh(ks) with k = sqrt(c), or the linear
+      solution when c = 0 (`_exact_segment`), exact and vectorized over
+      the nodes;
     - otherwise the fixed-step fourth-order RK4 loop (`_rk4_steps`).
 
     Because the equation is linear, the solution may grow like
     exp(k r).  Both rules carry it divided by a factor whose log2 is
     recorded per node: RK4 divides by 2^400 whenever a component passes
-    2.5e120, the closed form by e^(kL) on a segment with large kL, and
-    the carried state is brought back under 2.5e120 by an exact power of
-    two after each closed-form segment.  The extraction a = R - u/u' is
-    scale-free, so barrier heights up to the hard-core regime never
-    overflow; early samples may underflow to zero at the final scale.
+    2.5e120, the closed form by e^(kR) when kR is large, and its result
+    is brought back under 2.5e120 by an exact power of two.  The
+    extraction a = R - u/u' is scale-free, so barrier heights up to the
+    hard-core regime never overflow; early samples may underflow to zero
+    at the final scale.
     """
-    rs_parts = [np.array([r0])]
-    us_parts = [np.array([u0])]
-    dus_parts = [np.array([du0])]
-    shift_parts = [np.array([0.0])]  # per node: log2 of the factor divided out in its segment
-    r, u, du = float(r0), float(u0), float(du0)
-    for seg_end in segments:
-        if seg_end <= r:
-            continue
-        n = max(1, int(math.ceil((seg_end - r) * steps_per_unit)))
-        h = float((seg_end - r) / n)
-        base = r + h * np.arange(n)
-        lo, hi = np.nextafter(r, seg_end), np.nextafter(seg_end, r)
-        c0 = 0.5 * np.asarray(vfun(np.maximum(base, lo)), dtype=float)
-        ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, hi)), dtype=float)
-        c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, hi)), dtype=float)
-        nodes = base + h
-        c = float(c0[0])
-        if c >= 0.0 and np.all(c0 == c) and np.all(ch == c) and np.all(c1 == c):
-            s = nodes - r
-            s[-1] = seg_end - r
-            us, dus, shifts = _exact_segment(c, s, u, du)
-            big = max(abs(us[-1]), abs(dus[-1]))
-            if big > 2.5e120:
-                e = math.frexp(big)[1]
-                us, dus, shifts = np.ldexp(us, -e), np.ldexp(dus, -e), shifts + e
-        else:
-            us, dus, shifts = _rk4_steps(c0, ch, c1, h, u, du)
-        u, du = float(us[-1]), float(dus[-1])
-        r = seg_end
-        rs_parts.append(nodes)
-        us_parts.append(us)
-        dus_parts.append(dus)
-        shift_parts.append(shifts)
-    rs = np.concatenate(rs_parts)
-    us = np.concatenate(us_parts)
-    dus = np.concatenate(dus_parts)
-    if any(shifts[-1] for shifts in shift_parts):
-        # express every sample at the final scale, summing the segments'
-        # shifts from the last one back, so that a huge early shift never
-        # absorbs a small later one.  The whole powers of two go through
-        # ldexp, so a sample underflows to zero only where its value at
-        # the final scale does
-        tail = 0.0
-        exponents = []
-        for shifts in reversed(shift_parts):
-            exponents.append(shifts - shifts[-1] - tail)
-            tail += shifts[-1]
-        exponent = np.concatenate(exponents[::-1])
+    n = max(1, int(math.ceil(R * steps_per_unit)))
+    h = float(R / n)
+    base = h * np.arange(n)
+    lo, hi = np.nextafter(0.0, R), np.nextafter(R, 0.0)
+    c0 = 0.5 * np.asarray(vfun(np.maximum(base, lo)), dtype=float)
+    ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, hi)), dtype=float)
+    c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, hi)), dtype=float)
+    nodes = base + h
+    c = float(c0[0])
+    if c >= 0.0 and np.all(c0 == c) and np.all(ch == c) and np.all(c1 == c):
+        s = nodes.copy()
+        s[-1] = R
+        us, dus, shifts = _exact_segment(c, s, 0.0, 1.0)
+        big = max(abs(us[-1]), abs(dus[-1]))
+        if big > 2.5e120:
+            e = math.frexp(big)[1]
+            us, dus, shifts = np.ldexp(us, -e), np.ldexp(dus, -e), shifts + e
+    else:
+        us, dus, shifts = _rk4_steps(c0, ch, c1, h, 0.0, 1.0)
+    rs = np.concatenate([[0.0], nodes])
+    us = np.concatenate([[0.0], us])
+    dus = np.concatenate([[1.0], dus])
+    if shifts[-1]:
+        # express every sample at the final scale; the whole powers of two
+        # go through ldexp, so a sample underflows to zero only where its
+        # value at the final scale does
+        last = shifts[-1]
+        exponent = np.concatenate([[-last], shifts - last])
         whole = np.floor(exponent)
         fraction = np.exp2(exponent - whole)
         whole = np.maximum(whole, -2200.0).astype(np.int64)  # 2^-2200 of any float is 0
@@ -367,12 +336,10 @@ def zero_energy_solve(spec: InteractionSpec) -> ScatteringSolution:
             spec=spec,
         )
 
-    interior = sorted(set(b for b in spec.breakpoints if 0.0 < b < R))
-    segments = interior + [R]
     steps_per_unit = 2000.0 / R  # step <= R / 2000
 
     def run(mult):
-        rs, us, dus = _rk4_outward(spec, 0.0, 0.0, 1.0, segments, steps_per_unit * mult)
+        rs, us, dus = _rk4_outward(spec, R, steps_per_unit * mult)
         uR, duR = us[-1], dus[-1]
         if not (math.isfinite(uR) and math.isfinite(duR)):
             raise StiffnessError(
@@ -530,7 +497,7 @@ def dyson_parts(R0, R, s, p_F) -> DysonKit:
             out = 1.0 - (p_F / p) ** 2
         return np.maximum(out, 0.0)
 
-    check = integrate_radial(U_R, R * 1.5, DYSON_TOL, breakpoints=(R0, R))
+    check = integrate_radial(U_R, R * 1.5, DYSON_TOL, (R0, R))
     return DysonKit(
         R=float(R), s=float(s), p_F=float(p_F),
         U_R=U_R, chi_s=chi_s, Gamma=Gamma, U_integral_check=check,

@@ -526,7 +526,6 @@ class HusimiReport:
     kinetic_reference: float
     potential_identity_residual: float
     lowfreq_identity_residual: float
-    lowfreq_reference: float
     m_min: float
     m_max: float
     grad_window_sq: float
@@ -661,7 +660,6 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
         kinetic_reference=kin_expected,
         potential_identity_residual=potential_residual,
         lowfreq_identity_residual=lowfreq_residual,
-        lowfreq_reference=lowfreq_spec,
         m_min=float(np.min(m)),
         m_max=float(np.max(m)),
         grad_window_sq=grad_window_sq,

@@ -13,14 +13,13 @@ exactly through its saturation structure.
 
 Every integral of a minimizer, and every count in ``semiclassics``, is a
 level integral of F((lam - V)_+, V) over {V <= lam}, and one private rule
-computes them all.  Along each ray from the origin it finds the support
-edge R by a bracketing search on V <= lam that tests points around the
-secant estimate of the crossing, then integrates with one Gauss-Legendre
-panel on [0, R], substituting r = R - s^2 to resolve the edge; an
-n-against-2n estimate doubles n up to a fixed cap.  A radial trap
-is one ray; a non-radial trap uses a product rule over directions and must
-be nondecreasing along every ray; the 1-d classical counts of ``spectra``
-use the two half-lines from the trap's minimum.
+computes them all.  Every trap is radial and must be nondecreasing in r,
+so the set is a ball: the rule finds its radius R by a bracketing search on
+V <= lam that tests points around the secant estimate of the crossing,
+then integrates 4 pi r^2 dr with one Gauss-Legendre panel on [0, R],
+substituting r = R - s^2 to resolve the edge; an n-against-2n estimate
+doubles n up to a fixed cap.  The 1-d classical counts of ``spectra`` run
+the same rule on the two half-lines from the trap's minimum.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class TFSolution:
     """Minimizer of the total-density functional at unit mass."""
 
     lambda_TF: float
-    rho: object  # RadialProfile; None for non-radial traps
+    rho: RadialProfile
     support_radius: float
     E_TF: float
     kinetic_integral: float  # integral of rho^{5/3}
@@ -125,9 +124,6 @@ _RULE_REL = 1e-13
 # ladder points on each side of the secant estimate
 _SECTIONS = 64
 _LADDER = 24
-# non-radial traps: Gauss-Legendre in cos(theta) times a trapezoid in phi
-_RAY_THETA = 24
-_RAY_PHI = 48
 
 
 @functools.cache
@@ -165,7 +161,8 @@ class _Rays:
     """The rays from a trap's minimum along which the level rule integrates.
 
     ``trace(r)`` gives V at radii of shape (rays, m); ``weights`` are the
-    rays' solid angles, or ones for the two half-lines of a 1-d trap
+    rays' solid angles, 4 pi for the one ray of a radial trap, or ones for
+    the two half-lines of a 1-d trap
     (``dim`` 1, measure dr in place of r^2 dr).  Built once per solve,
     outside its Newton loop.
     """
@@ -177,17 +174,8 @@ class _Rays:
 
 
 def _rays(v):
-    """The rays of a 3-d trap; a radial trap is the one-ray case with weight 4 pi."""
-    if v.radial:
-        return _Rays(np.array([4.0 * np.pi]), v.radial_fn, v.min_value())
-    ct, wt = _gauss(_RAY_THETA)
-    phi = 2.0 * np.pi * np.arange(_RAY_PHI) / _RAY_PHI
-    st = np.sqrt(1.0 - ct * ct)[:, None]
-    dirs = np.stack(
-        [st * np.cos(phi), st * np.sin(phi), np.repeat(ct[:, None], _RAY_PHI, axis=1)], axis=-1
-    ).reshape(-1, 3)
-    weights = np.repeat(wt, _RAY_PHI) * (2.0 * np.pi / _RAY_PHI)
-    return _Rays(weights, lambda r: v(r[..., None] * dirs[:, None, :]), v.min_value())
+    """The one ray, of weight 4 pi, of a radial trap."""
+    return _Rays(np.array([4.0 * np.pi]), v.radial_fn, v.min_value())
 
 
 @functools.cache
@@ -347,13 +335,12 @@ def _radial_density(v, lam, invert):
 
 
 def tf_solve(v) -> TFSolution:
-    """Solve the unit-mass Thomas-Fermi problem for a confining trap.
+    """Solve the unit-mass Thomas-Fermi problem for a confining radial trap.
 
     The density is the closed-form inversion of the Euler-Lagrange
     equation, so the only unknown is the scalar multiplier, found by
     Newton steps from above on the convex mass defect.  Mass and the three
-    reported integrals come from one call of the level rule.  Non-radial
-    traps report no density profile (``rho`` and ``rho_fn`` are None).
+    reported integrals come from one call of the level rule.
     """
     rays = _rays(v)
     edges = None
@@ -374,25 +361,21 @@ def tf_solve(v) -> TFSolution:
     # the last Newton evaluation was at lam, so its support edges are lam's
     integrals, edges = _level_integrals(rays, lam, fields, edges)
     mass, kin, pot, inter = map(float, integrals)
-    r_support = float(np.max(edges))
+    r_support = float(edges[0])
     e_tf = 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
 
-    # Euler-Lagrange residual on 2048 sample radii shared among the rays, 16 per ray at least
-    inner = edges[:, None] * np.linspace(0.0, 1.0 - 1e-9, max(2048 // edges.size, 16))
-    vv = rays.trace(inner)
+    # Euler-Lagrange residual on 2048 sample radii
+    vv = v.radial_fn(r_support * np.linspace(0.0, 1.0 - 1e-9, 2048))
     dens = _tf_density(np.maximum(lam - vv, 0.0))
     on = dens > 0
     residual = float(np.max(np.abs(KAPPA * dens[on] ** (2.0 / 3.0) + vv[on] - lam), initial=0.0))
 
-    rho_fn = profile = None
-    if v.radial:
-        rho_fn = _radial_density(v, lam, _tf_density)
-        nodes = np.linspace(0.0, r_support * 1.02, 1537)
-        profile = RadialProfile(nodes, rho_fn(nodes))
+    rho_fn = _radial_density(v, lam, _tf_density)
+    nodes = np.linspace(0.0, r_support * 1.02, 1537)
 
     return TFSolution(
         lambda_TF=lam,
-        rho=profile,
+        rho=RadialProfile(nodes, rho_fn(nodes)),
         support_radius=r_support,
         E_TF=e_tf,
         kinetic_integral=kin,
@@ -458,8 +441,6 @@ def two_spin_minimize(v, g) -> TwoSpinState:
     """
     if g < 0:
         raise ValueError("coupling must be nonnegative")
-    if not v.radial:
-        raise NotImplementedError("two-spin functional is implemented for radial traps")
     if g == 0.0:
         base = tf_solve(v)
         r = np.linspace(0.0, base.support_radius * 1.02, 1537)
@@ -583,8 +564,6 @@ def cutoff_gap_scan(v, p_F_list) -> CutoffScan:
     """
     if any(p <= 0 for p in p_F_list):
         raise ValueError("p_F must be positive")
-    if not v.radial:
-        raise NotImplementedError("cutoff functional is implemented for radial traps")
     base = tf_solve(v)
     rays = _rays(v)
     solutions = [_capped_minimizer(rays, p, base) for p in p_F_list]
@@ -602,9 +581,7 @@ def cutoff_gap_scan(v, p_F_list) -> CutoffScan:
 
 
 def write_density_csv(path, solution: TFSolution, header_lines=()):
-    """Emit columns r, rho, V, lagrange_residual for a radial solution."""
-    if not isinstance(solution.rho, RadialProfile):
-        raise TypeError("CSV emission needs a radial solution")
+    """Emit columns r, rho, V, lagrange_residual for a solution."""
     r = solution.rho.nodes
     rho = solution.rho.values
     vv = solution.potential.radial_fn(r)

@@ -234,6 +234,16 @@ def test_box_degenerate_tiling_error(bare):
         box_estimate(harmonic_trap(0.0), ctx, 10.0, bare)
 
 
+def test_box_lattice_past_the_cell_cap_is_refused(bare, monkeypatch):
+    # 257^3 cells is just past 2^24 = 256^3; building any lattice fails at
+    # once, so a missing cap costs no memory
+    ctx = make_context(10**6, 0.40, square_barrier(2.0))
+    monkeypatch.setattr(asymptotics.np, "meshgrid", lambda *args, **kwargs: pytest.fail("lattice built"))
+    l = 2.0 * bare.support_radius / 256.5 - ctx.gap
+    with pytest.raises(DegenerateTilingError, match=r"257\^3 lattice"):
+        box_estimate(harmonic_trap(0.0), ctx, l, bare)
+
+
 def test_budget_ratio_strictly_decreasing():
     for beta in (0.40, 0.45, 0.49):
         ratios = [error_budget(N, beta).ratio for N in (10**4, 10**6, 10**8)]

@@ -239,6 +239,33 @@ def test_husimi_grid_shortfall_is_numerical_failure(tmp_path, capsys, husimi, er
     assert f"numerical failure: {error}" in capsys.readouterr().err
 
 
+def test_box_lattice_past_the_cell_cap_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # l = 0.00926 tiles the support diameter with 257^3 cells, just past 2^24;
+    # building any lattice fails at once, so a missing cap costs no memory
+    monkeypatch.setattr(asymptotics.np, "meshgrid", lambda *args, **kwargs: pytest.fail("lattice built"))
+    cfg = write_config(tmp_path, {
+        "potential": {"kind": "harmonic_plus_one"},
+        "interaction": {"kind": "square_barrier", "height": 2.0, "radius": 1.0},
+        "sweeps": {"N": [10**6]},
+        "boxes": {"l": 0.00926},
+    })
+    out = tmp_path / "o"
+    assert run_cli(["boxes", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: DegenerateTilingError: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["tf", "semiclass"])
+def test_steep_power_trap_prints_no_warning(tmp_path, capsys, command):
+    # the support search probes r = 128, where r^200 overflows to +inf, as it should
+    cfg = write_config(tmp_path, {"potential": {"kind": "power_plus_one", "s": 200}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_failed_eigenvector_solve_is_numerical_failure(tmp_path, capsys, monkeypatch):
     def failing(d, e, **kwargs):
         raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")

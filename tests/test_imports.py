@@ -52,11 +52,7 @@ def test_unused_import_guard_sees_what_it_should():
     assert _unused_imports(source) == ["c", "os"]
 
 
-# every public name must be reached from the library, the demos or the
-# benchmark; these are reached only by tests, as the oracles they are
-TEST_ORACLES = ["vlasov_energy"]
-
-
+# every public name must be reached from the library, the demos or the benchmark
 def _referenced_names(paths):
     """Every ``Name`` id, ``Attribute`` attr and imported name in the files at ``paths``."""
     names = set()
@@ -77,7 +73,7 @@ def test_every_public_name_is_reached_outside_the_tests():
         [*SRC.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "bench").glob("*.py")]
     )
     unreached = {
-        path.stem: sorted(set(_public_names(ast.parse(path.read_text()))) - reached - set(TEST_ORACLES))
+        path.stem: sorted(set(_public_names(ast.parse(path.read_text()))) - reached)
         for path in MODULES
     }
     assert {module: names for module, names in unreached.items() if names} == {}
@@ -166,9 +162,6 @@ def _dataclass_outputs(path):
 # outputs that nothing reads as an attribute, with the reason each stays
 UNREAD_OUTPUTS = {
     ("CriterionResult", "runtime"): "the intended source of the per-criterion run record",
-    ("HusimiReport", "lowfreq_reference"): (
-        "read by name, with every other reference entry, in test_husimi_band_matches_dense_products"
-    ),
 }
 
 

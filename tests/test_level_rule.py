@@ -59,14 +59,7 @@ def _plateau_trap():
         r = np.asarray(r, dtype=float)
         return np.where(r <= 3, np.interp(r, _NODES, _PLATEAU), 10 * (r / 3) ** 2)
 
-    return Potential(radial=True, growth=2.0, radial_fn=fn)
-
-
-def _anisotropic_trap():
-    def eval3d(x):
-        return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
-
-    return Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    return Potential(growth=2.0, radial_fn=fn)
 
 
 RADIAL_TRAPS = {
@@ -98,14 +91,11 @@ def test_support_search_matches_the_reference_on_radial_traps(name):
 
 
 def test_support_search_matches_the_reference_on_the_1152_ray_trap():
-    rays = thomas_fermi._rays(_anisotropic_trap())
-    n = rays.weights.size
-    assert n == 1152
-    # a few shared levels, as the rule searches them
-    for lam in _levels(rays.vmin, 4, seed=1):
-        assert np.array_equal(thomas_fermi._support(rays.trace, n, lam), _support_reference(rays.trace, n, lam))
-    # and 2304 levels, one per ray and call, through V - lam <= 0
-    for seed in (2, 3):
+    # 1152 rays in one call, the sections shared among them: a radial trap's
+    # levels stacked as rays, one per ray and call, through V - lam <= 0
+    n = 1152
+    for seed, name in ((2, "harmonic"), (3, "power s=3.0")):
+        rays = thomas_fermi._rays(RADIAL_TRAPS[name])
         levels = _levels(rays.vmin, n, seed)
 
         def trace(r, levels=levels):
@@ -248,12 +238,9 @@ def test_tf_solve_work_budget(monkeypatch):
     }
 
 
-# the anisotropic trap's tf_solve (lambda, E_TF, int rho^2) and phase_space_counts
-# at Lambda = 3 (n_cl, e_cl), and the 1-d classical counts at Lambda = 2 of x^2
-# and x^4, as the level rule with a panel per kink gave them
+# the 1-d classical counts at Lambda = 2 of x^2 and x^4, two half-lines each,
+# as the level rule with a panel per kink gave them
 RECORDED_RAYS = {
-    "anisotropic tf_solve": (3.8883225944793667, 2.916241945859525, 0.13397753028643314),
-    "anisotropic counts": (0.22963966338591663, 0.5166892426183124),
     "1-d x^2 counts": (1.0000000000000002, 1.0),
     "1-d x^4 counts": (0.9357796256510102, 0.80209682198658),
 }
@@ -262,12 +249,7 @@ RECORDED_RAYS = {
 def test_every_ray_geometry_reproduces_the_recorded_values_bit_for_bit():
     if _numpy_dispatch() != RECORDED_DISPATCH:
         pytest.skip(f"values recorded under NumPy's {RECORDED_DISPATCH} kernels, not {_numpy_dispatch()}")
-    v = _anisotropic_trap()
-    sol = tf_solve(v)
-    counts = scl.phase_space_counts(v, 3.0)
     got = {
-        "anisotropic tf_solve": (sol.lambda_TF, sol.E_TF, sol.interaction_integral),
-        "anisotropic counts": (counts.n_cl, counts.e_cl),
         "1-d x^2 counts": spectra._counts_cl_1d(np.square, 2.0, 3.0),
         "1-d x^4 counts": spectra._counts_cl_1d(lambda x: x**4, 2.0, 3.0),
     }

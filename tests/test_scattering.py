@@ -205,59 +205,45 @@ def test_square_barrier_has_no_step_error():
         assert abs(sol.a - barrier_length(A)) <= 1e-15
 
 
-def _rk4_outward_scalar(vfun, r0, u0, du0, segments, steps_per_unit):
+def _rk4_outward_scalar(vfun, R, steps_per_unit):
     """Reference: the RK4 step loop on NumPy scalars, indexing each coefficient.
 
-    Samples the coefficient inside each open segment and brings the
+    Samples the coefficient inside the open interval (0, R) and brings the
     samples to the final scale with ldexp, as the solver does.
     """
-    rs_parts = [np.array([r0])]
-    us_parts = [np.array([u0])]
-    dus_parts = [np.array([du0])]
-    shift_parts = [np.array([0.0])]
-    r, u, du = float(r0), float(u0), float(du0)
+    u, du = 0.0, 1.0
     shift = 0.0
-    for seg_end in segments:
-        if seg_end <= r:
-            continue
-        n = max(1, int(math.ceil((seg_end - r) * steps_per_unit)))
-        h = (seg_end - r) / n
-        base = r + h * np.arange(n)
-        lo, hi = np.nextafter(r, seg_end), np.nextafter(seg_end, r)
-        c0 = 0.5 * np.asarray(vfun(np.maximum(base, lo)), dtype=float)
-        ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, hi)), dtype=float)
-        c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, hi)), dtype=float)
-        us = np.empty(n)
-        dus = np.empty(n)
-        shifts = np.empty(n)
-        for i in range(n):
-            a0, am, a1 = c0[i], ch[i], c1[i]
-            k1u = du
-            k1d = a0 * u
-            k2u = du + 0.5 * h * k1d
-            k2d = am * (u + 0.5 * h * k1u)
-            k3u = du + 0.5 * h * k2d
-            k3d = am * (u + 0.5 * h * k2u)
-            k4u = du + h * k3d
-            k4d = a1 * (u + h * k3u)
-            u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            du = du + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            if abs(u) > 2.5e120 or abs(du) > 2.5e120:
-                u *= 2.0**-400
-                du *= 2.0**-400
-                shift += 400.0
-            us[i] = u
-            dus[i] = du
-            shifts[i] = shift
-        r = seg_end
-        rs_parts.append(base + h)
-        us_parts.append(us)
-        dus_parts.append(dus)
-        shift_parts.append(shifts)
-    rs = np.concatenate(rs_parts)
-    us = np.concatenate(us_parts)
-    dus = np.concatenate(dus_parts)
-    shifts = np.concatenate(shift_parts)
+    n = max(1, int(math.ceil(R * steps_per_unit)))
+    h = R / n
+    base = h * np.arange(n)
+    lo, hi = np.nextafter(0.0, R), np.nextafter(R, 0.0)
+    c0 = 0.5 * np.asarray(vfun(np.maximum(base, lo)), dtype=float)
+    ch = 0.5 * np.asarray(vfun(np.minimum(base + 0.5 * h, hi)), dtype=float)
+    c1 = 0.5 * np.asarray(vfun(np.minimum(base + h, hi)), dtype=float)
+    us = np.empty(n + 1)
+    dus = np.empty(n + 1)
+    shifts = np.empty(n + 1)
+    us[0], dus[0], shifts[0] = u, du, 0.0
+    for i in range(n):
+        a0, am, a1 = c0[i], ch[i], c1[i]
+        k1u = du
+        k1d = a0 * u
+        k2u = du + 0.5 * h * k1d
+        k2d = am * (u + 0.5 * h * k1u)
+        k3u = du + 0.5 * h * k2d
+        k3d = am * (u + 0.5 * h * k2u)
+        k4u = du + h * k3d
+        k4d = a1 * (u + h * k3u)
+        u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        du = du + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        if abs(u) > 2.5e120 or abs(du) > 2.5e120:
+            u *= 2.0**-400
+            du *= 2.0**-400
+            shift += 400.0
+        us[i + 1] = u
+        dus[i + 1] = du
+        shifts[i + 1] = shift
+    rs = np.concatenate([[0.0], base + h])
     if shift > 0.0:
         whole = np.maximum(shifts - shift, -2200.0).astype(np.int64)
         us = np.ldexp(us, whole)
@@ -270,27 +256,17 @@ def _ramp(amplitude):
     return InteractionSpec(fn=lambda r: 1.0 + np.asarray(r, dtype=float), range_=1.0, amplitude=amplitude)
 
 
-def _two_step(amplitude, inner_closed=True):
-    """3 on r <= 0.5 (or r < 0.5), 1 out to r = 1, times the amplitude."""
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        inner = r <= 0.5 if inner_closed else r < 0.5
-        return np.where(inner, 3.0, 1.0)
-
-    return InteractionSpec(fn=fn, range_=1.0, amplitude=amplitude, breakpoints=(0.5,))
-
-
 def test_rk4_outward_matches_scalar_reference(monkeypatch):
     specs = [_ramp(A) for A in (2.0, 2e3, 2e12)]
     for spec in specs:
         for steps_per_unit in (2000.0, 4000.0):
-            got = scattering._rk4_outward(spec, 0.0, 0.0, 1.0, [1.0], steps_per_unit)
-            want = _rk4_outward_scalar(spec, 0.0, 0.0, 1.0, [1.0], steps_per_unit)
+            got = scattering._rk4_outward(spec, 1.0, steps_per_unit)
+            want = _rk4_outward_scalar(spec, 1.0, steps_per_unit)
             for g, w in zip(got, want):
                 assert g.dtype == np.float64 and g.flags.writeable
                 assert np.array_equal(g, w)
     # 2e12 crosses 2^400: the rescale runs and early samples underflow to zero
-    _, us, _ = scattering._rk4_outward(specs[2], 0.0, 0.0, 1.0, [1.0], 2000.0)
+    _, us, _ = scattering._rk4_outward(specs[2], 1.0, 2000.0)
     assert us[1] == 0.0 and us[-1] > 0.0
     fast = [zero_energy_solve(spec) for spec in specs]
     monkeypatch.setattr(scattering, "_rk4_outward", _rk4_outward_scalar)
@@ -329,59 +305,6 @@ def test_exact_rule_barrier_profile(A):
     assert abs(sol.f.values[0] - f0) <= 5e-16 * f0
 
 
-@pytest.mark.parametrize("amplitude", [4.0, 40.0])
-@pytest.mark.parametrize("inner_closed", [True, False])
-def test_exact_rule_two_step_barrier(amplitude, inner_closed):
-    """Both definitions of the jump at the breakpoint meet the transfer-matrix closed form."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        u, du = mpmath.mpf(0), mpmath.mpf(1)
-        for c in (3 * mpmath.mpf(amplitude) / 2, mpmath.mpf(amplitude) / 2):
-            k, s = mpmath.sqrt(c), mpmath.mpf(0.5)
-            u, du = (u * mpmath.cosh(k * s) + du * mpmath.sinh(k * s) / k,
-                     u * k * mpmath.sinh(k * s) + du * mpmath.cosh(k * s))
-        ref = float(1 - u / du)
-    sol = zero_energy_solve(_two_step(amplitude, inner_closed))
-    assert abs(sol.a - ref) <= 1e-15
-
-
-def test_exact_rule_many_segments_keeps_its_scale():
-    """Thirty alternating steps grow the solution by about e^8250.
-
-    The closed form divides out e^(kL) on the steep steps and the carried
-    state is rescaled after each step, so nothing overflows, and every
-    node still sits at the final scale.
-    """
-    import mpmath
-
-    edges = [i / 30.0 for i in range(1, 31)]
-
-    def fn(r):
-        piece = np.searchsorted(edges, np.asarray(r, dtype=float))  # r <= edges[piece]
-        return np.where(piece % 2 == 0, 1.0, 100.0)
-
-    spec = InteractionSpec(fn=fn, range_=1.0, amplitude=4.5e6, breakpoints=tuple(edges[:-1]))
-    sol = zero_energy_solve(spec)
-    with mpmath.workdps(60):
-        starts, states = [mpmath.mpf(0)], [(mpmath.mpf(0), mpmath.mpf(1))]
-        for i, end in enumerate(edges):
-            k = mpmath.sqrt(mpmath.mpf(4.5e6) * (1 if i % 2 == 0 else 100) / 2)
-            u, du = states[-1]
-            s = mpmath.mpf(end) - starts[-1]
-            states.append((u * mpmath.cosh(k * s) + du * mpmath.sinh(k * s) / k,
-                           u * k * mpmath.sinh(k * s) + du * mpmath.cosh(k * s)))
-            starts.append(mpmath.mpf(end))
-        uR, duR = states[-1]
-        assert abs(sol.a - float(1 - uR / duR)) <= 1e-15
-        # the profile at the last node of every segment, where u is not tiny
-        for end, (u, _) in zip(edges, states[1:]):
-            i = int(np.argmin(np.abs(sol.r_nodes - end)))
-            want = u / duR
-            if want > 1e-300:
-                assert abs(sol.u_values[i] - float(want)) <= 1e-12 * float(want)
-
-
 def test_constant_segments_take_no_rk4_steps(monkeypatch):
     steps = []
     rk4_steps = scattering._rk4_steps
@@ -397,36 +320,25 @@ def test_constant_segments_take_no_rk4_steps(monkeypatch):
         square_barrier(2e12),
         scaled_interaction(barrier, 200.0),
         dilated_interaction(barrier, 1000.0 ** 0.8, 1000.0 ** 0.4),
-        _two_step(4.0),
     ):
         zero_energy_solve(spec)
-        assert sum(steps) == 0, spec.label
+        assert sum(steps) == 0, (spec.range_, spec.amplitude)
     # the counter sees the step loop: a varying coefficient runs it twice
     zero_energy_solve(_ramp(2.0))
     assert sum(steps) == 2000 + 4000
 
 
-def _bump(amplitude, jump=False):
-    """amplitude * (1 - r^2)^2 on r <= 1: smooth, so RK4 keeps fourth order.
-
-    With ``jump`` the inner half r <= 0.5 is doubled, a declared jump.
-    """
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        smooth = (1.0 - r**2) ** 2
-        return np.where(r <= 0.5, 2.0 * smooth, smooth) if jump else smooth
-
-    return InteractionSpec(fn=fn, range_=1.0, amplitude=amplitude, breakpoints=(0.5,) if jump else ())
+def _bump(amplitude):
+    """amplitude * (1 - r^2)^2 on r <= 1: smooth, so RK4 keeps fourth order."""
+    return InteractionSpec(fn=lambda r: (1.0 - np.asarray(r, dtype=float) ** 2) ** 2, range_=1.0, amplitude=amplitude)
 
 
-@pytest.mark.parametrize("jump", [False, True])
 @pytest.mark.parametrize("A", [2e3, 2e5])
-def test_rk4_error_and_its_estimate_on_a_smooth_interaction(A, jump):
-    spec = _bump(A, jump)
-    segments = [0.5, 1.0] if jump else [1.0]
+def test_rk4_error_and_its_estimate_on_a_smooth_interaction(A):
+    spec = _bump(A)
 
     def length(steps_per_unit):
-        _, us, dus = scattering._rk4_outward(spec, 0.0, 0.0, 1.0, segments, steps_per_unit)
+        _, us, dus = scattering._rk4_outward(spec, 1.0, steps_per_unit)
         return 1.0 - us[-1] / dus[-1]
 
     sol = zero_energy_solve(spec)  # runs at 2000 and 4000 steps per unit

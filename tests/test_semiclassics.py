@@ -8,10 +8,10 @@ from dilutefermi.semiclassics import (
     h2_probe,
     lambda_for_filling,
     phase_space_counts,
-    vlasov_energy,
     write_counts_csv,
 )
 from dilutefermi.thomas_fermi import NormalizationError, tf_solve
+from vlasov import vlasov_energy
 
 
 def test_harmonic_counts_closed_form():
@@ -87,7 +87,7 @@ def test_h2_probe_smooth_trap():
 def test_h2_probe_flags_plateau():
     # V = 2.728 + (r - 1.2)^3 has V(0) = 1 and a flat point V' = 0 at r = 1.2,
     # so n_cl(Lambda) bends sharply where Lambda crosses V(1.2) = 2.728
-    flat = Potential(radial=True, growth=3.0, radial_fn=lambda r: 2.728 + (r - 1.2) ** 3)
+    flat = Potential(growth=3.0, radial_fn=lambda r: 2.728 + (r - 1.2) ** 3)
     grid = np.linspace(2.228, 3.228, 11)
     assert h2_probe(flat, grid).flagged
     # the same grid on a smooth trap is not flagged

@@ -500,7 +500,6 @@ def _dense_husimi_reference(catalog, fill, p_F=1.0):
         "lowfreq_identity_residual": abs(
             float(np.sum(m * (p**2 * lf_weight)[None, :])) * norm - lowfreq_spec
         ),
-        "lowfreq_reference": lowfreq_spec,
         "m_min": float(np.min(m)),
         "m_max": float(np.max(m)),
         "grad_window_sq": 0.5,

@@ -23,6 +23,7 @@ from dilutefermi.thomas_fermi import (
     write_density_csv,
     _cubic_root,
 )
+from vlasov import vlasov_energy
 
 LAMBDA = 24.0 ** (1.0 / 3.0)
 E_EXACT = 0.75 * LAMBDA
@@ -120,7 +121,7 @@ def test_bathtub_occupations_stay_above_minimum(bare_solution):
 
     def normalized(mfun):
         raw = np.asarray(mfun(r[:, None], p[None, :]), dtype=float)
-        _, mass = scl.vlasov_energy(v, raw, r, p)
+        _, mass = vlasov_energy(v, raw, r, p)
         return np.minimum(raw / mass, 2.0)
 
     lam = bare_solution.lambda_TF
@@ -130,7 +131,7 @@ def test_bathtub_occupations_stay_above_minimum(bare_solution):
         normalized(lambda rr, pp: 1.5 * np.exp(-(rr**2 + pp**2) / 2.5)),
     ]
     for m in trials:
-        energy, mass = scl.vlasov_energy(v, m, r, p)
+        energy, mass = vlasov_energy(v, m, r, p)
         assert abs(mass - 1.0) < 1e-3
         assert energy >= bare_solution.E_TF - 2e-3
 
@@ -284,40 +285,6 @@ def test_cutoff_gap_scan_solutions_equal_single_solves():
         assert gap == sol.E_TF - sol.E_TF_pF
 
 
-def test_nonradial_grid_path_anisotropic_quadratic(monkeypatch):
-    # V = x^2 + 2 y^2 + 3 z^2: mass(lam) = lam^3 / (24 sqrt(6))
-    def eval3d(x):
-        return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
-
-    v = Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
-    calls = _count_level_integrals(monkeypatch)
-    sol = tf_solve(v)
-    assert 0 < len(calls) <= _LEVEL_SOLVE_BUDGET
-    exact = (24.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
-    assert abs(sol.lambda_TF - exact) / exact < 2e-3
-    assert abs(sol.mass - 1.0) < 1e-9
-
-
-def _anisotropic_trap():
-    def eval3d(x):
-        return x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2 + 3.0 * x[..., 2] ** 2
-
-    return Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
-
-
-def test_nonradial_level_rule_anisotropic_closed_forms():
-    # the sublevel sets of x^2 + 2 y^2 + 3 z^2 are those of r^2 scaled by 1/sqrt(6)
-    v = _anisotropic_trap()
-    sol = tf_solve(v)
-    exact = (24.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
-    assert abs(sol.lambda_TF - exact) / exact < 1e-12
-    assert abs(sol.E_TF - 0.75 * exact) / exact < 1e-12
-    assert sol.rho is None and sol.rho_fn is None
-    level = scl.lambda_for_filling(v, 1.0)
-    exact_level = (48.0 * math.sqrt(6.0)) ** (1.0 / 3.0)
-    assert abs(level - exact_level) / exact_level < 1e-12
-
-
 @pytest.mark.parametrize("offset", [0.0, 1.0])
 def test_harmonic_closed_forms_at_rounding_level(offset):
     sol = tf_solve(harmonic_trap(offset))
@@ -387,7 +354,7 @@ def test_level_rule_past_its_cap_raises_refinement_error(monkeypatch):
         r = np.asarray(r, dtype=float)
         return 1.0 + r * r + np.where(r > 0.5, 1.0, 0.0)
 
-    step = Potential(radial=True, growth=2.0, radial_fn=fn)
+    step = Potential(growth=2.0, radial_fn=fn)
     orders = _recorded_rule_orders(monkeypatch)
     with pytest.raises(RefinementError) as exc:
         scl.phase_space_counts(step, 4.0)
@@ -396,22 +363,16 @@ def test_level_rule_past_its_cap_raises_refinement_error(monkeypatch):
 
 
 def test_non_star_shaped_trap_is_refused():
-    # a bump at (0.5, 0, 0) cuts a hole out of {V <= 3}, seen from the origin
-    def eval3d(x):
-        bump = np.exp(-50.0 * ((x[..., 0] - 0.5) ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2))
-        return np.sum(x * x, axis=-1) + 10.0 * bump
+    # a bump on the shell r = 0.5 cuts a hole out of {V <= 3}, seen from the origin
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        return r * r + 10.0 * np.exp(-50.0 * (r - 0.5) ** 2)
 
-    v = Potential(radial=False, growth=2.0, radial_fn=None, eval_3d=eval3d)
+    v = Potential(growth=2.0, radial_fn=fn)
     with pytest.raises(DomainError, match="nondecreasing along every ray"):
         scl.phase_space_counts(v, 3.0)
     with pytest.raises(DomainError):
         tf_solve(v)
-
-
-@pytest.mark.parametrize("g", [0.0, 0.5])
-def test_two_spin_refuses_non_radial_traps(g):
-    with pytest.raises(NotImplementedError, match="radial traps"):
-        two_spin_minimize(_anisotropic_trap(), g)
 
 
 def test_density_csv_columns(tmp_path, bare_solution):
@@ -448,7 +409,7 @@ def test_level_solves_take_few_level_integrals(monkeypatch):
     # overshoots below the root, which the closed-form tests catch)
     calls = _count_level_integrals(monkeypatch)
     traps = [harmonic_trap(0.0), harmonic_trap(1.0), power_trap(3.0), power_trap(4.0), power_trap(6.0)]
-    solves = [functools.partial(tf_solve, v) for v in traps + [_anisotropic_trap()]]
+    solves = [functools.partial(tf_solve, v) for v in traps]
     solves += [functools.partial(two_spin_minimize, harmonic_trap(0.0), g) for g in (0.2, 0.1, 0.05, 0.025)]
     solves += [functools.partial(scl.lambda_for_filling, harmonic_trap(1.0), t) for t in (0.5, 1.0, 2.0)]
     counts = []
