@@ -28,7 +28,8 @@ class Potential:
     """Radial trap potential.
 
     ``radial_fn`` maps radii (ndarray-ready) to energies and must be
-    nondecreasing in the radius.
+    nondecreasing in the radius; ``asymptotics.box_estimate`` relies on
+    this to take a box's sup at its farthest corner.
     """
 
     growth: float

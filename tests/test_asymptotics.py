@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from dilutefermi.asymptotics import (
     write_budget_csv,
     write_prediction_csv,
 )
-from dilutefermi.potentials import harmonic_trap
+from dilutefermi.potentials import harmonic_trap, power_trap
 from dilutefermi.scattering import square_barrier
 from dilutefermi.thomas_fermi import C_TF, tf_solve, two_spin_minimize
 
@@ -150,7 +152,8 @@ def test_box_estimate_headline(bare):
 
 
 def _box_cells_brute_force(v, ctx, l, tf):
-    """Every near cell integrated on its own, as box_estimate did before the fold."""
+    """Every near cell of the dense lattice integrated on its own, and the trap
+    evaluated at all eight corners and the center of every box."""
     R = tf.support_radius
     pitch = l + ctx.gap
     n_side = int(math.ceil(2.0 * R / pitch))
@@ -158,7 +161,16 @@ def _box_cells_brute_force(v, ctx, l, tf):
     cx, cy, cz = np.meshgrid(ax, ax, ax, indexing="ij")
     centers = np.stack([cx, cy, cz], axis=-1).reshape(-1, 3)
     centers = centers[np.sqrt(np.sum(centers**2, axis=-1)) <= R + pitch]
-    masses = asymptotics._cell_masses(tf.rho_fn, centers, pitch)
+    # tensor 5-point Gauss on the (cells, 125, 3) node coordinates, in the
+    # 8192-row chunks of _cell_masses, whose gemv rounds by row count
+    offs = 0.5 * pitch * asymptotics._GL5_X
+    wts = 0.5 * pitch * asymptotics._GL5_W
+    nodes = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1).reshape(-1, 3)
+    ww = (wts[:, None, None] * wts[None, :, None] * wts[None, None, :]).ravel()
+    masses = np.empty(len(centers))
+    for i in range(0, len(centers), 8192):
+        radii = np.sqrt(np.sum((centers[i : i + 8192, None, :] + nodes) ** 2, axis=-1))
+        masses[i : i + 8192] = tf.rho_fn(radii.ravel()).reshape(radii.shape) @ ww
     M = np.ceil(ctx.N / 2.0 * masses).astype(np.int64)
     Mf = M.astype(float)
     L = float(ctx.N) ** ctx.beta * l
@@ -181,8 +193,7 @@ def _orbit_keys(centers, pitch):
     return [tuple(k) for k in np.rint(np.sort(np.abs(centers), axis=1) * 2.0 / pitch).astype(int)]
 
 
-def test_box_orbit_fold_matches_brute_force(bare, monkeypatch):
-    v = harmonic_trap(0.0)
+def test_box_orbit_fold_matches_brute_force(monkeypatch):
     ctx = make_context(10**6, 0.40, square_barrier(2.0))
     l0 = beta_l_window(0.40, 10**6).chosen_l
     folded_calls = []
@@ -194,32 +205,53 @@ def test_box_orbit_fold_matches_brute_force(bare, monkeypatch):
         return out
 
     monkeypatch.setattr(asymptotics, "_cell_masses", recording)
-    parities = set()
-    for f in (1, 2, 4):
-        n_side, pitch, centers, masses, M, kin, pot = _box_cells_brute_force(v, ctx, l0 / f, bare)
-        folded_calls.clear()
-        est = box_estimate(v, ctx, l0 / f, bare)
-        parities.add(n_side % 2)
-        assert np.array_equal(est.centers, centers)
-        assert np.array_equal(est.masses, M)
-        assert np.array_equal(est.kin_per_box, kin)
-        assert np.array_equal(est.pot_per_box, pot)
-        assert est.prediction_total == predict_energy(v, ctx, bare).total
-        # one integration per orbit, within 1e-14 of every cell it stands for,
-        # relative to the largest mass: the brute-force masses of mirror cells
-        # differ among themselves by up to 1e-12 relative in thin edge cells
-        (rep_centers, rep_masses), = folded_calls
-        keys = _orbit_keys(centers, pitch)
-        rep_mass = dict(zip(_orbit_keys(rep_centers, pitch), rep_masses))
-        assert len(rep_mass) == len(rep_masses) == len(set(keys))
-        folded = np.array([rep_mass[k] for k in keys])
-        assert np.max(np.abs(folded - masses) / masses.max()) <= 1e-14
-        # M_i is constant on every orbit
-        by_orbit = {}
-        for k, m in zip(keys, est.masses):
-            by_orbit.setdefault(k, set()).add(int(m))
-        assert all(len(ms) == 1 for ms in by_orbit.values())
-    assert parities == {0, 1}
+    # box_estimate evaluates V once, at each box's farthest corner, where the
+    # oracle takes the largest of nine evaluations; the two agree only while V
+    # is nondecreasing in the radius as computed, r**s of the power traps too
+    for v in (harmonic_trap(0.0), harmonic_trap(1.0), power_trap(3), power_trap(4)):
+        tf = tf_solve(v)
+        parities = set()
+        for f in (1, 2, 3):
+            n_side, pitch, centers, masses, M, kin, pot = _box_cells_brute_force(v, ctx, l0 / f, tf)
+            assert np.array_equal(cell_masses(tf.rho_fn, centers, pitch), masses)
+            folded_calls.clear()
+            est = box_estimate(v, ctx, l0 / f, tf)
+            parities.add(n_side % 2)
+            assert np.array_equal(est.centers, centers)
+            assert np.array_equal(est.masses, M)
+            assert np.array_equal(est.kin_per_box, kin)
+            assert np.array_equal(est.pot_per_box, pot)
+            assert est.prediction_total == predict_energy(v, ctx, tf).total
+            # one integration per orbit, within 1e-14 of every cell it stands for,
+            # relative to the largest mass: the brute-force masses of mirror cells
+            # differ among themselves by up to 1e-12 relative in thin edge cells
+            (rep_centers, rep_masses), = folded_calls
+            keys = _orbit_keys(centers, pitch)
+            rep_mass = dict(zip(_orbit_keys(rep_centers, pitch), rep_masses))
+            assert len(rep_mass) == len(rep_masses) == len(set(keys))
+            folded = np.array([rep_mass[k] for k in keys])
+            assert np.max(np.abs(folded - masses) / masses.max()) <= 1e-14
+            # M_i is constant on every orbit
+            by_orbit = {}
+            for k, m in zip(keys, est.masses):
+                by_orbit.setdefault(k, set()).add(int(m))
+            assert all(len(ms) == 1 for ms in by_orbit.values())
+        assert parities == {0, 1}
+
+
+def test_box_estimate_memory_budget(bare):
+    # NumPy reports its data buffers to tracemalloc, so the peak repeats to a
+    # few kB; a dense coordinate lattice with (cells, 9, 3) corner arrays
+    # peaks at 59.6 MiB on this 55^3 lattice
+    ctx = make_context(10**6, 0.40, square_barrier(2.0))
+    l0 = beta_l_window(0.40, 10**6).chosen_l
+    tracemalloc.start()
+    try:
+        box_estimate(harmonic_trap(0.0), ctx, l0 / 4, bare)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20, peak
 
 
 def test_box_gap_ratio_small_at_large_N(bare):
@@ -235,10 +267,12 @@ def test_box_degenerate_tiling_error(bare):
 
 
 def test_box_lattice_past_the_cell_cap_is_refused(bare, monkeypatch):
-    # 257^3 cells is just past 2^24 = 256^3; building any lattice fails at
-    # once, so a missing cap costs no memory
+    # 257^3 cells is just past 2^24 = 256^3; the lattice axis, the first
+    # array built after the cap check, fails at once, so a missing cap costs
+    # no memory
     ctx = make_context(10**6, 0.40, square_barrier(2.0))
-    monkeypatch.setattr(asymptotics.np, "meshgrid", lambda *args, **kwargs: pytest.fail("lattice built"))
+    no_axis = {**vars(np), "arange": lambda *args, **kwargs: pytest.fail("lattice built")}
+    monkeypatch.setattr(asymptotics, "np", SimpleNamespace(**no_axis))
     l = 2.0 * bare.support_radius / 256.5 - ctx.gap
     with pytest.raises(DegenerateTilingError, match=r"257\^3 lattice"):
         box_estimate(harmonic_trap(0.0), ctx, l, bare)

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,8 +242,10 @@ def test_husimi_grid_shortfall_is_numerical_failure(tmp_path, capsys, husimi, er
 
 def test_box_lattice_past_the_cell_cap_is_numerical_failure(tmp_path, capsys, monkeypatch):
     # l = 0.00926 tiles the support diameter with 257^3 cells, just past 2^24;
-    # building any lattice fails at once, so a missing cap costs no memory
-    monkeypatch.setattr(asymptotics.np, "meshgrid", lambda *args, **kwargs: pytest.fail("lattice built"))
+    # the lattice axis, the first array built after the cap check, fails at
+    # once, so a missing cap costs no memory
+    no_axis = {**vars(np), "arange": lambda *args, **kwargs: pytest.fail("lattice built")}
+    monkeypatch.setattr(asymptotics, "np", SimpleNamespace(**no_axis))
     cfg = write_config(tmp_path, {
         "potential": {"kind": "harmonic_plus_one"},
         "interaction": {"kind": "square_barrier", "height": 2.0, "radius": 1.0},
