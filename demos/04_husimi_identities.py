@@ -1,16 +1,16 @@
-# Coherent-state (Husimi) identities on a one-dimensional catalog.  The
+# Coherent-state (Husimi) identities on a one-dimensional sinc-DVR catalog.  The
 # resolution of identity and the kinetic convolution identity hold to
 # quadrature precision; the potential smearing shrinks with the spatial
 # width; the occupation function respects the exclusion bound 0 <= m <= 1.
 
 import math
 
-from dilutefermi.spectra import coherent_identity_check_1d, fd_catalog_1d, free_ground_state_density_fn
+from dilutefermi.spectra import coherent_identity_check_1d, dvr_catalog_1d, free_ground_state_density_fn
 
 print("harmonic 1d catalog, 10 filled levels, default split sqrt(hx) = hp = h^(2/3)")
 print("  hbar    resolution    kinetic        potential    lowfreq      m_max")
 for hbar in (0.05, 0.025):
-    cat = fd_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
     rep = coherent_identity_check_1d(cat, 10)
     print(
         f"  {hbar:<6} {rep.resolution_residual:.2e}   "

@@ -381,13 +381,13 @@ def criterion_14():
 
 def criterion_15():
     def run():
-        reports = []
-        for hb in (0.05, 0.025):
-            cat = sp.fd_catalog_1d(lambda x: x * x, hb, 4.0, 1001, 21.0 * hb + 0.01)
-            reports.append(sp.coherent_identity_check_1d(cat, 10))
-        return reports
+        catalogs = [
+            sp.dvr_catalog_1d(lambda x: x * x, hb, 4.0, 1001, 21.0 * hb + 0.01)
+            for hb in (0.05, 0.025)
+        ]
+        return catalogs, [sp.coherent_identity_check_1d(cat, 10) for cat in catalogs]
 
-    (rep, rep_half), dt = _timed(run)
+    (cats, (rep, rep_half)), dt = _timed(run)
     res_ok = rep.resolution_residual <= 1e-6
     kin_ok = rep.kinetic_identity_residual <= 1e-6 * rep.kinetic_reference
     factor = rep.potential_identity_residual / rep_half.potential_identity_residual
@@ -414,6 +414,10 @@ def criterion_15():
             "potential_closed_form_distances": distances,
             "m_min": rep.m_min,
             "m_max": rep.m_max,
+            "solve_nodes": [c.solve_nodes for c in cats],
+            "momentum_margins": [c.momentum_margin for c in cats],
+            "boundary_masses": [c.boundary_mass for c in cats],
+            "convergence_estimates": [c.convergence_estimate for c in cats],
         },
         dt,
     )

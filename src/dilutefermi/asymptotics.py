@@ -284,15 +284,21 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
     # only cells that can intersect the support ball contribute
     near = np.sqrt((a2[:, None, None] + a2[None, :, None]) + a2[None, None, :]) <= R + pitch
     idx = np.argwhere(near)
+    del near
     centers = ax[idx]
 
     # The lattice and rho_TF are invariant under the cube's 48 symmetries,
     # so fold each cell's indices to the wedge 0 <= i <= j <= k <= (n-1)/2
     # and integrate once per orbit: mirror cells share one mass exactly.
+    # Each per-cell temporary is released once used: at l0/8 they would
+    # otherwise hold most of the estimator's memory until it returns.
     folded = np.sort(np.minimum(idx, n_side - 1 - idx), axis=1)
+    del idx
     key = (folded[:, 0] * n_side + folded[:, 1]) * n_side + folded[:, 2]
-    _, first, cell_orbit = np.unique(key, return_index=True, return_inverse=True)
+    first, cell_orbit = np.unique(key, return_index=True, return_inverse=True)[1:]
+    del key
     masses = _cell_masses(tf.rho_fn, ax[folded[first]], pitch)[cell_orbit]
+    del folded, first, cell_orbit
     M = np.ceil(ctx.N / 2.0 * masses).astype(np.int64)
 
     L = float(ctx.N) ** ctx.beta * l
@@ -301,12 +307,15 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
     terms = _box_terms(Mf, L, ctx.a_w)
     kin_per_box = n_power * terms
     kin_int = n_power * float(np.sum(terms))
+    del terms
 
     # IEEE sums and sqrt are monotone, so this is the largest corner radius
     half_l = 0.5 * l
     far = np.maximum((centers - half_l) ** 2, (centers + half_l) ** 2)
     sup_v = v.radial_fn(np.sqrt((far[:, 0] + far[:, 1]) + far[:, 2]))
+    del far
     pot_per_box = 2.0 * Mf * sup_v
+    del Mf, sup_v
     pot = float(np.sum(pot_per_box))
 
     pred = predict_energy(v, ctx, tf)

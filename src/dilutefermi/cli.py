@@ -434,7 +434,7 @@ def cmd_husimi(config, outdir):
     spec = config["husimi"]
     hbar, fill = float(spec["hbar"]), int(spec["fill"])
     lam_max = float(spec.get("lambda_max", hbar * (2 * fill + 1) + 0.01))
-    cat = sp.fd_catalog_1d(
+    cat = sp.dvr_catalog_1d(
         lambda x: x * x, hbar, float(spec["halfwidth"]), int(spec["points"]), lam_max
     )
     rep = sp.coherent_identity_check_1d(cat, fill)
@@ -444,6 +444,10 @@ def cmd_husimi(config, outdir):
         _header("husimi", config, [
             "resolution: int m dx dp / (2 pi hbar) = tr(gamma)",
             "kinetic: int p^2 m = tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2",
+            "catalog: sinc-DVR on solve_nodes, level count re-checked on ceil(1.25 solve_nodes)",
+            f"solve_nodes={cat.solve_nodes} momentum_margin={cat.momentum_margin!r}",
+            f"boundary_mass={cat.boundary_mass!r}",
+            f"convergence_estimate={cat.convergence_estimate!r}",
         ]),
         ("hbar", "hbar_x", "hbar_p", "fill", "resolution_residual", "kinetic_residual",
          "potential_residual", "lowfreq_residual", "m_min", "m_max"),

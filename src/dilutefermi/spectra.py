@@ -1,9 +1,10 @@
 """Quantum side of the semiclassical comparison.
 
-Eigenvalue catalogs come from two oracles: the analytic 3d isotropic
-harmonic spectrum and a one-dimensional symmetric finite-difference
-discretization (dense 3d eigensolvers exceed desk scale, and the
-phase-space identities are dimension-agnostic).  On top of the catalogs
+Eigenvalue catalogs come from three oracles: the analytic 3d isotropic
+harmonic spectrum, and two one-dimensional discretizations, symmetric
+finite differences and the Colbert-Miller sinc-DVR (dense 3d
+eigensolvers exceed desk scale, and the phase-space identities are
+dimension-agnostic).  On top of the catalogs
 sit spectral counting, Weyl-error exponent scans, the radial density of
 the filled free ground state, and coherent-state (Husimi) identity
 checks.
@@ -18,9 +19,10 @@ The one-dimensional analog of the bulk scaling hbar = N^(-1/3) is
 hbar = N^(-1), so the number of bound states below a fixed level again
 grows like N.
 
-SciPy is needed only by the finite-difference catalogs (``husimi``, the
-``fd_1d`` Weyl scans, ``verify-all``); ``scipy.linalg`` is imported at
-the first eigensolve, so every other command runs without loading it.
+SciPy is needed only by ``fd_catalog_1d``, that is by the ``fd_1d`` Weyl
+scans; ``scipy.linalg`` is imported at its first eigensolve.  The
+sinc-DVR catalog of ``husimi`` and ``verify-all`` uses NumPy alone, so no
+command loads SciPy.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "ResolutionError",
     "harmonic_catalog",
     "fd_catalog_1d",
+    "dvr_catalog_1d",
     "spectral_counts",
     "weyl_error_scan",
     "free_ground_state_density",
@@ -79,9 +82,10 @@ class ResolutionError(RuntimeError):
 class SpectralCatalog:
     """Sorted eigenvalue list with degeneracies, complete below lambda_max.
 
-    Finite-difference catalogs also carry their grid, the potential and,
-    when kept, the eigenvectors, and report whether a Sturm count
-    certifies the completeness.
+    One-dimensional catalogs also carry their grid, the potential and,
+    when kept, the eigenvectors sampled on the grid, and report whether a
+    count certifies the completeness: a Sturm count for finite
+    differences, agreement with a finer re-solve for the sinc-DVR.
     """
 
     hbar: float
@@ -92,6 +96,13 @@ class SpectralCatalog:
     vectors: np.ndarray = field(repr=False, default=None)  # columns, unit h-weighted norm
     potential_1d: object = field(repr=False, default=None)
     sturm_certified: bool = None
+    # sinc-DVR catalogs only: solve-grid nodes n_c, the momentum margin
+    # pi hbar / h_c over sqrt(lambda_max - min v), the largest end mass
+    # c_0^2 + c_{n-1}^2 and the largest level change against the re-solve
+    solve_nodes: int = None
+    momentum_margin: float = None
+    boundary_mass: float = None
+    convergence_estimate: float = None
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -105,8 +116,9 @@ class SpectralCatalog:
 
 
 MIN_FD_POINTS = 200
-# grid points of a configured finite-difference catalog: its eigenvector
-# matrix holds up to points^2 doubles, 128 MB at this cap
+# grid points of a configured one-dimensional catalog: a finite-difference
+# eigenvector matrix holds up to points^2 doubles, 128 MB at this cap, and
+# the sinc-DVR interpolation builds a few points x 1638 arrays, 52 MB each
 MAX_FD_POINTS = 4001
 # nodes of a configured free-state density: its Hermite table holds
 # (shells + 1) x nodes doubles, 105 MB at this cap and the 200-shell depth
@@ -220,6 +232,23 @@ def _wall_bounds(diag, off, w):
     return bounds
 
 
+def _allowed_region_samples(v, halfwidth, lambda_max):
+    """v on 8191 points of [-halfwidth, halfwidth], where the classically
+    allowed region {v <= lambda_max} must fit with a 20% margin on both
+    sides (a DomainTooSmallError otherwise)."""
+    xs = np.linspace(0.0, halfwidth, 4096)
+    xs = np.concatenate((-xs[:0:-1], xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx = np.asarray(v(xs), dtype=float)
+    turning = float(np.max(np.abs(xs[vx <= lambda_max]), initial=0.0))
+    if turning * 1.2 > halfwidth:
+        raise DomainTooSmallError(
+            f"classically allowed region |x| <= {turning:.3g} needs a 20% margin "
+            f"inside halfwidth {halfwidth}"
+        )
+    return vx
+
+
 def fd_catalog_1d(
     v, hbar, halfwidth, points, lambda_max, keep_vectors=True
 ) -> SpectralCatalog:
@@ -242,17 +271,7 @@ def fd_catalog_1d(
     """
     if points < MIN_FD_POINTS:
         raise ValueError(f"need at least {MIN_FD_POINTS} grid points")
-    # classically allowed region must fit with >= 20% margin on both sides
-    xs = np.linspace(0.0, halfwidth, 4096)
-    xs = np.concatenate((-xs[:0:-1], xs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vx = np.asarray(v(xs), dtype=float)
-    turning = float(np.max(np.abs(xs[vx <= lambda_max]), initial=0.0))
-    if turning * 1.2 > halfwidth:
-        raise DomainTooSmallError(
-            f"classically allowed region |x| <= {turning:.3g} needs a 20% margin "
-            f"inside halfwidth {halfwidth}"
-        )
+    _allowed_region_samples(v, halfwidth, lambda_max)
 
     x = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
     h = x[1] - x[0]
@@ -299,6 +318,120 @@ def fd_catalog_1d(
         vectors=vecs / math.sqrt(h) if keep_vectors else None,
         potential_1d=v,
         sturm_certified=bool(sturm_ok),
+    )
+
+
+# The sinc-DVR solve grid carries momenta up to pi hbar / h_c; that must be
+# at least this multiple of sqrt(lambda_max - min v), the largest classical
+# momentum below lambda_max.
+_DVR_MARGIN = 2.5
+# nodes of a sinc-DVR re-solve, the larger of its two dense solves: its
+# matrix and the eigensolver's copy hold 2 nodes^2 doubles, 67 MB at this cap
+MAX_DVR_NODES = 2048
+
+
+def _dvr_hamiltonian(v, hbar, halfwidth, n):
+    """Nodes, spacing and the Colbert-Miller sinc-DVR matrix of -hbar^2 d^2/dx^2 + v.
+
+    The n nodes x_i = -halfwidth + i h, i = 1..n, split (-halfwidth,
+    halfwidth) into n + 1 steps h.  The kinetic matrix is hbar^2 / h^2
+    times pi^2 / 3 on the diagonal and 2 (-1)^(i-j) / (i-j)^2 off it.
+    """
+    h = 2.0 * halfwidth / (n + 1)
+    x = -halfwidth + h * np.arange(1, n + 1)
+    k = np.arange(1, n, dtype=float)
+    band = np.concatenate(([math.pi**2 / 3.0], np.where(k % 2.0, -2.0, 2.0) / (k * k)))
+    # row i of the Toeplitz matrix is the window of band[n-1..1], band[0..n-1]
+    # that starts at n - 1 - i, so no n x n index table is built
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((band[:0:-1], band)), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = windows[::-1] * ((hbar / h) * (hbar / h))
+        H[np.diag_indices(n)] += np.asarray(v(x), dtype=float)
+    if not np.all(np.isfinite(H)):
+        raise ResolutionError(
+            f"the operator is not finite on the {n}-node grid of halfwidth {halfwidth}"
+        )
+    return x, h, H
+
+
+def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
+    """Eigenpairs of -hbar^2 d^2/dx^2 + v on (-halfwidth, halfwidth) by the
+    Colbert-Miller sinc-DVR (J. Chem. Phys. 96, 1982 (1992)), in NumPy alone.
+
+    The solve grid is the coarsest open grid of n_c nodes (``_dvr_hamiltonian``)
+    whose largest momentum pi hbar / h_c is ``_DVR_MARGIN`` times
+    sqrt(lambda_max - min v).  It does not depend on ``points``: the
+    eigenfunctions psi(x) = sum_i c_i sinc((x - x_i) / h_c) / sqrt(h_c),
+    which are band-limited, are evaluated exactly on the grid of ``points``
+    interior points that ``fd_catalog_1d`` would use, and renormalized there
+    to h sum psi^2 = 1.
+
+    Certificates:
+
+    - count: a re-solve on ceil(1.25 n_c) nodes must find as many levels
+      at or below lambda_max, else ``ResolutionError``.  This is the
+      catalog's count certificate, so ``sturm_certified`` is True on
+      every catalog returned.  The largest change of a level between the
+      two solves is ``convergence_estimate``;
+    - boundary mass: the end coefficients c_0^2 + c_{n-1}^2 of each unit
+      eigenvector must stay at or below ``MAX_BOUNDARY_MASS``, else
+      ``DomainTooSmallError``;
+    - the classically allowed region must fit with a 20% margin inside
+      halfwidth, as for ``fd_catalog_1d``.
+
+    A lambda_max at or below min v raises ``TruncationError``.  A re-solve
+    grid past ``MAX_DVR_NODES``, or one that is not a finite number, raises
+    ``ResolutionError`` before anything of its size is allocated.
+    """
+    v_min = float(np.min(_allowed_region_samples(v, halfwidth, lambda_max)))
+    if not lambda_max > v_min:
+        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
+    # n_c + 1 >= 2 halfwidth / h_c with pi hbar / h_c = margin sqrt(lambda_max - min v)
+    steps = 2.0 * halfwidth * _DVR_MARGIN * math.sqrt(lambda_max - v_min) / (math.pi * hbar)
+    if not 1.25 * steps <= MAX_DVR_NODES:
+        raise ResolutionError(
+            f"hbar={hbar!r} and halfwidth={halfwidth!r} need a sinc-DVR grid of about "
+            f"{1.25 * steps:.3g} nodes, more than {MAX_DVR_NODES}"
+        )
+    n_c = max(math.ceil(steps) - 1, 1)
+    n_check = math.ceil(1.25 * n_c)
+
+    x, h, H = _dvr_hamiltonian(v, hbar, halfwidth, n_c)
+    w, c = np.linalg.eigh(H)
+    n = int(np.count_nonzero(w <= lambda_max))
+    if n == 0:
+        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
+    w, c = w[:n], c[:, :n]
+    if np.any(np.diff(w) <= 0):
+        raise ResolutionError(f"levels at hbar={hbar} coincide in floating point")
+    w_check = np.linalg.eigvalsh(_dvr_hamiltonian(v, hbar, halfwidth, n_check)[2])
+    if np.count_nonzero(w_check <= lambda_max) != n:
+        raise ResolutionError(
+            f"sinc-DVR grids of {n_c} and {n_check} nodes disagree on the number of "
+            f"levels below lambda_max={lambda_max!r}"
+        )
+    boundary_mass = float(np.max(c[0] ** 2 + c[-1] ** 2))
+    if boundary_mass > MAX_BOUNDARY_MASS:
+        raise DomainTooSmallError(
+            f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
+        )
+
+    grid = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
+    psi = np.sinc((grid[:, None] - x[None, :]) / h) @ c
+    psi /= np.sqrt((grid[1] - grid[0]) * np.sum(psi * psi, axis=0))
+    return SpectralCatalog(
+        hbar=float(hbar),
+        energies=w,
+        degeneracies=np.ones(n, dtype=int),
+        lambda_max=float(lambda_max),
+        grid=grid,
+        vectors=psi,
+        potential_1d=v,
+        sturm_certified=True,
+        solve_nodes=n_c,
+        momentum_margin=math.pi * hbar / h / math.sqrt(lambda_max - v_min),
+        boundary_mass=boundary_mass,
+        convergence_estimate=float(np.max(np.abs(w - w_check[:n]))),
     )
 
 
@@ -556,7 +689,7 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     level costs two real (n_xm x band) . (band x n_p) products.
     """
     if catalog.vectors is None or catalog.grid is None:
-        raise ValueError("catalog must carry grid and eigenvectors (a finite-difference catalog)")
+        raise ValueError("catalog must carry grid and eigenvectors (a one-dimensional catalog)")
     n_levels = catalog.vectors.shape[1]
     if fill < 1:
         raise ValueError("fill must be >= 1")

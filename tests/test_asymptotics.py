@@ -241,17 +241,19 @@ def test_box_orbit_fold_matches_brute_force(monkeypatch):
 
 def test_box_estimate_memory_budget(bare):
     # NumPy reports its data buffers to tracemalloc, so the peak repeats to a
-    # few kB; a dense coordinate lattice with (cells, 9, 3) corner arrays
-    # peaks at 59.6 MiB on this 55^3 lattice
+    # few kB.  At l0/4 (a 55^3 lattice) a dense coordinate lattice with
+    # (cells, 9, 3) corner arrays peaks at 59.6 MiB; at l0/8 (584,472 near
+    # cells) per-cell temporaries held until the return peak at 112.7 MiB
     ctx = make_context(10**6, 0.40, square_barrier(2.0))
     l0 = beta_l_window(0.40, 10**6).chosen_l
-    tracemalloc.start()
-    try:
-        box_estimate(harmonic_trap(0.0), ctx, l0 / 4, bare)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 30 * 2**20, peak
+    for divisor, budget_mib in ((4, 30), (8, 96)):
+        tracemalloc.start()
+        try:
+            box_estimate(harmonic_trap(0.0), ctx, l0 / divisor, bare)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget_mib * 2**20, (divisor, peak)
 
 
 def test_box_gap_ratio_small_at_large_N(bare):

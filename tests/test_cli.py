@@ -224,10 +224,13 @@ def test_bad_output_directory_without_out_flag(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "husimi, error",
     [
-        ({"halfwidth": 792}, "TruncationError"),  # one level below lambda_max, fill 10
-        ({"halfwidth": 5000, "points": 200}, "TruncationError"),  # none at all
-        ({"hbar": 1e-9}, "ResolutionError"),  # levels that coincide in floating point
-        ({"halfwidth": 1e300}, "ResolutionError"),  # x^2 overflows on the grid
+        # solve grids past spectra.MAX_DVR_NODES, refused before they are built
+        ({"halfwidth": 792}, "ResolutionError"),  # about 3.2e4 nodes
+        ({"halfwidth": 5000, "points": 200}, "ResolutionError"),  # about 2.0e5 nodes
+        ({"hbar": 1e-9}, "ResolutionError"),  # about 8.0e8 nodes
+        ({"halfwidth": 1e300}, "ResolutionError"),  # about 1e301 nodes, no int() overflow
+        # lambda_max ~ 2e301 puts the whole grid in the allowed region
+        ({"hbar": 1e300}, "DomainTooSmallError"),
     ],
 )
 def test_husimi_grid_shortfall_is_numerical_failure(tmp_path, capsys, husimi, error):
@@ -270,10 +273,10 @@ def test_steep_power_trap_prints_no_warning(tmp_path, capsys, command):
 
 
 def test_failed_eigenvector_solve_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    def failing(d, e, **kwargs):
-        raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(dilutefermi.spectra, "eigh_tridiagonal", failing)
+    monkeypatch.setattr(dilutefermi.spectra.np.linalg, "eigh", failing)
     assert run_cli(["husimi", "--out", str(tmp_path / "o")]) == 1
     assert "numerical failure: LinAlgError" in capsys.readouterr().err
 
@@ -613,18 +616,17 @@ def test_predict_command_solves_scattering_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-# runs every command in one fresh process and records which SciPy
-# modules were loaded before husimi, the first command to need one
+# runs every command, verify-all included, in one fresh process and records
+# the SciPy modules loaded after them
 _FRESH_RUN = """
 import json, sys
 from dilutefermi import cli
 out, extra = sys.argv[1], sys.argv[2:]
 codes = {}
-for command in ("tf", "scatter", "semiclass", "spectra", "predict", "boxes", "budget", "husimi"):
-    if command == "husimi":
-        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+for command in cli.COMMANDS:
     codes[command] = cli.main([command, "--out", out, *extra])
-print(json.dumps({"codes": codes, "scipy_before_husimi": scipy}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
@@ -646,7 +648,8 @@ def run_fresh_process(out, *extra):
 
 def test_commands_without_eigensolve_load_no_scipy(tmp_path):
     report = run_fresh_process(tmp_path / "out")
-    assert report["scipy_before_husimi"] == []
+    assert list(report["codes"]) == list(COMMANDS)
+    assert report["scipy"] == []
 
 
 def test_outputs_identical_across_processes(tmp_path):
@@ -659,7 +662,7 @@ def test_outputs_identical_across_processes(tmp_path):
             {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         )
     assert {p.rsplit(".", 1)[1] for p in digests[0]} == {"csv", "json"}
-    assert len(digests[0]) == 22
+    assert len(digests[0]) == 24
     assert digests[0] == digests[1]
     # the command table in the schema doc names each file with its exact column row
     doc = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()

@@ -17,6 +17,7 @@ from dilutefermi.spectra import (
     ResolutionError,
     TruncationError,
     coherent_identity_check_1d,
+    dvr_catalog_1d,
     fd_catalog_1d,
     free_ground_state_density,
     free_ground_state_density_fn,
@@ -156,6 +157,71 @@ def test_fd_without_vectors_is_exact():
         fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
 
 
+@pytest.mark.parametrize("hbar", [0.05, 0.025, 0.0125, 0.00625])
+def test_dvr_oscillator_levels_meet_the_closed_form(hbar):
+    # a 1001-point finite-difference grid misses these levels by 8.8e-4 at hbar = 0.05
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+    exact = hbar * (2.0 * np.arange(11) + 1.0)
+    assert cat.energies.size == 11
+    assert np.max(np.abs(cat.energies - exact) / exact) <= 1e-12
+    assert cat.sturm_certified and cat.convergence_estimate <= 1e-12
+    assert cat.momentum_margin >= spectra._DVR_MARGIN
+    assert cat.boundary_mass <= spectra.MAX_BOUNDARY_MASS
+    # the solve grid follows the momentum certificate, not the sampling points
+    assert cat.solve_nodes < cat.grid.size == 1001
+
+
+def test_dvr_vectors_are_orthonormal_oscillator_states():
+    cat = dvr_catalog_1d(lambda x: x * x, 0.025, 4.0, 1001, 21.0 * 0.025 + 0.01)
+    x, psi = cat.grid, cat.vectors
+    h = x[1] - x[0]
+    # 2.1e-15; unrenormalized on the sampling grid they read 3.1e-14
+    assert np.max(np.abs(h * psi.T @ psi - np.eye(11))) <= 1e-14
+    # sinc interpolation is exact for the band-limited DVR states, so each
+    # matches its Hermite function on the sampling grid up to its sign
+    exact = hermite_functions(10, x / math.sqrt(0.025)).T / 0.025**0.25
+    signs = np.sign(np.sum(psi * exact, axis=0))
+    assert np.max(np.abs(psi * signs - exact)) <= 1e-10
+
+
+def test_dvr_husimi_identities_meet_their_closed_forms():
+    for hbar in (0.05, 0.025):
+        cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+        rep = coherent_identity_check_1d(cat, 10)
+        assert rep.resolution_residual <= 1e-13
+        assert rep.kinetic_identity_residual <= 1e-13 * rep.kinetic_reference
+        closed = rep.fill * rep.hbar_x / 2.0
+        assert abs(rep.potential_identity_residual - closed) <= 1e-12 * closed
+        assert 0.0 <= rep.m_min and rep.m_max <= 1.0
+
+
+def test_dvr_domain_guards():
+    # the allowed region |x| <= 3.46 misses the 20% margin, as for finite differences
+    with pytest.raises(DomainTooSmallError, match="20% margin"):
+        dvr_catalog_1d(lambda x: x * x, 1.0, 3.5, 500, 12.0)
+    # the margin holds (turning point 1.87), but the levels leak past |x| = 2.3
+    with pytest.raises(DomainTooSmallError, match="boundary mass"):
+        dvr_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5)
+    with pytest.raises(TruncationError):
+        dvr_catalog_1d(lambda x: x * x + 1.0, 0.05, 4.0, 1001, 1.0)
+
+
+@pytest.mark.parametrize(
+    "hbar, halfwidth", [(1e-9, 4.0), (0.05, 792.0), (0.05, 1e300), (0.05, 1e308)]
+)
+def test_dvr_grid_past_the_cap_is_refused_before_it_is_built(monkeypatch, hbar, halfwidth):
+    monkeypatch.setattr(spectra, "_dvr_hamiltonian", lambda *a: pytest.fail("grid built"))
+    with pytest.raises(ResolutionError, match="sinc-DVR grid"):
+        dvr_catalog_1d(lambda x: x * x, hbar, halfwidth, 1001, 1.06)
+
+
+def test_dvr_count_certificate_catches_a_coarse_grid(monkeypatch):
+    # at a momentum margin of 1 the quartic catalog's two solves disagree
+    monkeypatch.setattr(spectra, "_DVR_MARGIN", 1.0)
+    with pytest.raises(ResolutionError, match="disagree"):
+        dvr_catalog_1d(lambda x: x**4, 0.05, 3.0, 1001, 2.0)
+
+
 def _fd_matrix(v, hbar, halfwidth, points, lambda_max):
     """The tridiagonal matrix and levels of fd_catalog_1d, with the clustered vectors."""
     from scipy.linalg import eigh_tridiagonal
@@ -255,7 +321,7 @@ def test_eigensolves_form_vectors_only_when_kept(eigensolves, tmp_path):
     assert vector_refs == []
     calls.clear()
     cmd_husimi(DEFAULT_CONFIG, str(tmp_path))
-    assert calls == [(1001, False)]
+    assert calls == []  # husimi solves on the sinc-DVR
     kept = fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0)
     gc.collect()
     assert kept.vectors is not None
