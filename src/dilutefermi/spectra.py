@@ -19,10 +19,12 @@ The one-dimensional analog of the bulk scaling hbar = N^(-1/3) is
 hbar = N^(-1), so the number of bound states below a fixed level again
 grows like N.
 
-SciPy is needed only by ``fd_catalog_1d``, that is by the ``fd_1d`` Weyl
-scans; ``scipy.linalg`` is imported at its first eigensolve.  The
-sinc-DVR catalog of ``husimi`` and ``verify-all`` uses NumPy alone, so no
-command loads SciPy.
+SciPy is needed only by ``fd_catalog_1d``; ``scipy.linalg`` is imported
+at its first eigensolve.  The sinc-DVR uses NumPy alone: the catalog of
+``husimi`` and ``verify-all`` solves the full matrix and keeps its
+vectors, and the ``fd_1d`` Weyl scans solve the two parity blocks of an
+even trap for their levels.  Both size and certify the grid alike
+(``_settled_dvr_solve``), so no command and no Weyl scan loads SciPy.
 """
 
 from __future__ import annotations
@@ -325,9 +327,30 @@ def fd_catalog_1d(
 # at least this multiple of sqrt(lambda_max - min v), the largest classical
 # momentum below lambda_max.
 _DVR_MARGIN = 2.5
-# nodes of a sinc-DVR re-solve, the larger of its two dense solves: its
-# matrix and the eigensolver's copy hold 2 nodes^2 doubles, 67 MB at this cap
+# A sinc-DVR grid is settled when its re-solve on 1.25 times the nodes finds
+# as many levels at or below lambda_max, none of them moved by more than this
+# fraction of lambda_max - min v.
+_DVR_SETTLED = 1e-12
+# nodes of a sinc-DVR re-solve, the largest dense solve: its full matrix and
+# the eigensolver's copy hold 2 nodes^2 doubles, 67 MB at this cap; the
+# parity blocks of an even trap hold a quarter of that
 MAX_DVR_NODES = 2048
+
+
+def _kinetic_band(n):
+    """t(0), ..., t(n-1) of the Colbert-Miller kinetic matrix t(|i - j|):
+    pi^2 / 3, then 2 (-1)^k / k^2."""
+    k = np.arange(1, n, dtype=float)
+    return np.concatenate(([math.pi**2 / 3.0], np.where(k % 2.0, -2.0, 2.0) / (k * k)))
+
+
+def _toeplitz(band, m):
+    """The m x m matrix band[|i - j|] as a strided view, no index table built.
+
+    Row i is the window of band[m-1..1], band[0..m-1] that starts at m - 1 - i.
+    """
+    stacked = np.concatenate((band[m - 1 : 0 : -1], band[:m]))
+    return np.lib.stride_tricks.sliding_window_view(stacked, m)[::-1]
 
 
 def _dvr_hamiltonian(v, hbar, halfwidth, n):
@@ -335,17 +358,12 @@ def _dvr_hamiltonian(v, hbar, halfwidth, n):
 
     The n nodes x_i = -halfwidth + i h, i = 1..n, split (-halfwidth,
     halfwidth) into n + 1 steps h.  The kinetic matrix is hbar^2 / h^2
-    times pi^2 / 3 on the diagonal and 2 (-1)^(i-j) / (i-j)^2 off it.
+    times ``_kinetic_band``'s t(|i - j|).
     """
     h = 2.0 * halfwidth / (n + 1)
     x = -halfwidth + h * np.arange(1, n + 1)
-    k = np.arange(1, n, dtype=float)
-    band = np.concatenate(([math.pi**2 / 3.0], np.where(k % 2.0, -2.0, 2.0) / (k * k)))
-    # row i of the Toeplitz matrix is the window of band[n-1..1], band[0..n-1]
-    # that starts at n - 1 - i, so no n x n index table is built
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((band[:0:-1], band)), n)
     with np.errstate(over="ignore", invalid="ignore"):
-        H = windows[::-1] * ((hbar / h) * (hbar / h))
+        H = _toeplitz(_kinetic_band(n), n) * ((hbar / h) * (hbar / h))
         H[np.diag_indices(n)] += np.asarray(v(x), dtype=float)
     if not np.all(np.isfinite(H)):
         raise ResolutionError(
@@ -354,25 +372,131 @@ def _dvr_hamiltonian(v, hbar, halfwidth, n):
     return x, h, H
 
 
+def _parity_block(v, hbar, halfwidth, n, sign):
+    """The even (sign +1) or odd (sign -1) block of ``_dvr_hamiltonian``'s
+    matrix for an even v, in the basis (e_x +- e_-x) / sqrt(2) of the nodes
+    x > 0, which come last in the block.
+
+    The kinetic part is t(|i - j|) + sign t(i + j) on the nodes x = i h,
+    i = 1..m, of odd n = 2m + 1, and t(|i - j|) + sign t(i + j - 1) on the
+    nodes x = (i - 1/2) h of even n = 2m.  The centre node x = 0 of odd n
+    enters the even block alone, coupled by sqrt(2) t(i).  v is read on
+    x >= 0 only.
+    """
+    h = 2.0 * halfwidth / (n + 1)
+    m, odd = divmod(n, 2)
+    band = _kinetic_band(n)
+    # Hankel part t(i + j + shift) for i, j = 0..m-1, a strided view
+    shift = 2 if odd else 1
+    hankel = np.lib.stride_tricks.sliding_window_view(band[shift:], m)[:m]
+    x = h * (np.arange(m) + (1.0 if odd else 0.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if odd and sign > 0:
+            x = np.concatenate(([0.0], x))
+            block = np.empty((m + 1, m + 1))
+            block[0, 0] = band[0]
+            block[0, 1:] = block[1:, 0] = math.sqrt(2.0) * band[1 : m + 1]
+            block[1:, 1:] = _toeplitz(band, m) + hankel
+        else:
+            block = _toeplitz(band, m) + sign * hankel
+        block *= (hbar / h) * (hbar / h)
+        block[np.diag_indices(x.size)] += np.asarray(v(x), dtype=float)
+    if not np.all(np.isfinite(block)):
+        raise ResolutionError(
+            f"the operator is not finite on the {n}-node grid of halfwidth {halfwidth}"
+        )
+    return block
+
+
+def _settled_dvr_solve(solve, hbar, halfwidth, lambda_max, v_min):
+    """Size a sinc-DVR grid and certify its levels: the routine that
+    ``dvr_catalog_1d`` and ``_even_dvr_catalog`` share.
+
+    The first grid of n nodes is the coarsest open grid whose largest
+    momentum pi hbar / h is ``_DVR_MARGIN`` times sqrt(lambda_max - v_min).
+    ``solve(n, True)`` returns the n levels in ascending order, the end
+    mass c_0^2 + c_{n-1}^2 of each unit eigenvector and whatever the
+    caller keeps of the vectors; ``solve(n, False)`` returns the levels
+    alone.  Each grid is re-solved on ceil(1.25 n) nodes; until the
+    re-solve is settled (``_DVR_SETTLED``) the re-solve grid becomes the
+    next n.
+
+    Returns the settled grid's levels at or below lambda_max, what
+    ``solve`` kept, and the catalog's certificate fields: ``solve_nodes``,
+    ``momentum_margin``, ``boundary_mass`` (the largest end mass),
+    ``convergence_estimate`` (the largest level change against the
+    re-solve) and ``sturm_certified``.  A first re-solve grid past
+    ``MAX_DVR_NODES``, or one that is not a finite number, raises
+    ``ResolutionError`` before anything of its size is allocated, and so
+    does a refinement that would pass the cap.  A lambda_max at or below
+    v_min, or no level below it, raises ``TruncationError``.
+    """
+    if not lambda_max > v_min:
+        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
+    # n + 1 >= 2 halfwidth / h with pi hbar / h = margin sqrt(lambda_max - v_min)
+    steps = 2.0 * halfwidth * _DVR_MARGIN * math.sqrt(lambda_max - v_min) / (math.pi * hbar)
+    if not 1.25 * steps <= MAX_DVR_NODES:
+        raise ResolutionError(
+            f"hbar={hbar!r} and halfwidth={halfwidth!r} need a sinc-DVR grid of about "
+            f"{1.25 * steps:.3g} nodes, more than {MAX_DVR_NODES}"
+        )
+    tol = _DVR_SETTLED * (lambda_max - v_min)
+    n = max(math.ceil(steps) - 1, 1)
+    while True:
+        n_check = math.ceil(1.25 * n)
+        w, ends, kept = solve(n, True)
+        count = int(np.count_nonzero(w <= lambda_max))
+        # a level that reaches the ends moves with them, so no refinement settles it
+        boundary_mass = float(np.max(ends[:count], initial=0.0))
+        if boundary_mass > MAX_BOUNDARY_MASS:
+            raise DomainTooSmallError(
+                f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
+            )
+        w_check = solve(n_check, False)
+        change = float(np.max(np.abs(w[:count] - w_check[:count]), initial=0.0))
+        if np.count_nonzero(w_check <= lambda_max) == count and change <= tol:
+            break
+        if math.ceil(1.25 * n_check) > MAX_DVR_NODES:
+            raise ResolutionError(
+                f"sinc-DVR grids of {n} and {n_check} nodes disagree on the levels below "
+                f"lambda_max={lambda_max!r}, and a finer pair would pass {MAX_DVR_NODES} nodes"
+            )
+        n = n_check
+    if count == 0:
+        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
+    w = w[:count]
+    if np.any(np.diff(w) <= 0):
+        raise ResolutionError(f"levels at hbar={hbar} coincide in floating point")
+    h = 2.0 * halfwidth / (n + 1)
+    return w, kept, dict(
+        sturm_certified=True,
+        solve_nodes=n,
+        momentum_margin=math.pi * hbar / h / math.sqrt(lambda_max - v_min),
+        boundary_mass=boundary_mass,
+        convergence_estimate=change,
+    )
+
+
 def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
     """Eigenpairs of -hbar^2 d^2/dx^2 + v on (-halfwidth, halfwidth) by the
     Colbert-Miller sinc-DVR (J. Chem. Phys. 96, 1982 (1992)), in NumPy alone.
 
-    The solve grid is the coarsest open grid of n_c nodes (``_dvr_hamiltonian``)
-    whose largest momentum pi hbar / h_c is ``_DVR_MARGIN`` times
-    sqrt(lambda_max - min v).  It does not depend on ``points``: the
-    eigenfunctions psi(x) = sum_i c_i sinc((x - x_i) / h_c) / sqrt(h_c),
-    which are band-limited, are evaluated exactly on the grid of ``points``
-    interior points that ``fd_catalog_1d`` would use, and renormalized there
-    to h sum psi^2 = 1.
+    The solve grid of n_c nodes (``_dvr_hamiltonian``) is the first grid
+    ``_settled_dvr_solve`` settles on: the coarsest one whose largest
+    momentum pi hbar / h_c is ``_DVR_MARGIN`` times sqrt(lambda_max -
+    min v), refined 1.25-fold while its re-solve disagrees.  It does not
+    depend on ``points``: the eigenfunctions psi(x) = sum_i c_i sinc((x -
+    x_i) / h_c) / sqrt(h_c), which are band-limited, are evaluated exactly
+    on the grid of ``points`` interior points that ``fd_catalog_1d`` would
+    use, and renormalized there to h sum psi^2 = 1.
 
     Certificates:
 
-    - count: a re-solve on ceil(1.25 n_c) nodes must find as many levels
-      at or below lambda_max, else ``ResolutionError``.  This is the
-      catalog's count certificate, so ``sturm_certified`` is True on
-      every catalog returned.  The largest change of a level between the
-      two solves is ``convergence_estimate``;
+    - count: a re-solve on ceil(1.25 n_c) nodes finds as many levels at
+      or below lambda_max, none moved by more than ``_DVR_SETTLED`` times
+      lambda_max - min v.  This is the catalog's count certificate, so
+      ``sturm_certified`` is True on every catalog returned.  The largest
+      change of a level between the two solves is ``convergence_estimate``;
     - boundary mass: the end coefficients c_0^2 + c_{n-1}^2 of each unit
       eigenvector must stay at or below ``MAX_BOUNDARY_MASS``, else
       ``DomainTooSmallError``;
@@ -384,54 +508,77 @@ def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
     ``ResolutionError`` before anything of its size is allocated.
     """
     v_min = float(np.min(_allowed_region_samples(v, halfwidth, lambda_max)))
-    if not lambda_max > v_min:
-        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
-    # n_c + 1 >= 2 halfwidth / h_c with pi hbar / h_c = margin sqrt(lambda_max - min v)
-    steps = 2.0 * halfwidth * _DVR_MARGIN * math.sqrt(lambda_max - v_min) / (math.pi * hbar)
-    if not 1.25 * steps <= MAX_DVR_NODES:
-        raise ResolutionError(
-            f"hbar={hbar!r} and halfwidth={halfwidth!r} need a sinc-DVR grid of about "
-            f"{1.25 * steps:.3g} nodes, more than {MAX_DVR_NODES}"
-        )
-    n_c = max(math.ceil(steps) - 1, 1)
-    n_check = math.ceil(1.25 * n_c)
 
-    x, h, H = _dvr_hamiltonian(v, hbar, halfwidth, n_c)
-    w, c = np.linalg.eigh(H)
-    n = int(np.count_nonzero(w <= lambda_max))
-    if n == 0:
-        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
-    w, c = w[:n], c[:, :n]
-    if np.any(np.diff(w) <= 0):
-        raise ResolutionError(f"levels at hbar={hbar} coincide in floating point")
-    w_check = np.linalg.eigvalsh(_dvr_hamiltonian(v, hbar, halfwidth, n_check)[2])
-    if np.count_nonzero(w_check <= lambda_max) != n:
-        raise ResolutionError(
-            f"sinc-DVR grids of {n_c} and {n_check} nodes disagree on the number of "
-            f"levels below lambda_max={lambda_max!r}"
-        )
-    boundary_mass = float(np.max(c[0] ** 2 + c[-1] ** 2))
-    if boundary_mass > MAX_BOUNDARY_MASS:
-        raise DomainTooSmallError(
-            f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
-        )
+    def solve(n, vectors):
+        x, h, H = _dvr_hamiltonian(v, hbar, halfwidth, n)
+        if not vectors:
+            return np.linalg.eigvalsh(H)
+        w, c = np.linalg.eigh(H)
+        return w, c[0] ** 2 + c[-1] ** 2, (x, h, c)
 
+    w, (x, h, c), certificates = _settled_dvr_solve(solve, hbar, halfwidth, lambda_max, v_min)
     grid = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
-    psi = np.sinc((grid[:, None] - x[None, :]) / h) @ c
+    psi = np.sinc((grid[:, None] - x[None, :]) / h) @ c[:, : w.size]
     psi /= np.sqrt((grid[1] - grid[0]) * np.sum(psi * psi, axis=0))
     return SpectralCatalog(
         hbar=float(hbar),
         energies=w,
-        degeneracies=np.ones(n, dtype=int),
+        degeneracies=np.ones(w.size, dtype=int),
         lambda_max=float(lambda_max),
         grid=grid,
         vectors=psi,
         potential_1d=v,
-        sturm_certified=True,
-        solve_nodes=n_c,
-        momentum_margin=math.pi * hbar / h / math.sqrt(lambda_max - v_min),
-        boundary_mass=boundary_mass,
-        convergence_estimate=float(np.max(np.abs(w - w_check[:n]))),
+        **certificates,
+    )
+
+
+def _even_dvr_catalog(v, hbar, halfwidth, lambda_max) -> SpectralCatalog:
+    """Levels of an even v by the sinc-DVR, solved one parity block at a time.
+
+    The grid, its certificates and ``SpectralCatalog``'s DVR fields are
+    those of ``dvr_catalog_1d`` (``_settled_dvr_solve``); the levels equal
+    the full matrix's to rounding.  Each grid is solved as the two blocks
+    of ``_parity_block``, each built, solved and freed before the next, so
+    a solve costs about a quarter of the full one.  The end mass c_0^2 +
+    c_{n-1}^2 of a full unit vector is the last component^2 of its unit
+    block vector.  The catalog carries no vectors.
+
+    v must be even: its 8191 samples of the 20% turning-point check must
+    agree with their mirror images to 1e-12 relative, else ``ValueError``
+    before any solve.
+    """
+    vx = _allowed_region_samples(v, halfwidth, lambda_max)
+    mid = vx.size // 2  # the sample at x = 0
+    left, right = vx[mid - 1 :: -1], vx[mid + 1 :]  # v(-x) and v(x), x > 0
+    if not np.all((left == right) | (np.abs(left - right) <= 1e-12 * np.abs(right))):
+        raise ValueError("the parity-folded sinc-DVR needs an even trap v(-x) = v(x)")
+
+    def block_solve(n, sign, vectors):
+        # the block is freed on return, before the next one is built
+        block = _parity_block(v, hbar, halfwidth, n, sign)
+        if not vectors:
+            return np.linalg.eigvalsh(block), None
+        w, u = np.linalg.eigh(block)
+        return w, u[-1] ** 2
+
+    def solve(n, vectors):
+        (w_even, ends_even), (w_odd, ends_odd) = [
+            block_solve(n, sign, vectors) for sign in (1.0, -1.0)
+        ]
+        w = np.concatenate((w_even, w_odd))
+        order = np.argsort(w, kind="stable")
+        if not vectors:
+            return w[order]
+        return w[order], np.concatenate((ends_even, ends_odd))[order], None
+
+    w, _, certificates = _settled_dvr_solve(solve, hbar, halfwidth, lambda_max, float(np.min(vx)))
+    return SpectralCatalog(
+        hbar=float(hbar),
+        energies=w,
+        degeneracies=np.ones(w.size, dtype=int),
+        lambda_max=float(lambda_max),
+        potential_1d=v,
+        **certificates,
     )
 
 
@@ -535,6 +682,12 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
     {"kind": "fd_1d", "v": ..., "halfwidth": ..., "points": ...} for the
     one-dimensional oracle with hbar = N^(-1).  Least-squares slopes of
     log-error against log N are reported alongside the raw errors.
+
+    The one-dimensional levels come from the parity-folded sinc-DVR
+    (``_even_dvr_catalog``), so v must be even (a ``ValueError``
+    otherwise).  Its solve grid follows hbar and the certificates of
+    ``dvr_catalog_1d``, not ``points``: the key is accepted and unread.
+    The kind keeps its name and key for callers that send them.
     """
     Ns = weyl_scan_sizes(N_list)
     if trap.get("kind") == "harmonic":
@@ -549,12 +702,11 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
     elif trap.get("kind") == "fd_1d":
         v = trap["v"]
         halfwidth = float(trap["halfwidth"])
-        points = int(trap.get("points", 2000))
         n_cl, e_cl = _counts_cl_1d(v, Lambda, halfwidth)
         hbars = [1.0 / n for n in Ns]
         counts = []
         for hb in hbars:
-            cat = fd_catalog_1d(v, hb, halfwidth, points, Lambda + 1e-12, keep_vectors=False)
+            cat = _even_dvr_catalog(v, hb, halfwidth, Lambda + 1e-12)
             counts.append(spectral_counts(cat, Lambda))
     else:
         raise ValueError("trap must be a harmonic or an fd_1d spec")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -167,8 +168,10 @@ def test_dvr_oscillator_levels_meet_the_closed_form(hbar):
     assert cat.sturm_certified and cat.convergence_estimate <= 1e-12
     assert cat.momentum_margin >= spectra._DVR_MARGIN
     assert cat.boundary_mass <= spectra.MAX_BOUNDARY_MASS
-    # the solve grid follows the momentum certificate, not the sampling points
-    assert cat.solve_nodes < cat.grid.size == 1001
+    # the solve grid follows the momentum certificate, not the sampling
+    # points, and the first grid already settles, so it is not refined
+    nodes = {0.05: 131, 0.025: 186, 0.0125: 265, 0.00625: 382}[hbar]
+    assert cat.solve_nodes == nodes < cat.grid.size == 1001
 
 
 def test_dvr_vectors_are_orthonormal_oscillator_states():
@@ -216,10 +219,48 @@ def test_dvr_grid_past_the_cap_is_refused_before_it_is_built(monkeypatch, hbar, 
 
 
 def test_dvr_count_certificate_catches_a_coarse_grid(monkeypatch):
-    # at a momentum margin of 1 the quartic catalog's two solves disagree
+    quartic = lambda x: x**4
+    settled = dvr_catalog_1d(quartic, 0.05, 3.0, 1001, 2.0)
+    # at a momentum margin of 1 the quartic catalog's first two grids, 53 and
+    # 67 nodes, disagree on the count; the catalog refines until they agree
     monkeypatch.setattr(spectra, "_DVR_MARGIN", 1.0)
+    refined = dvr_catalog_1d(quartic, 0.05, 3.0, 1001, 2.0)
+    assert refined.solve_nodes > 67 and refined.energies.size == settled.energies.size == 19
+    assert np.max(np.abs(refined.energies - settled.energies)) <= 2e-12
+    # a refinement that would pass the cap is refused
+    monkeypatch.setattr(spectra, "MAX_DVR_NODES", 68)
     with pytest.raises(ResolutionError, match="disagree"):
-        dvr_catalog_1d(lambda x: x**4, 0.05, 3.0, 1001, 2.0)
+        dvr_catalog_1d(quartic, 0.05, 3.0, 1001, 2.0)
+
+
+@pytest.mark.parametrize("hbar", [0.05, 0.025])
+@pytest.mark.parametrize("fill", [1, 2])
+def test_dvr_refines_a_catalog_of_few_levels(hbar, fill):
+    # the momentum rule alone gave 50 nodes at hbar = 0.05, fill 1, which
+    # missed hbar by 2.6e-7; the re-solve now refines it to 79
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, hbar * (2 * fill + 1) + 0.01)
+    exact = hbar * (2.0 * np.arange(fill + 1) + 1.0)
+    assert cat.energies.size == fill + 1
+    assert np.max(np.abs(cat.energies - exact) / exact) <= 1e-12
+    assert cat.convergence_estimate <= spectra._DVR_SETTLED * cat.lambda_max
+
+
+@pytest.mark.parametrize("n, hbar", [(27, 0.5), (28, 0.5), (135, 0.05), (136, 0.05)])
+@pytest.mark.parametrize("q", [2, 4])
+def test_parity_blocks_hold_the_full_spectrum(q, n, hbar):
+    # odd n puts the centre node in the even block, coupled by sqrt(2) t(i);
+    # even n couples the mirrored nodes through t(i + j - 1)
+    v = lambda x: x**q
+    H = spectra._dvr_hamiltonian(v, hbar, 3.0, n)[2]
+    c = np.linalg.eigh(H)[1]
+    parts = [np.linalg.eigh(spectra._parity_block(v, hbar, 3.0, n, s)) for s in (1.0, -1.0)]
+    w_fold = np.concatenate([p[0] for p in parts])
+    order = np.argsort(w_fold)
+    w = np.linalg.eigvalsh(H)
+    assert np.max(np.abs(w_fold[order] - w)) <= 1e-13 * np.max(np.abs(w))
+    # a unit block vector's last component^2 is the full vector's c_0^2 + c_{n-1}^2
+    ends_fold = np.concatenate([p[1][-1] ** 2 for p in parts])[order]
+    assert np.max(np.abs(ends_fold - (c[0] ** 2 + c[-1] ** 2))) <= 1e-13
 
 
 def _fd_matrix(v, hbar, halfwidth, points, lambda_max):
@@ -260,7 +301,7 @@ def eigensolves(monkeypatch):
     [
         (lambda x: x * x, 1.0, 2.3, 500, 3.5, True),  # boundary mass 5.4e-7
         (lambda x: x * x, 1.0, 3.6, 500, 3.5, False),  # boundary mass 8.0e-9, just passes
-        # the top catalog of the quartic Weyl scan; test_weyl_scan_fd_1d builds it
+        # the quartic Weyl scan's top rung on the 10^4-point grid the benchmark sends
         (lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, None),
     ],
     ids=["leaky_x2", "near_threshold_x2", "quartic_1e4"],
@@ -292,7 +333,7 @@ def test_wall_bounds_cover_tilted_double_wells(tilt):
 
 def test_wall_bounds_spare_stein_only_where_they_certify(eigensolves):
     calls, _ = eigensolves
-    # the top catalog of the quartic Weyl scan: the bounds certify every level
+    # the quartic Weyl scan's top rung on 10^4 points: the bounds certify every level
     quartic = fd_catalog_1d(lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, keep_vectors=False)
     assert quartic.energies.size == 187
     assert calls == [(10**4, True)]
@@ -316,10 +357,7 @@ def test_eigensolves_form_vectors_only_when_kept(eigensolves, tmp_path):
     weyl_error_scan(
         {"kind": "fd_1d", "v": quartic, "halfwidth": 3.0, "points": 1000}, [2, 20, 200], 2.0
     )
-    # the scan's catalogs drop their vectors, so none is ever computed
-    assert calls == [(1000, True)] * 3
-    assert vector_refs == []
-    calls.clear()
+    assert calls == []  # the scan solves on the parity-folded sinc-DVR
     cmd_husimi(DEFAULT_CONFIG, str(tmp_path))
     assert calls == []  # husimi solves on the sinc-DVR
     kept = fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0)
@@ -362,17 +400,91 @@ def test_weyl_scan_validation():
         weyl_error_scan({"kind": "harmonic"}, [100], 2.0)
 
 
+# e_q of the quartic scan at N = 2, 20, 200: sinc-DVR levels converged to
+# 1e-13 relative on 600, 800 and 1200 nodes (finite differences on 10^4
+# points gave 1.928705996623379, 16.621805104284384, 159.96863816593995)
+QUARTIC_E_Q = [1.92870621563, 16.6219534128, 160.108227346571]
+
+
 def test_weyl_scan_fd_1d():
     # hbar = 1/N in one dimension; an anharmonic trap carries genuine
-    # counting corrections (the oscillator alone is Weyl-exact), and the
-    # grid must resolve the shortest de Broglie wavelength in the sweep
-    scan = weyl_error_scan(
-        {"kind": "fd_1d", "v": lambda x: x**4, "halfwidth": 3.0, "points": 20000},
-        [2, 20, 200],
-        2.0,
-    )
+    # counting corrections (the oscillator alone is Weyl-exact).  The solve
+    # grid follows hbar, so the unread points key changes nothing
+    scans = [
+        weyl_error_scan(
+            {"kind": "fd_1d", "v": lambda x: x**4, "halfwidth": 3.0, "points": points},
+            [2, 20, 200],
+            2.0,
+        )
+        for points in (1000, 20000)
+    ]
+    assert scans[0] == scans[1]
+    scan = scans[0]
+    assert scan.n_q == [2, 19, 187]
+    assert np.max(np.abs(np.array(scan.e_q) - QUARTIC_E_Q)) <= 1e-9
     assert scan.n_err_over_N[-1] < scan.n_err_over_N[0]
     assert scan.e_err_over_N[-1] < scan.e_err_over_N[0]
+    assert -0.02 < scan.e_exponent < 0.0  # finite differences read 0.071
+
+
+@pytest.fixture
+def dense_solves(monkeypatch):
+    """(solver, rows) of every np.linalg.eigh and eigvalsh call made in spectra.
+
+    Calls from elsewhere, such as the Gauss rules that NumPy's leggauss
+    builds for the classical counts, are not recorded.
+    """
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def recorder(a, *args, _solve=solve, _name=name, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == spectra.__name__:
+                calls.append((_name, a.shape[0]))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorder)
+    return calls
+
+
+def test_weyl_scan_fd_1d_work_budget(dense_solves):
+    weyl_error_scan({"kind": "fd_1d", "v": lambda x: x**4, "halfwidth": 3.0}, [2, 20, 200], 2.0)
+
+    def grid(n):  # an eigh of n nodes' two blocks, then an eigvalsh of ceil(1.25 n) nodes'
+        check = math.ceil(1.25 * n)
+        return [("eigh", n - n // 2), ("eigh", n // 2)] + [
+            ("eigvalsh", check - check // 2), ("eigvalsh", check // 2)
+        ]
+
+    # N = 2 refines its 13-node grid to 28 nodes; N = 20 and 200 settle at
+    # once on the momentum rule's 135 and 1350 nodes
+    assert dense_solves == sum((grid(n) for n in (13, 17, 22, 28, 135, 1350)), [])
+    # a block holds at most ceil(n / 2) + 1 rows: 845 for the 1688-node re-solve
+    assert max(rows for _, rows in dense_solves) <= 845
+
+
+def test_weyl_scan_fd_1d_refuses_an_uneven_trap(monkeypatch, dense_solves):
+    monkeypatch.setattr(spectra, "_parity_block", lambda *a: pytest.fail("block built"))
+    with pytest.raises(ValueError, match="even trap"):
+        weyl_error_scan({"kind": "fd_1d", "v": lambda x: (x + 0.1) ** 2, "halfwidth": 3.0},
+                        [2, 20, 200], 2.0)
+    assert dense_solves == []
+
+
+def test_weyl_scan_fd_1d_stops_a_kink_at_the_cap(monkeypatch):
+    # |x| has a kink at its minimum, so the sinc-DVR levels converge slowly
+    # and the re-solve never settles; the refinement stops at the cap
+    built = []
+    block = spectra._parity_block
+
+    def recorder(v, hbar, halfwidth, n, sign):
+        built.append(n)
+        return block(v, hbar, halfwidth, n, sign)
+
+    monkeypatch.setattr(spectra, "_parity_block", recorder)
+    with pytest.raises(ResolutionError, match="disagree"):
+        weyl_error_scan({"kind": "fd_1d", "v": np.abs, "halfwidth": 6.0}, [2, 200], 2.0)
+    assert built[:2] == [27, 27] and max(built) <= spectra.MAX_DVR_NODES
 
 
 @pytest.mark.parametrize("q", [2, 4])
