@@ -435,7 +435,8 @@ def criterion_16():
             hb = float(N) ** (-1.0 / 3.0)
             M = math.ceil(N / 2)
             fn = sp.free_ground_state_density_fn(hb, M)
-            trace = integrate_radial(fn, 6.0, Tolerance(abs=1e-10, rel=1e-10))
+            # panels split at r = 1, 2, 3: each trace settles by order 64
+            trace = integrate_radial(fn, 6.0, Tolerance(abs=1e-10, rel=1e-10), (1.0, 2.0, 3.0))
             trace_errs.append(abs(trace - M) / M)
             prof = RadialProfile(nodes, 2.0 * fn(nodes) / N)
             dists.append(lp_distance(prof, rho_tf, 1.0))

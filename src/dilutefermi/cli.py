@@ -171,6 +171,30 @@ def _spectra_caps(c):
     return scan_lam > spec["offset"]
 
 
+def _density_args(spec):
+    """hbar, M and the radii of the spectra.density profile, with their defaults."""
+    d = spec["density"]
+    return (float(d.get("hbar", spec["hbar"])), int(d.get("M", 1)),
+            np.linspace(0.0, float(d.get("r_max", 6.0)), int(d.get("nodes", 2049))))
+
+
+def _density_fits(c):
+    """DepthError past the shell depth; else whether the density profile is finite.
+
+    Its radii must increase and r / sqrt(hbar) must be finite.  Its peak is
+    at most M (pi hbar)^(-3/2), so M hbar^(-3/2) up to half the largest float
+    leaves every value and hbar^(-3/2) itself finite; at M = 1 that needs
+    hbar above about 5e-206.  Only the shell weights are built, no density.
+    """
+    if c["spectra"].get("density") is None:
+        return True
+    hbar, M, nodes = _density_args(c["spectra"])
+    if not M <= 0.5 * sys.float_info.max * (hbar * math.sqrt(hbar)):
+        return False
+    sp.free_ground_state_density_fn(hbar, M)
+    return bool(np.all(np.diff(nodes) > 0)) and math.isfinite(float(nodes[-1]) / math.sqrt(hbar))
+
+
 def _husimi_fills(c):
     # the fill-th level of -hbar^2 d^2/dx^2 + x^2 is hbar (2 fill - 1)
     h = c["husimi"]
@@ -194,6 +218,8 @@ RULES = (
     (("semiclass",), "an increasing sweeps.Lambda of at least two levels",
      lambda c: len(c["sweeps"]["Lambda"]) >= 2 and _increasing(c["sweeps"]["Lambda"])),
     (("spectra",), "a spectra.scan_lambda above spectra.offset", _spectra_caps),
+    (("spectra",), "a spectra.density with increasing radii, and r_max / sqrt(hbar) and "
+     "M hbar^(-3/2) finite", _density_fits),
     (("husimi",), "a husimi.lambda_max above hbar (2 fill - 1)", _husimi_fills),
 )
 
@@ -411,13 +437,8 @@ def cmd_spectra(config, outdir):
             ]),
         )
         paths.append(scan_path)
-    density = spec.get("density")
-    if density is not None:
-        prof = sp.free_ground_state_density(
-            float(density.get("hbar", spec["hbar"])),
-            int(density.get("M", 1)),
-            np.linspace(0.0, float(density.get("r_max", 6.0)), int(density.get("nodes", 2049))),
-        )
+    if spec.get("density") is not None:
+        prof = sp.free_ground_state_density(*_density_args(spec))
         dens_path = os.path.join(outdir, "free_state_density.csv")
         sp.write_profile_csv(
             dens_path,

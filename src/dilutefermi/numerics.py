@@ -1,14 +1,19 @@
 """Shared deterministic numeric kernel.
 
-Adaptive radial quadrature of trial profiles and L^p distances between
-radial profiles, which vanish beyond their last node.  Level multipliers
-are fixed elsewhere, by Newton steps from above in ``thomas_fermi``.
+One Gauss-Legendre rule for every radial integral: ``_gauss_rule`` checks
+order n against order 2n and doubles n up to a fixed cap.  The level
+integrals of ``thomas_fermi`` run it on their support, and
+``integrate_radial`` on the panels between given breakpoints.  Also L^p
+distances between radial profiles, which vanish beyond their last node.
+Level multipliers are fixed elsewhere, by Newton steps from above in
+``thomas_fermi``.
 Everything here is pure: no global mutable state, no randomness,
 identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,10 +29,10 @@ __all__ = [
 
 
 class RefinementError(RuntimeError):
-    """Adaptive refinement hit its cap before reaching the tolerance.
+    """The Gauss rule hit its order cap before reaching the tolerance.
 
-    Carries the last two global estimates so callers can judge how far
-    the refinement got.
+    Carries the last two estimates so callers can judge how far the
+    refinement got.
     """
 
     def __init__(self, message, previous_estimate, last_estimate):
@@ -38,19 +43,16 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair plus a refinement cap."""
+    """Absolute/relative tolerance pair of ``integrate_radial``."""
 
     abs: float = 1e-10
     rel: float = 1e-10
-    max_refinements: int = 48
 
     def __post_init__(self):
         if self.abs < 0 or self.rel < 0:
             raise ValueError("tolerances must be nonnegative")
         if self.abs + self.rel <= 0:
             raise ValueError("abs + rel must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -91,88 +93,111 @@ class RadialProfile:
         return out
 
 
-# 10-point Gauss-Legendre rule on [-1, 1], the workhorse panel rule.
+# 10-point Gauss-Legendre rule on [-1, 1], the panel rule of ``lp_distance``.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
+# the shared Gauss rule: order n is checked against order 2n; n starts at
+# _RULE_START and doubles up to _RULE_CAP
+_RULE_START = 16
+_RULE_CAP = 256
 
-def _panel_samples(f, a, b):
-    """Half-widths and Gauss-Legendre samples of ``f`` on many panels at once.
 
-    a, b: arrays of panel edges.  Returns ``(half, vals)`` with one row
-    of ``vals`` per panel, from a single vectorized call to ``f``.
+@functools.cache
+def _gauss(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even, correctly rounded.
+
+    Newton's method on P_n in 40-digit decimal arithmetic from NumPy's
+    nodes, then w = 2 / ((1 - x^2) P_n'(x)^2).  NumPy's own weights err
+    by up to 1e-11 relative at n = 128, which moved level integrals by
+    several ulp.  ``decimal`` loads on the first call.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    return half, vals
+    from decimal import Decimal, localcontext
+
+    def legendre(t):
+        p_prev, p = Decimal(1), t
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+        return p, n * (t * p - p_prev) / (t * t - 1)
+
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for guess in np.polynomial.legendre.leggauss(n)[0][: n // 2]:
+            t = Decimal(float(guess))
+            for _ in range(3):  # the third step moves t by less than 1e-40
+                p, dp = legendre(t)
+                t -= p / dp
+            nodes.append(float(t))
+            weights.append(float(2 / ((1 - t * t) * dp * dp)))
+    # the rule is symmetric, and every order used is even
+    return np.array(nodes + [-x for x in reversed(nodes)]), np.array(weights + weights[::-1])
 
 
-def _panel_values(f, a, b):
-    """Gauss-Legendre estimates of ``f`` over the panels [a, b]."""
-    half, vals = _panel_samples(f, a, b)
-    return half * (vals @ _GL_W)
+def _node_sum(vals, w):
+    """Sum over the rows of ``vals`` weighted by ``w``, one row after another.
+
+    Element-wise products and sums in a fixed order, not a BLAS dot
+    product, whose rounding depends on the row count and the CPU's kernel.
+    """
+    acc = vals[0] * w[0]
+    for row, wj in zip(vals[1:], w[1:]):
+        acc = acc + row * wj
+    return acc
+
+
+def _gauss_rule(panel, what, per):
+    """Estimates of ``panel`` by the n-against-2n Gauss-Legendre rule.
+
+    ``panel(x, w)`` integrates with the n-point rule's nodes ``x`` and
+    weights ``w`` on [-1, 1] and returns its estimates and their error
+    budgets, two arrays of one shape.  n starts at ``_RULE_START``; the
+    2n estimates are returned once each differs from the n estimate by
+    at most its budget, and n doubles until then.  Past ``_RULE_CAP`` a
+    ``RefinementError`` ("{what} did not converge with 2n points per
+    {per}") carries both estimates.
+    """
+    n = _RULE_START
+    coarse, _ = panel(*_gauss(n))
+    while True:
+        fine, budget = panel(*_gauss(2 * n))
+        if np.all(np.abs(fine - coarse) <= budget):
+            return fine
+        if n >= _RULE_CAP:
+            raise RefinementError(
+                f"{what} did not converge with {2 * n} points per {per}",
+                previous_estimate=coarse,
+                last_estimate=fine,
+            )
+        n, coarse = 2 * n, fine
 
 
 def integrate_radial(f, r_max, tol=Tolerance(), breakpoints=()):
-    """Integrate f(r) * 4*pi*r^2 over [0, r_max] adaptively.
+    """Integrate f(r) * 4*pi*r^2 over [0, r_max] by the shared Gauss rule.
 
-    ``f`` must accept ndarray input.  ``breakpoints`` are radii inserted
-    as initial panel edges (e.g. support boundaries of (lam - V)_+
-    integrands) so the refinement never straddles a known kink.  The
-    panel error estimate is the difference between one Gauss panel and
-    its two halves; panels are bisected until the estimate passes.
-
-    Each refinement level samples ``f`` once, on the Gauss points of all
-    left and right halves together.  The weight products stay two, one
-    per half: BLAS ``gemv`` may round a row differently depending on
-    how many rows it is given, so a single product over both halves
-    would move the last digits of the result.
+    ``f`` must accept ndarray input.  ``breakpoints`` are radii that split
+    [0, r_max] into panels (e.g. support boundaries of (lam - V)_+
+    integrands), so no panel straddles a known kink.  Every panel takes
+    the same order, one call of ``f`` per order samples them all, and
+    each panel's n-against-2n difference must pass
+    max(tol.abs (b - a) / r_max, tol.rel |estimate|).  Each panel sums its
+    nodes by ``_node_sum`` and the panels add up in order, so no BLAS
+    kernel rounds the result.
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
+    inner = sorted(x for x in set(map(float, breakpoints)) if 0.0 < x < r_max)
+    edges = np.array([0.0, *inner, float(r_max)])
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    floor = tol.abs * (b - a) / r_max
 
-    def weighted(r):
-        r = np.asarray(r, dtype=float)
-        return 4.0 * np.pi * r * r * np.asarray(f(r), dtype=float)
+    def panel(x, w):
+        r = mid + half * x[:, None]  # one row per Gauss node
+        vals = 4.0 * np.pi * r * r * np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
+        est = half * _node_sum(vals, w)
+        return est, np.maximum(floor, tol.rel * np.abs(est))
 
-    edges = [0.0]
-    for b in sorted(set(float(x) for x in breakpoints)):
-        if 0.0 < b < r_max:
-            edges.append(b)
-    edges.append(float(r_max))
-    a = np.array(edges[:-1])
-    b = np.array(edges[1:])
-    coarse = _panel_values(weighted, a, b)
-
-    total = 0.0
-    depth = 0
-    while a.size:
-        mids = 0.5 * (a + b)
-        half, vals = _panel_samples(weighted, np.concatenate([a, mids]), np.concatenate([mids, b]))
-        if depth > tol.max_refinements:
-            raise RefinementError(
-                "radial quadrature did not converge within "
-                f"{tol.max_refinements} refinements",
-                previous_estimate=total + float(np.sum(coarse)),
-                last_estimate=total + float(np.sum(half * (vals @ _GL_W))),
-            )
-        k = a.size
-        left = half[:k] * (vals[:k] @ _GL_W)
-        right = half[k:] * (vals[k:] @ _GL_W)
-        fine = left + right
-        err = np.abs(fine - coarse)
-        budget = np.maximum(tol.abs * (b - a) / r_max, tol.rel * np.abs(fine))
-        ok = (err <= budget) | ((b - a) <= 1e-15 * r_max)
-        total += float(np.sum(fine[ok]))
-        keep = ~ok
-        a = np.concatenate([a[keep], mids[keep]])
-        b = np.concatenate([mids[keep], b[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
-        depth += 1
-    return total
+    return float(np.add.accumulate(_gauss_rule(panel, "radial quadrature", "panel"))[-1])
 
 
 def _moments(u, p):
@@ -201,10 +226,7 @@ def _gauss_masses(d0, d1, r0, r1, p):
     half = 0.5 * length
     pts = mid + half * _GL_X[:, None]  # one row per Gauss node
     vals = np.abs(d0 + s * (pts - r0)) ** p * 4.0 * np.pi * pts * pts
-    acc = vals[0] * _GL_W[0]
-    for row, w in zip(vals[1:], _GL_W[1:]):
-        acc = acc + row * w
-    return half * acc
+    return half * _node_sum(vals, _GL_W)
 
 
 def _closed_form_masses(d0, d1, r0, r1, p):
@@ -270,10 +292,8 @@ def lp_distance(f, g, p):
     interpolants themselves.  Both profiles are evaluated once at all
     nodes, and one pass of array operations integrates every segment
     (``_segment_masses`` gives the rule masks).  The Gauss panels reduce
-    their ten columns one after another with element-wise products and
-    sums, not a BLAS dot product, whose rounding depends on the row
-    count and the CPU's kernel; the segment masses are then added
-    sequentially in node order.  So a segment's mass does not depend on
+    their ten columns by ``_node_sum``, and the segment masses are then
+    added sequentially in node order.  So a segment's mass does not depend on
     how many segments share its rule, and no BLAS kernel is called.  At
     p = 1 and 2 NumPy's power returns |x| and |x|*|x| exactly, so the
     result is the same under every SIMD dispatch; at other p the last

@@ -197,43 +197,6 @@ def _sturm_count(diag, off, x):
 MAX_BOUNDARY_MASS = 1e-8
 
 
-def _wall_sum(rows, lam, t):
-    """Sum of u_j^2 of the eigenvector recurrence run inward from one wall.
-
-    u_{-1} = 0, u_0 = 1 and u_{j+1} = c_j u_j - u_{j-1} with
-    c_j = (rows[j] - lam) / t.  It runs only while c_j > 2 (the potential
-    lies above lam), where u grows monotonically and the recurrence is
-    forward-stable, and it stops once the sum reaches 4 / MAX_BOUNDARY_MASS,
-    so a level cleared at both walls is bounded by half the limit.
-    """
-    u_prev, u, total = 0.0, 1.0, 1.0
-    stop = 4.0 / MAX_BOUNDARY_MASS
-    for d in rows:
-        c = (d - lam) / t
-        if not (c > 2.0 and total < stop):
-            break
-        u_prev, u = u, c * u - u_prev
-        total += u * u
-    return total
-
-
-def _wall_bounds(diag, off, w):
-    """Upper bounds on v[0]^2 + v[-1]^2 of the unit eigenvector of each level in w.
-
-    ``off`` is the constant off-diagonal -t < 0 of the finite-difference
-    matrix.  Next to each wall the unit eigenvector is v[0] u with u from
-    ``_wall_sum``, so v[0]^2 <= 1 / sum(u^2), and likewise at the other
-    wall.  The recurrence runs on Python floats read through memoryviews.
-    """
-    t = -float(off[0])
-    levels = w.tolist()
-    bounds = np.zeros(w.size)
-    for rows in (diag, diag[::-1]):
-        rows = memoryview(np.ascontiguousarray(rows, dtype=float))
-        bounds += [1.0 / _wall_sum(rows, lam, t) for lam in levels]
-    return bounds
-
-
 def _allowed_region_samples(v, halfwidth, lambda_max):
     """v on 8191 points of [-halfwidth, halfwidth], where the classically
     allowed region {v <= lambda_max} must fit with a 20% margin on both
@@ -263,13 +226,8 @@ def fd_catalog_1d(
     finite, such as x^2 overflowing on a huge halfwidth, raises
     ``ResolutionError`` before the eigensolve.
 
-    With ``keep_vectors=False`` the solve is eigenvalues only.  The
-    eigenvector recurrence run inward from each wall, where the potential
-    lies above the level, bounds each level's boundary mass
-    (``_wall_bounds``).  Only if some bound exceeds the limit is the
-    catalog solved once more with vectors, the solve ``keep_vectors=True``
-    makes, and the exact masses read from them.  The energies are
-    bit-identical to the ``keep_vectors=True`` ones.
+    Every catalog is solved with vectors, which give the boundary mass;
+    ``keep_vectors=False`` drops them from the catalog.
     """
     if points < MIN_FD_POINTS:
         raise ValueError(f"need at least {MIN_FD_POINTS} grid points")
@@ -288,24 +246,15 @@ def fd_catalog_1d(
     if lo >= lambda_max:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
 
-    def solve(vectors):
-        return eigh_tridiagonal(
-            diag, off, eigvals_only=not vectors, select="v", select_range=(lo, lambda_max)
-        )
-
-    w, vecs = solve(True) if keep_vectors else (solve(False), None)
+    w, vecs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, lambda_max))
     if w.size == 0:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
     if np.any(np.diff(w) <= 0):
         raise ResolutionError(f"grid spacing {h:.3g} too coarse to separate levels at hbar={hbar}")
     sturm_ok = _sturm_count(diag, off, lambda_max) == w.size
 
-    masses = None if keep_vectors else _wall_bounds(diag, off, w)
-    if masses is None or np.max(masses) > MAX_BOUNDARY_MASS:
-        # unit l2 vectors: entry^2 is already a mass fraction
-        u = vecs if keep_vectors else solve(True)[1]
-        masses = u[0, :] ** 2 + u[-1, :] ** 2
-    boundary_mass = float(np.max(masses))
+    # unit l2 vectors: entry^2 is already a mass fraction
+    boundary_mass = float(np.max(vecs[0, :] ** 2 + vecs[-1, :] ** 2))
     if boundary_mass > MAX_BOUNDARY_MASS:
         raise DomainTooSmallError(
             f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"

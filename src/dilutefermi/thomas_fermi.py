@@ -17,9 +17,11 @@ computes them all.  Every trap is radial and must be nondecreasing in r,
 so the set is a ball: the rule finds its radius R by a bracketing search on
 V <= lam that tests points around the secant estimate of the crossing,
 then integrates 4 pi r^2 dr with one Gauss-Legendre panel on [0, R],
-substituting r = R - s^2 to resolve the edge; an n-against-2n estimate
-doubles n up to a fixed cap.  The 1-d classical counts of ``spectra`` run
-the same rule on the two half-lines from the trap's minimum.
+substituting r = R - s^2 to resolve the edge.  The panel runs the Gauss
+rule of ``numerics`` that every radial integral shares: order n is
+checked against order 2n, and n doubles up to a fixed cap.  The 1-d
+classical counts of ``spectra`` run the same rule on the two half-lines
+from the trap's minimum.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    RadialProfile,
-    RefinementError,
-    Tolerance,
-    integrate_radial,
-)
+from .numerics import RadialProfile, Tolerance, _gauss_rule, integrate_radial
 from .tables import write_table
 
 __all__ = [
@@ -115,46 +112,12 @@ class CutoffTFSolution:
     E_TF: float
 
 
-# the level rule (see the module docstring): Gauss-Legendre of order n is
-# checked against order 2n; n starts at _RULE_START and doubles up to _RULE_CAP
-_RULE_START = 16
-_RULE_CAP = 256
+# relative tolerance of the level rule (see the module docstring)
 _RULE_REL = 1e-13
 # the support search: even sections per step, shared among the rays, and
 # ladder points on each side of the secant estimate
 _SECTIONS = 64
 _LADDER = 24
-
-
-@functools.cache
-def _gauss(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even, correctly rounded.
-
-    Newton's method on P_n in 40-digit decimal arithmetic from NumPy's
-    nodes, then w = 2 / ((1 - x^2) P_n'(x)^2).  NumPy's own weights err
-    by up to 1e-11 relative at n = 128, which moved level integrals by
-    several ulp.  ``decimal`` loads on the first call.
-    """
-    from decimal import Decimal, localcontext
-
-    def legendre(t):
-        p_prev, p = Decimal(1), t
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
-        return p, n * (t * p - p_prev) / (t * t - 1)
-
-    nodes, weights = [], []
-    with localcontext() as ctx:
-        ctx.prec = 40
-        for guess in np.polynomial.legendre.leggauss(n)[0][: n // 2]:
-            t = Decimal(float(guess))
-            for _ in range(3):  # the third step moves t by less than 1e-40
-                p, dp = legendre(t)
-                t -= p / dp
-            nodes.append(float(t))
-            weights.append(float(2 / ((1 - t * t) * dp * dp)))
-    # the rule is symmetric, and every order used is even
-    return np.array(nodes + [-x for x in reversed(nodes)]), np.array(weights + weights[::-1])
 
 
 class _Rays:
@@ -257,8 +220,7 @@ def _level_integrals(rays, lam, fields, R=None):
     # relative to the depth lam - min V no rule resolves the integrals better
     rel = _RULE_REL + 64.0 * np.finfo(float).eps * max(abs(lam), abs(vmin)) / (lam - vmin)
 
-    def rule(n):
-        x, w = _gauss(n)
+    def panel(x, w):
         u, w = 0.5 * (1.0 + x), 0.5 * w
         # s = sqrt(R) u, so r = R - s^2 and dr = 2 s ds
         r = edge - edge * u * u
@@ -271,23 +233,10 @@ def _level_integrals(rays, lam, fields, R=None):
                 f"V exceeds {lam!r} inside the support of a ray: the trap is not "
                 "nondecreasing along every ray from the origin"
             )
-        return np.array(fields(np.maximum(gap, 0.0), vr)), wr
+        F = np.array(fields(np.maximum(gap, 0.0), vr))
+        return (F * wr).sum(axis=(1, 2)), rel * (np.abs(F) * wr).sum(axis=(1, 2))
 
-    n = _RULE_START
-    F, wr = rule(n)
-    coarse = (F * wr).sum(axis=(1, 2))
-    while True:
-        F, wr = rule(2 * n)
-        fine = (F * wr).sum(axis=(1, 2))
-        if np.all(np.abs(fine - coarse) <= rel * (np.abs(F) * wr).sum(axis=(1, 2))):
-            return fine, R
-        if n >= _RULE_CAP:
-            raise RefinementError(
-                f"level rule did not converge with {2 * n} points per ray",
-                previous_estimate=coarse,
-                last_estimate=fine,
-            )
-        n, coarse = 2 * n, fine
+    return _gauss_rule(panel, "level rule", "ray"), R
 
 
 def _fix_level(level, vmin, what):
@@ -402,12 +351,12 @@ def tf_functional(v, rho):
     if np.min(rho.values) < -1e-13:
         raise DomainError("trial density has negative samples")
     vr = v.radial_fn
-    bps = rho.nodes if rho.nodes.size <= 128 else ()
+    # a panel per segment of the interpolant: no Gauss panel spans a kink
     kin = integrate_radial(
-        lambda r: np.maximum(rho(r), 0.0) ** (5.0 / 3.0), rho.r_max, FUNCTIONAL_TOL, bps
+        lambda r: np.maximum(rho(r), 0.0) ** (5.0 / 3.0), rho.r_max, FUNCTIONAL_TOL, rho.nodes
     )
     pot = integrate_radial(
-        lambda r: vr(r) * np.maximum(rho(r), 0.0), rho.r_max, FUNCTIONAL_TOL, bps
+        lambda r: vr(r) * np.maximum(rho(r), 0.0), rho.r_max, FUNCTIONAL_TOL, rho.nodes
     )
     return 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
 

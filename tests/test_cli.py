@@ -197,6 +197,14 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("scatter", {"interaction": {"kind": "square_barrier", "radius": 5e-324}}),
         ("scatter", {"interaction": {"kind": "hardcore", "radius": 1e-310}}),
         ("predict", {"potential": {"kind": "harmonic"}, "interaction": {"kind": "hardcore", "radius": 5e-324}}),
+        # a density whose scale hbar^(-3/2) overflows, whose radii r / sqrt(hbar)
+        # overflow, that fills past the 200-shell depth (M > C(203, 3) = 1373701),
+        # or whose 2049 radii cannot increase
+        ("spectra", {"spectra": {"density": {"hbar": 1e-250, "M": 1}}}),
+        ("spectra", {"spectra": {"density": {"hbar": 0.1, "M": 5, "r_max": 1e308}}}),
+        ("spectra", {"spectra": {"density": {"hbar": 0.1, "M": 10000000}}}),
+        ("spectra", {"spectra": {"density": {"M": 1373702, "nodes": 16}}}),
+        ("spectra", {"spectra": {"density": {"r_max": 5e-324}}}),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, payload):

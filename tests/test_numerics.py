@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilutefermi import numerics, thomas_fermi
+from dilutefermi import numerics, scattering, spectra, thomas_fermi
 from dilutefermi.numerics import (
     RadialProfile,
     RefinementError,
@@ -28,8 +28,6 @@ def test_tolerance_validation():
         Tolerance(abs=0.0, rel=0.0)
     with pytest.raises(ValueError):
         Tolerance(abs=-1e-3)
-    with pytest.raises(ValueError):
-        Tolerance(max_refinements=0)
 
 
 def test_profile_validation():
@@ -74,12 +72,23 @@ def test_quadrature_linearity_and_monotonicity():
     assert i_f <= i_g + 2.0 * tol.abs  # f <= g pointwise on [0, 2]
 
 
-def test_refinement_failure_carries_estimates():
-    tol = Tolerance(abs=1e-300, rel=1e-300, max_refinements=3)
-    with pytest.raises(RefinementError) as exc:
+def test_refinement_failure_carries_estimates(monkeypatch):
+    # a cusp at every zero of sin(40 r) defeats every order up to the cap
+    orders = []
+    gauss = numerics._gauss
+
+    def recording(n):
+        orders.append(n)
+        return gauss(n)
+
+    monkeypatch.setattr(numerics, "_gauss", recording)
+    tol = Tolerance(abs=1e-300, rel=1e-300)
+    with pytest.raises(RefinementError, match="512 points per panel") as exc:
         integrate_radial(lambda r: np.sqrt(np.abs(np.sin(40.0 * r))), 3.0, tol)
-    assert math.isfinite(exc.value.last_estimate)
-    assert math.isfinite(exc.value.previous_estimate)
+    assert max(orders) == 2 * numerics._RULE_CAP
+    assert exc.value.last_estimate.shape == exc.value.previous_estimate.shape == (1,)
+    assert np.all(np.isfinite(exc.value.last_estimate))
+    assert np.all(np.isfinite(exc.value.previous_estimate))
 
 
 def test_lp_identity_is_zero():
@@ -281,74 +290,81 @@ def test_lp_triangle_inequality(fv, gv, hv, p):
     assert lp_distance(f, h, p) <= lp_distance(f, g, p) + lp_distance(g, h, p) + 1e-10
 
 
-def _integrate_radial_per_half(f, r_max, tol, breakpoints=()):
-    """Reference: the refinement loop that samples each half panel with its own call."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
+def _integrate_radial_reference(f, r_max, tol, breakpoints=()):
+    """Reference: the shared Gauss rule in plain Python floats.
 
-    def weighted(r):
-        return 4.0 * np.pi * r * r * np.asarray(f(r), dtype=float)
-
-    def panels(a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * gl_x[None, :]
-        return half * (weighted(pts.ravel()).reshape(pts.shape) @ gl_w)
-
+    The same ``_gauss`` nodes and the same n-against-2n loop, with every
+    node, weight product, panel sum and panel total formed one float at a
+    time in Python, so no BLAS or SIMD kernel rounds any of them.  ``f``
+    alone sees NumPy: one call per order on every node of every panel,
+    node by node as the kernel samples them, so it rounds as there.
+    """
     edges = [0.0] + [x for x in sorted(set(map(float, breakpoints))) if 0.0 < x < r_max] + [float(r_max)]
-    a = np.array(edges[:-1])
-    b = np.array(edges[1:])
-    coarse = panels(a, b)
-    total = 0.0
-    depth = 0
-    while a.size:
-        mids = 0.5 * (a + b)
-        if depth > tol.max_refinements:
-            fine = panels(np.concatenate([a, mids]), np.concatenate([mids, b]))
-            raise RefinementError("cap", total + float(np.sum(coarse)), total + float(np.sum(fine)))
-        left = panels(a, mids)
-        right = panels(mids, b)
-        fine = left + right
-        err = np.abs(fine - coarse)
-        budget = np.maximum(tol.abs * (b - a) / r_max, tol.rel * np.abs(fine))
-        ok = (err <= budget) | ((b - a) <= 1e-15 * r_max)
-        total += float(np.sum(fine[ok]))
-        keep = ~ok
-        a = np.concatenate([a[keep], mids[keep]])
-        b = np.concatenate([mids[keep], b[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
-        depth += 1
-    return total
+    panels = list(zip(edges[:-1], edges[1:]))
+
+    def estimates(n):
+        xs, ws = (t.tolist() for t in numerics._gauss(n))
+        rs = [0.5 * (a + b) + 0.5 * (b - a) * x for x in xs for a, b in panels]
+        vals = np.asarray(f(np.array(rs)), dtype=float).tolist()
+        out = []
+        for k, (a, b) in enumerate(panels):
+            acc = None
+            for j, w in enumerate(ws):
+                r = rs[j * len(panels) + k]
+                term = 4.0 * math.pi * r * r * vals[j * len(panels) + k] * w
+                acc = term if acc is None else acc + term
+            out.append(0.5 * (b - a) * acc)
+        return out
+
+    n = numerics._RULE_START
+    coarse = estimates(n)
+    while True:
+        fine = estimates(2 * n)
+        budgets = [max(tol.abs * (b - a) / r_max, tol.rel * abs(e)) for (a, b), e in zip(panels, fine)]
+        if all(abs(e - c) <= t for e, c, t in zip(fine, coarse, budgets)):
+            total = 0.0
+            for e in fine:
+                total += e
+            return total
+        if n >= numerics._RULE_CAP:
+            raise RefinementError("cap", coarse, fine)
+        n, coarse = 2 * n, fine
 
 
-def test_integrate_radial_equals_per_half_reference(monkeypatch):
+def test_integrate_radial_equals_plain_python_reference(monkeypatch):
     pairs = []
 
     def recorder(f, r_max, tol=Tolerance(), breakpoints=()):
         got = integrate_radial(f, r_max, tol, breakpoints)
-        pairs.append((got, _integrate_radial_per_half(f, r_max, tol, breakpoints)))
+        pairs.append((got, _integrate_radial_reference(f, r_max, tol, breakpoints)))
         return got
 
     monkeypatch.setattr(thomas_fermi, "integrate_radial", recorder)
-    # the five traps of the solver sweep: the mass, kinetic, potential and
-    # interaction integrands of each TF minimizer with a breakpoint at its
-    # support edge, then the trial-energy integrals of two of the profiles
-    for v in (harmonic_trap(0.0), harmonic_trap(1.0), power_trap(3.0), power_trap(4.0), power_trap(6.0)):
-        sol = thomas_fermi.tf_solve(v)
-        rho, edge = sol.rho_fn, (sol.support_radius,)
-        for f in (rho, lambda r: rho(r) ** (5.0 / 3.0), lambda r: v.radial_fn(r) * rho(r), lambda r: rho(r) ** 2):
-            recorder(f, sol.support_radius, Tolerance(abs=1e-12, rel=1e-12), edge)
-    n_tf = len(pairs)
+    monkeypatch.setattr(scattering, "integrate_radial", recorder)
+    # the harmonic minimizer's mass with a breakpoint at its support edge;
+    # the trial-energy integrals of tf_functional on two sampled minimizers,
+    # a panel per profile segment; the unit-mass check of the Dyson shell;
+    # the free-state traces of criterion 16, with and without its breakpoints
+    edge = math.sqrt(LAMBDA)
+    recorder(lambda r: np.maximum(LAMBDA - r * r, 0.0) ** 1.5 / (3.0 * math.pi**2), edge, Tolerance(), (edge,))
     for v in (harmonic_trap(0.0), power_trap(4.0)):
-        thomas_fermi.tf_functional(v, thomas_fermi.tf_solve(v).rho)
-    assert n_tf >= 20 and len(pairs) > n_tf
+        sol = thomas_fermi.tf_solve(v)
+        nodes = np.linspace(0.0, sol.support_radius * 1.02, 257)
+        thomas_fermi.tf_functional(v, RadialProfile(nodes, sol.rho_fn(nodes)))
+    scattering.dyson_parts(0.5, 2.0, 1.0, 1.0)
+    for N in (100, 1000):
+        fn = spectra.free_ground_state_density_fn(N ** (-1.0 / 3.0), math.ceil(N / 2))
+        for bps in ((1.0, 2.0, 3.0), ()):
+            recorder(fn, 6.0, Tolerance(abs=1e-10, rel=1e-10), bps)
+    assert len(pairs) == 1 + 4 + 1 + 4
     for got, want in pairs:
         assert got == want
 
-    tol = Tolerance(abs=1e-300, rel=1e-300, max_refinements=3)
+    tol = Tolerance(abs=1e-300, rel=1e-300)
     f = lambda r: np.sqrt(np.abs(np.sin(40.0 * r)))
     with pytest.raises(RefinementError) as got:
-        integrate_radial(f, 3.0, tol)
+        integrate_radial(f, 3.0, tol, (1.0,))
     with pytest.raises(RefinementError) as want:
-        _integrate_radial_per_half(f, 3.0, tol)
-    assert got.value.previous_estimate == want.value.previous_estimate
-    assert got.value.last_estimate == want.value.last_estimate
+        _integrate_radial_reference(f, 3.0, tol, (1.0,))
+    assert got.value.previous_estimate.tolist() == want.value.previous_estimate
+    assert got.value.last_estimate.tolist() == want.value.last_estimate

@@ -302,51 +302,41 @@ def eigensolves(monkeypatch):
         (lambda x: x * x, 1.0, 2.3, 500, 3.5, True),  # boundary mass 5.4e-7
         (lambda x: x * x, 1.0, 3.6, 500, 3.5, False),  # boundary mass 8.0e-9, just passes
         # the quartic Weyl scan's top rung on the 10^4-point grid the benchmark sends
-        (lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, None),
+        (lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, False),
     ],
     ids=["leaky_x2", "near_threshold_x2", "quartic_1e4"],
 )
 def test_end_masses_match_clustered_vectors(v, hbar, halfwidth, points, lambda_max, leaks):
     diag, off, w, reference = _fd_matrix(v, hbar, halfwidth, points, lambda_max)
-    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
+    assert (np.max(reference) > spectra.MAX_BOUNDARY_MASS) == leaks
     args = (v, hbar, halfwidth, points, lambda_max)
-    if leaks:
-        for keep in (True, False):
+    for keep in (True, False):
+        if leaks:
             with pytest.raises(DomainTooSmallError, match="boundary mass"):
                 fd_catalog_1d(*args, keep_vectors=keep)
-    elif leaks is False:
-        for keep in (True, False):
+        else:
             cat = fd_catalog_1d(*args, keep_vectors=keep)
             assert np.array_equal(cat.energies, w) and cat.sturm_certified
 
 
-@pytest.mark.parametrize("tilt", [1e-6, 1e-3])
-def test_wall_bounds_cover_tilted_double_wells(tilt):
-    # tilted double well: each level of the lowest two pairs sits in one
-    # well, and the pairs split by about 2 * tilt, far above the tunnelling
-    # splitting (~1e-11)
-    v = lambda x: (x * x - 1.0) ** 2 + tilt * x
-    diag, off, w, reference = _fd_matrix(v, 0.05, 1.6, 2000, 0.3)
-    assert np.all(reference > 1e-13)
-    assert np.all(spectra._wall_bounds(diag, off, w) >= reference)
-
-
-def test_wall_bounds_spare_stein_only_where_they_certify(eigensolves):
-    calls, _ = eigensolves
-    # the quartic Weyl scan's top rung on 10^4 points: the bounds certify every level
+def test_fd_catalog_without_vectors_solves_once(eigensolves):
+    calls, vector_refs = eigensolves
+    # the quartic Weyl scan's top rung on 10^4 points: one solve, with vectors
     quartic = fd_catalog_1d(lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, keep_vectors=False)
     assert quartic.energies.size == 187
-    assert calls == [(10**4, True)]
-    # a leaky catalog gets its exact masses from the vectors, and the same error
+    assert calls == [(10**4, False)]
+    gc.collect()
+    assert quartic.vectors is None and vector_refs[-1]() is None  # dropped, not kept
+    # a leaky catalog reads its masses from the same solve, and raises
     calls.clear()
     with pytest.raises(DomainTooSmallError, match="boundary mass 5.396e-07 exceeds 1e-8"):
         fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
-    assert calls == [(500, True), (500, False)]
-    # near threshold (mass 8.0e-9): the bounds leave it open, the vectors pass it
+    assert calls == [(500, False)]
+    # near threshold (mass 8.0e-9): the energies are those of the kept catalog
     calls.clear()
     dropped = fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5, keep_vectors=False)
-    assert calls == [(500, True), (500, False)]
     kept = fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5)
+    assert calls == [(500, False), (500, False)]
     assert np.array_equal(dropped.energies, kept.energies)
     assert dropped.vectors is None
 
@@ -364,12 +354,6 @@ def test_eigensolves_form_vectors_only_when_kept(eigensolves, tmp_path):
     gc.collect()
     assert kept.vectors is not None
     assert vector_refs[-1]() is None  # the catalog holds only its rescaled copy
-    calls.clear()
-    vector_refs.clear()
-
-    fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
-    assert calls == [(2000, True)]
-    assert vector_refs == []
 
 
 def test_weyl_scan_harmonic_exponents():

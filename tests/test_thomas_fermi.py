@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dilutefermi import semiclassics as scl
-from dilutefermi import thomas_fermi
+from dilutefermi import numerics, thomas_fermi
 from dilutefermi.numerics import RadialProfile, RefinementError, lp_distance
 from dilutefermi.potentials import Potential, harmonic_trap, power_trap
 from dilutefermi.thomas_fermi import (
@@ -321,13 +321,13 @@ def test_power_closed_forms_at_rounding_level(s):
 
 def _recorded_rule_orders(monkeypatch):
     orders = []
-    gauss = thomas_fermi._gauss
+    gauss = numerics._gauss
 
     def recording(n):
         orders.append(n)
         return gauss(n)
 
-    monkeypatch.setattr(thomas_fermi, "_gauss", recording)
+    monkeypatch.setattr(numerics, "_gauss", recording)
     return orders
 
 
@@ -358,7 +358,7 @@ def test_level_rule_past_its_cap_raises_refinement_error(monkeypatch):
     orders = _recorded_rule_orders(monkeypatch)
     with pytest.raises(RefinementError) as exc:
         scl.phase_space_counts(step, 4.0)
-    assert max(orders) == 2 * thomas_fermi._RULE_CAP
+    assert max(orders) == 2 * numerics._RULE_CAP
     assert np.all(np.isfinite(exc.value.last_estimate))
 
 
