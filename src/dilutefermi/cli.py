@@ -465,7 +465,7 @@ def cmd_husimi(config, outdir):
         _header("husimi", config, [
             "resolution: int m dx dp / (2 pi hbar) = tr(gamma)",
             "kinetic: int p^2 m = tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2",
-            "catalog: sinc-DVR on solve_nodes, level count re-checked on ceil(1.25 solve_nodes)",
+            "catalog: sinc-DVR on solve_nodes, levels checked on the coarser grid before it",
             f"solve_nodes={cat.solve_nodes} momentum_margin={cat.momentum_margin!r}",
             f"boundary_mass={cat.boundary_mass!r}",
             f"convergence_estimate={cat.convergence_estimate!r}",

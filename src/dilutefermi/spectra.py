@@ -1,13 +1,13 @@
 """Quantum side of the semiclassical comparison.
 
-Eigenvalue catalogs come from three oracles: the analytic 3d isotropic
-harmonic spectrum, and two one-dimensional discretizations, symmetric
-finite differences and the Colbert-Miller sinc-DVR (dense 3d
-eigensolvers exceed desk scale, and the phase-space identities are
-dimension-agnostic).  On top of the catalogs
-sit spectral counting, Weyl-error exponent scans, the radial density of
-the filled free ground state, and coherent-state (Husimi) identity
-checks.
+Eigenvalue catalogs come from the analytic 3d isotropic harmonic
+spectrum and from one-dimensional discretizations (dense 3d eigensolvers
+exceed desk scale, and the phase-space identities are dimension-agnostic):
+the Colbert-Miller sinc-DVR of an even trap, which every command, criterion
+and Weyl scan uses, and symmetric finite differences (``fd_catalog_1d``).
+On top of the catalogs sit spectral counting, Weyl-error exponent scans,
+the radial density of the filled free ground state, and coherent-state
+(Husimi) identity checks.
 
 The choices are fixed: the coherent states split hbar^2 into
 hbar_x = hbar^(4/3) in position and hbar_p = hbar^(2/3) in momentum, the
@@ -20,11 +20,12 @@ hbar = N^(-1), so the number of bound states below a fixed level again
 grows like N.
 
 SciPy is needed only by ``fd_catalog_1d``; ``scipy.linalg`` is imported
-at its first eigensolve.  The sinc-DVR uses NumPy alone: the catalog of
-``husimi`` and ``verify-all`` solves the full matrix and keeps its
-vectors, and the ``fd_1d`` Weyl scans solve the two parity blocks of an
-even trap for their levels.  Both size and certify the grid alike
-(``_settled_dvr_solve``), so no command and no Weyl scan loads SciPy.
+at its first eigensolve.  The sinc-DVR uses NumPy alone and one path
+(``_settled_dvr_solve``): each grid of its ladder is solved once, as the
+two parity blocks of the even trap, and the catalog of ``husimi`` and
+``verify-all`` unfolds the kept grid's block vectors onto the full grid,
+where the ``fd_1d`` Weyl scans keep the levels alone.  So no command and
+no Weyl scan loads SciPy.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class SpectralCatalog:
     One-dimensional catalogs also carry their grid, the potential and,
     when kept, the eigenvectors sampled on the grid, and report whether a
     count certifies the completeness: a Sturm count for finite
-    differences, agreement with a finer re-solve for the sinc-DVR.
+    differences, agreement with the coarser grid before it for the
+    sinc-DVR.
     """
 
     hbar: float
@@ -100,7 +102,7 @@ class SpectralCatalog:
     sturm_certified: bool = None
     # sinc-DVR catalogs only: solve-grid nodes n_c, the momentum margin
     # pi hbar / h_c over sqrt(lambda_max - min v), the largest end mass
-    # c_0^2 + c_{n-1}^2 and the largest level change against the re-solve
+    # c_0^2 + c_{n-1}^2 and the largest level change against the coarser grid
     solve_nodes: int = None
     momentum_margin: float = None
     boundary_mass: float = None
@@ -120,7 +122,7 @@ class SpectralCatalog:
 MIN_FD_POINTS = 200
 # grid points of a configured one-dimensional catalog: a finite-difference
 # eigenvector matrix holds up to points^2 doubles, 128 MB at this cap, and
-# the sinc-DVR interpolation builds a few points x 1638 arrays, 52 MB each
+# the sinc-DVR interpolation builds a few points x 2048 arrays, 66 MB each
 MAX_FD_POINTS = 4001
 # nodes of a configured free-state density: its Hermite table holds
 # (shells + 1) x nodes doubles, 105 MB at this cap and the 200-shell depth
@@ -276,13 +278,13 @@ def fd_catalog_1d(
 # at least this multiple of sqrt(lambda_max - min v), the largest classical
 # momentum below lambda_max.
 _DVR_MARGIN = 2.5
-# A sinc-DVR grid is settled when its re-solve on 1.25 times the nodes finds
-# as many levels at or below lambda_max, none of them moved by more than this
-# fraction of lambda_max - min v.
+# A sinc-DVR grid is settled when the grid before it on the ladder finds as
+# many levels at or below lambda_max, none of them moved by more than this
+# fraction, or the grid's largest end mass if larger, of lambda_max - min v.
 _DVR_SETTLED = 1e-12
-# nodes of a sinc-DVR re-solve, the largest dense solve: its full matrix and
-# the eigensolver's copy hold 2 nodes^2 doubles, 67 MB at this cap; the
-# parity blocks of an even trap hold a quarter of that
+# nodes of a sinc-DVR grid: its larger parity block, the largest dense
+# solve, and the eigensolver's copy hold nodes^2 / 2 doubles, 17 MB at this
+# cap, a quarter of the full matrix and its copy
 MAX_DVR_NODES = 2048
 
 
@@ -302,35 +304,19 @@ def _toeplitz(band, m):
     return np.lib.stride_tricks.sliding_window_view(stacked, m)[::-1]
 
 
-def _dvr_hamiltonian(v, hbar, halfwidth, n):
-    """Nodes, spacing and the Colbert-Miller sinc-DVR matrix of -hbar^2 d^2/dx^2 + v.
+def _parity_block(v, hbar, halfwidth, n, sign):
+    """The even (sign +1) or odd (sign -1) block of the Colbert-Miller
+    sinc-DVR matrix of -hbar^2 d^2/dx^2 + v for an even v, in the basis
+    (e_x +- e_-x) / sqrt(2) of the nodes x > 0, which come last in the block.
 
     The n nodes x_i = -halfwidth + i h, i = 1..n, split (-halfwidth,
-    halfwidth) into n + 1 steps h.  The kinetic matrix is hbar^2 / h^2
-    times ``_kinetic_band``'s t(|i - j|).
-    """
-    h = 2.0 * halfwidth / (n + 1)
-    x = -halfwidth + h * np.arange(1, n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = _toeplitz(_kinetic_band(n), n) * ((hbar / h) * (hbar / h))
-        H[np.diag_indices(n)] += np.asarray(v(x), dtype=float)
-    if not np.all(np.isfinite(H)):
-        raise ResolutionError(
-            f"the operator is not finite on the {n}-node grid of halfwidth {halfwidth}"
-        )
-    return x, h, H
-
-
-def _parity_block(v, hbar, halfwidth, n, sign):
-    """The even (sign +1) or odd (sign -1) block of ``_dvr_hamiltonian``'s
-    matrix for an even v, in the basis (e_x +- e_-x) / sqrt(2) of the nodes
-    x > 0, which come last in the block.
-
-    The kinetic part is t(|i - j|) + sign t(i + j) on the nodes x = i h,
-    i = 1..m, of odd n = 2m + 1, and t(|i - j|) + sign t(i + j - 1) on the
-    nodes x = (i - 1/2) h of even n = 2m.  The centre node x = 0 of odd n
-    enters the even block alone, coupled by sqrt(2) t(i).  v is read on
-    x >= 0 only.
+    halfwidth) into n + 1 steps h, and the full matrix is hbar^2 / h^2
+    times ``_kinetic_band``'s t(|i - j|) plus diag v(x_i).  Its kinetic
+    block is t(|i - j|) + sign t(i + j) on the nodes x = i h, i = 1..m, of
+    odd n = 2m + 1, and t(|i - j|) + sign t(i + j - 1) on the nodes
+    x = (i - 1/2) h of even n = 2m.  The centre node x = 0 of odd n enters
+    the even block alone, coupled by sqrt(2) t(i).  v is read on x >= 0
+    only.
     """
     h = 2.0 * halfwidth / (n + 1)
     m, odd = divmod(n, 2)
@@ -357,117 +343,137 @@ def _parity_block(v, hbar, halfwidth, n, sign):
     return block
 
 
-def _settled_dvr_solve(solve, hbar, halfwidth, lambda_max, v_min):
-    """Size a sinc-DVR grid and certify its levels: the routine that
-    ``dvr_catalog_1d`` and ``_even_dvr_catalog`` share.
+def _settled_dvr_solve(v, hbar, halfwidth, lambda_max):
+    """Size a sinc-DVR grid for an even v and certify its levels.
 
-    The first grid of n nodes is the coarsest open grid whose largest
-    momentum pi hbar / h is ``_DVR_MARGIN`` times sqrt(lambda_max - v_min).
-    ``solve(n, True)`` returns the n levels in ascending order, the end
-    mass c_0^2 + c_{n-1}^2 of each unit eigenvector and whatever the
-    caller keeps of the vectors; ``solve(n, False)`` returns the levels
-    alone.  Each grid is re-solved on ceil(1.25 n) nodes; until the
-    re-solve is settled (``_DVR_SETTLED``) the re-solve grid becomes the
-    next n.
+    n_1 is the coarsest grid, of at least 2 nodes, whose largest momentum
+    pi hbar / h is ``_DVR_MARGIN`` times sqrt(lambda_max - min v).  The
+    ladder n_0 = min(ceil(0.8 n_1), n_1 - 1), n_1, n_{k+1} = ceil(1.25 n_k)
+    solves each grid once, as its two ``_parity_block`` blocks one at a
+    time: n_0 for its levels, later grids with their vectors.  Grid n_k is
+    kept once n_{k-1} finds as many levels at or below lambda_max and moves
+    none by more than max(``_DVR_SETTLED``, end mass) (lambda_max - min v).
+    The end mass, n_k's largest c_0^2 + c_{n-1}^2, is the last component^2
+    of a unit block vector; a level that reaches the ends moves with them,
+    so no finer grid would settle it.
 
-    Returns the settled grid's levels at or below lambda_max, what
-    ``solve`` kept, and the catalog's certificate fields: ``solve_nodes``,
-    ``momentum_margin``, ``boundary_mass`` (the largest end mass),
-    ``convergence_estimate`` (the largest level change against the
-    re-solve) and ``sturm_certified``.  A first re-solve grid past
-    ``MAX_DVR_NODES``, or one that is not a finite number, raises
-    ``ResolutionError`` before anything of its size is allocated, and so
-    does a refinement that would pass the cap.  A lambda_max at or below
-    v_min, or no level below it, raises ``TruncationError``.
+    Returns the kept grid's sorted levels at or below lambda_max, the
+    (levels, vectors) of its even and odd blocks, and the certificate
+    fields of ``SpectralCatalog``; ``convergence_estimate`` is the largest
+    level change within the pair.
+
+    Raises, before any block is built, ``ValueError`` for a v whose 8191
+    samples of the 20% turning-point check differ from their mirror images
+    by more than 1e-12 relative, and ``ResolutionError`` for an n_1 past
+    ``MAX_DVR_NODES`` or not finite; later, ``ResolutionError`` for a
+    ladder that would pass the cap, ``TruncationError`` for no level below
+    lambda_max and ``DomainTooSmallError`` for an end mass above
+    ``MAX_BOUNDARY_MASS``.
     """
+    vx = _allowed_region_samples(v, halfwidth, lambda_max)
+    v_min = float(np.min(vx))
     if not lambda_max > v_min:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
+    span = lambda_max - v_min
     # n + 1 >= 2 halfwidth / h with pi hbar / h = margin sqrt(lambda_max - v_min)
-    steps = 2.0 * halfwidth * _DVR_MARGIN * math.sqrt(lambda_max - v_min) / (math.pi * hbar)
-    if not 1.25 * steps <= MAX_DVR_NODES:
+    steps = 2.0 * halfwidth * _DVR_MARGIN * math.sqrt(span) / (math.pi * hbar)
+    if not steps <= MAX_DVR_NODES + 1:
         raise ResolutionError(
             f"hbar={hbar!r} and halfwidth={halfwidth!r} need a sinc-DVR grid of about "
-            f"{1.25 * steps:.3g} nodes, more than {MAX_DVR_NODES}"
+            f"{steps:.3g} nodes, more than {MAX_DVR_NODES}"
         )
-    tol = _DVR_SETTLED * (lambda_max - v_min)
-    n = max(math.ceil(steps) - 1, 1)
+    mid = vx.size // 2  # the sample at x = 0
+    left, right = vx[mid - 1 :: -1], vx[mid + 1 :]  # v(-x) and v(x), x > 0
+    if not np.all((left == right) | (np.abs(left - right) <= 1e-12 * np.abs(right))):
+        raise ValueError("the parity-folded sinc-DVR needs an even trap v(-x) = v(x)")
+
+    n_1 = max(math.ceil(steps) - 1, 2)
+    n = min(math.ceil(0.8 * n_1), n_1 - 1)
+    w = np.sort(np.concatenate([
+        np.linalg.eigvalsh(_parity_block(v, hbar, halfwidth, n, sign)) for sign in (1.0, -1.0)
+    ]))
+    coarse, n_coarse, n = w[w <= lambda_max], n, n_1
     while True:
-        n_check = math.ceil(1.25 * n)
-        w, ends, kept = solve(n, True)
-        count = int(np.count_nonzero(w <= lambda_max))
-        # a level that reaches the ends moves with them, so no refinement settles it
-        boundary_mass = float(np.max(ends[:count], initial=0.0))
+        blocks = []
+        for sign in (1.0, -1.0):
+            wb, ub = np.linalg.eigh(_parity_block(v, hbar, halfwidth, n, sign))
+            blocks.append((wb[wb <= lambda_max], ub[:, wb <= lambda_max]))
+            del ub  # the block's vectors are freed before the next block is built
+        w = np.sort(np.concatenate([wb for wb, _ in blocks]))
+        boundary_mass = max(float(np.max(u[-1] ** 2, initial=0.0)) for _, u in blocks)
         if boundary_mass > MAX_BOUNDARY_MASS:
             raise DomainTooSmallError(
                 f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
             )
-        w_check = solve(n_check, False)
-        change = float(np.max(np.abs(w[:count] - w_check[:count]), initial=0.0))
-        if np.count_nonzero(w_check <= lambda_max) == count and change <= tol:
-            break
-        if math.ceil(1.25 * n_check) > MAX_DVR_NODES:
+        if coarse.size == w.size:
+            change = float(np.max(np.abs(w - coarse), initial=0.0))
+            if change <= max(_DVR_SETTLED, boundary_mass) * span:
+                break
+        if math.ceil(1.25 * n) > MAX_DVR_NODES:
             raise ResolutionError(
-                f"sinc-DVR grids of {n} and {n_check} nodes disagree on the levels below "
-                f"lambda_max={lambda_max!r}, and a finer pair would pass {MAX_DVR_NODES} nodes"
+                f"sinc-DVR grids of {n_coarse} and {n} nodes disagree on the levels below "
+                f"lambda_max={lambda_max!r}, and a finer grid would pass {MAX_DVR_NODES} nodes"
             )
-        n = n_check
-    if count == 0:
+        coarse, n_coarse, n = w, n, math.ceil(1.25 * n)
+    if w.size == 0:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
-    w = w[:count]
     if np.any(np.diff(w) <= 0):
         raise ResolutionError(f"levels at hbar={hbar} coincide in floating point")
     h = 2.0 * halfwidth / (n + 1)
-    return w, kept, dict(
+    return w, blocks, dict(
         sturm_certified=True,
         solve_nodes=n,
-        momentum_margin=math.pi * hbar / h / math.sqrt(lambda_max - v_min),
+        momentum_margin=math.pi * hbar / h / math.sqrt(span),
         boundary_mass=boundary_mass,
         convergence_estimate=change,
     )
 
 
-def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
-    """Eigenpairs of -hbar^2 d^2/dx^2 + v on (-halfwidth, halfwidth) by the
-    Colbert-Miller sinc-DVR (J. Chem. Phys. 96, 1982 (1992)), in NumPy alone.
-
-    The solve grid of n_c nodes (``_dvr_hamiltonian``) is the first grid
-    ``_settled_dvr_solve`` settles on: the coarsest one whose largest
-    momentum pi hbar / h_c is ``_DVR_MARGIN`` times sqrt(lambda_max -
-    min v), refined 1.25-fold while its re-solve disagrees.  It does not
-    depend on ``points``: the eigenfunctions psi(x) = sum_i c_i sinc((x -
-    x_i) / h_c) / sqrt(h_c), which are band-limited, are evaluated exactly
-    on the grid of ``points`` interior points that ``fd_catalog_1d`` would
-    use, and renormalized there to h sum psi^2 = 1.
-
-    Certificates:
-
-    - count: a re-solve on ceil(1.25 n_c) nodes finds as many levels at
-      or below lambda_max, none moved by more than ``_DVR_SETTLED`` times
-      lambda_max - min v.  This is the catalog's count certificate, so
-      ``sturm_certified`` is True on every catalog returned.  The largest
-      change of a level between the two solves is ``convergence_estimate``;
-    - boundary mass: the end coefficients c_0^2 + c_{n-1}^2 of each unit
-      eigenvector must stay at or below ``MAX_BOUNDARY_MASS``, else
-      ``DomainTooSmallError``;
-    - the classically allowed region must fit with a 20% margin inside
-      halfwidth, as for ``fd_catalog_1d``.
-
-    A lambda_max at or below min v raises ``TruncationError``.  A re-solve
-    grid past ``MAX_DVR_NODES``, or one that is not a finite number, raises
-    ``ResolutionError`` before anything of its size is allocated.
+def _unfolded_vectors(blocks, n):
+    """The n-node grid's unit vectors of the even and odd block eigenpairs
+    ``blocks``, as columns in ascending order of their levels: the nodes
+    x > 0 carry u / sqrt(2) and their mirror nodes +-u / sqrt(2); the centre
+    node of an odd grid keeps an even vector's component, 0 in odd ones.
     """
-    v_min = float(np.min(_allowed_region_samples(v, halfwidth, lambda_max)))
+    m, odd = divmod(n, 2)
+    unfolded = []
+    for sign, (_, u) in zip((1.0, -1.0), blocks):
+        c = np.zeros((n, u.shape[1]))
+        c[n - m :] = u[-m:] / math.sqrt(2.0)
+        c[:m] = sign * c[n - m :][::-1]
+        if odd and sign > 0:
+            c[m] = u[0]
+        unfolded.append(c)
+    order = np.argsort(np.concatenate([w for w, _ in blocks]), kind="stable")
+    return np.concatenate(unfolded, axis=1)[:, order]
 
-    def solve(n, vectors):
-        x, h, H = _dvr_hamiltonian(v, hbar, halfwidth, n)
-        if not vectors:
-            return np.linalg.eigvalsh(H)
-        w, c = np.linalg.eigh(H)
-        return w, c[0] ** 2 + c[-1] ** 2, (x, h, c)
 
-    w, (x, h, c), certificates = _settled_dvr_solve(solve, hbar, halfwidth, lambda_max, v_min)
+def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
+    """Eigenpairs of -hbar^2 d^2/dx^2 + v for an even v on (-halfwidth,
+    halfwidth) by the Colbert-Miller sinc-DVR (J. Chem. Phys. 96, 1982
+    (1992)), in NumPy alone.
+
+    The solve grid of n_c nodes x_i = -halfwidth + i h_c is the one
+    ``_settled_dvr_solve`` keeps, which also raises the errors; it does not
+    depend on ``points``.  Its block vectors unfold onto it
+    (``_unfolded_vectors``), and the eigenfunctions psi(x) = sum_i c_i
+    sinc((x - x_i) / h_c) / sqrt(h_c), which are band-limited, are
+    evaluated exactly on the grid of ``points`` interior points that
+    ``fd_catalog_1d`` would use, and renormalized there to h sum psi^2 = 1.
+
+    Certificates: ``sturm_certified`` is True, for the coarser grid before
+    n_c finds as many levels; ``convergence_estimate`` is the largest level
+    change between the two; ``boundary_mass``, the largest end mass
+    c_0^2 + c_{n-1}^2, is at most ``MAX_BOUNDARY_MASS``; and the
+    classically allowed region fits with a 20% margin inside halfwidth.
+    """
+    w, blocks, certificates = _settled_dvr_solve(v, hbar, halfwidth, lambda_max)
+    n = certificates["solve_nodes"]
+    h = 2.0 * halfwidth / (n + 1)
+    x = -halfwidth + h * np.arange(1, n + 1)
+    c = _unfolded_vectors(blocks, n)
     grid = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
-    psi = np.sinc((grid[:, None] - x[None, :]) / h) @ c[:, : w.size]
+    psi = np.sinc((grid[:, None] - x[None, :]) / h) @ c
     psi /= np.sqrt((grid[1] - grid[0]) * np.sum(psi * psi, axis=0))
     return SpectralCatalog(
         hbar=float(hbar),
@@ -476,56 +482,6 @@ def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
         lambda_max=float(lambda_max),
         grid=grid,
         vectors=psi,
-        potential_1d=v,
-        **certificates,
-    )
-
-
-def _even_dvr_catalog(v, hbar, halfwidth, lambda_max) -> SpectralCatalog:
-    """Levels of an even v by the sinc-DVR, solved one parity block at a time.
-
-    The grid, its certificates and ``SpectralCatalog``'s DVR fields are
-    those of ``dvr_catalog_1d`` (``_settled_dvr_solve``); the levels equal
-    the full matrix's to rounding.  Each grid is solved as the two blocks
-    of ``_parity_block``, each built, solved and freed before the next, so
-    a solve costs about a quarter of the full one.  The end mass c_0^2 +
-    c_{n-1}^2 of a full unit vector is the last component^2 of its unit
-    block vector.  The catalog carries no vectors.
-
-    v must be even: its 8191 samples of the 20% turning-point check must
-    agree with their mirror images to 1e-12 relative, else ``ValueError``
-    before any solve.
-    """
-    vx = _allowed_region_samples(v, halfwidth, lambda_max)
-    mid = vx.size // 2  # the sample at x = 0
-    left, right = vx[mid - 1 :: -1], vx[mid + 1 :]  # v(-x) and v(x), x > 0
-    if not np.all((left == right) | (np.abs(left - right) <= 1e-12 * np.abs(right))):
-        raise ValueError("the parity-folded sinc-DVR needs an even trap v(-x) = v(x)")
-
-    def block_solve(n, sign, vectors):
-        # the block is freed on return, before the next one is built
-        block = _parity_block(v, hbar, halfwidth, n, sign)
-        if not vectors:
-            return np.linalg.eigvalsh(block), None
-        w, u = np.linalg.eigh(block)
-        return w, u[-1] ** 2
-
-    def solve(n, vectors):
-        (w_even, ends_even), (w_odd, ends_odd) = [
-            block_solve(n, sign, vectors) for sign in (1.0, -1.0)
-        ]
-        w = np.concatenate((w_even, w_odd))
-        order = np.argsort(w, kind="stable")
-        if not vectors:
-            return w[order]
-        return w[order], np.concatenate((ends_even, ends_odd))[order], None
-
-    w, _, certificates = _settled_dvr_solve(solve, hbar, halfwidth, lambda_max, float(np.min(vx)))
-    return SpectralCatalog(
-        hbar=float(hbar),
-        energies=w,
-        degeneracies=np.ones(w.size, dtype=int),
-        lambda_max=float(lambda_max),
         potential_1d=v,
         **certificates,
     )
@@ -632,10 +588,10 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
     one-dimensional oracle with hbar = N^(-1).  Least-squares slopes of
     log-error against log N are reported alongside the raw errors.
 
-    The one-dimensional levels come from the parity-folded sinc-DVR
-    (``_even_dvr_catalog``), so v must be even (a ``ValueError``
-    otherwise).  Its solve grid follows hbar and the certificates of
-    ``dvr_catalog_1d``, not ``points``: the key is accepted and unread.
+    The one-dimensional levels are those of ``dvr_catalog_1d``, from the
+    same ``_settled_dvr_solve`` without the vectors' interpolation, so v
+    must be even (a ``ValueError`` otherwise).  Its solve grid follows
+    hbar, not ``points``: the key is accepted and unread.
     The kind keeps its name and key for callers that send them.
     """
     Ns = weyl_scan_sizes(N_list)
@@ -655,8 +611,8 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
         hbars = [1.0 / n for n in Ns]
         counts = []
         for hb in hbars:
-            cat = _even_dvr_catalog(v, hb, halfwidth, Lambda + 1e-12)
-            counts.append(spectral_counts(cat, Lambda))
+            w = _settled_dvr_solve(v, hb, halfwidth, Lambda + 1e-12)[0]
+            counts.append((int(np.count_nonzero(w <= Lambda)), float(np.sum(w[w <= Lambda]))))
     else:
         raise ValueError("trap must be a harmonic or an fd_1d spec")
 

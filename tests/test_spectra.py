@@ -164,12 +164,12 @@ def test_dvr_oscillator_levels_meet_the_closed_form(hbar):
     cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
     exact = hbar * (2.0 * np.arange(11) + 1.0)
     assert cat.energies.size == 11
-    assert np.max(np.abs(cat.energies - exact) / exact) <= 1e-12
+    assert np.max(np.abs(cat.energies - exact) / exact) <= 1e-13
     assert cat.sturm_certified and cat.convergence_estimate <= 1e-12
     assert cat.momentum_margin >= spectra._DVR_MARGIN
     assert cat.boundary_mass <= spectra.MAX_BOUNDARY_MASS
     # the solve grid follows the momentum certificate, not the sampling
-    # points, and the first grid already settles, so it is not refined
+    # points, and it agrees with the coarser grid before it, so it is kept
     nodes = {0.05: 131, 0.025: 186, 0.0125: 265, 0.00625: 382}[hbar]
     assert cat.solve_nodes == nodes < cat.grid.size == 1001
 
@@ -209,11 +209,25 @@ def test_dvr_domain_guards():
         dvr_catalog_1d(lambda x: x * x + 1.0, 0.05, 4.0, 1001, 1.0)
 
 
+@pytest.mark.parametrize("halfwidth, fill, nodes", [(4.1, 3, 24), (4.0, 2, 25)])
+def test_dvr_settles_a_marginal_domain(halfwidth, fill, nodes):
+    # the domain only just passes the end-mass check, so the levels move with
+    # the end nodes by far more than 1e-12 (lambda_max - min v); the settle
+    # tolerance follows the end mass, else the refinement chases the ends,
+    # to 568 and 194 nodes
+    hbar = 0.5
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, halfwidth, 1001, hbar * (2 * fill + 1) + 0.01)
+    exact = hbar * (2.0 * np.arange(fill + 1) + 1.0)
+    assert cat.solve_nodes == nodes <= 40
+    assert cat.boundary_mass > spectra._DVR_SETTLED
+    assert np.max(np.abs(cat.energies - exact)) <= cat.boundary_mass * cat.lambda_max
+
+
 @pytest.mark.parametrize(
     "hbar, halfwidth", [(1e-9, 4.0), (0.05, 792.0), (0.05, 1e300), (0.05, 1e308)]
 )
 def test_dvr_grid_past_the_cap_is_refused_before_it_is_built(monkeypatch, hbar, halfwidth):
-    monkeypatch.setattr(spectra, "_dvr_hamiltonian", lambda *a: pytest.fail("grid built"))
+    monkeypatch.setattr(spectra, "_parity_block", lambda *a: pytest.fail("grid built"))
     with pytest.raises(ResolutionError, match="sinc-DVR grid"):
         dvr_catalog_1d(lambda x: x * x, hbar, halfwidth, 1001, 1.06)
 
@@ -221,11 +235,11 @@ def test_dvr_grid_past_the_cap_is_refused_before_it_is_built(monkeypatch, hbar, 
 def test_dvr_count_certificate_catches_a_coarse_grid(monkeypatch):
     quartic = lambda x: x**4
     settled = dvr_catalog_1d(quartic, 0.05, 3.0, 1001, 2.0)
-    # at a momentum margin of 1 the quartic catalog's first two grids, 53 and
-    # 67 nodes, disagree on the count; the catalog refines until they agree
+    # at a momentum margin of 1 the quartic catalog's grids of 44, 54, 68 and
+    # 85 nodes disagree pairwise; the ladder refines until two agree
     monkeypatch.setattr(spectra, "_DVR_MARGIN", 1.0)
     refined = dvr_catalog_1d(quartic, 0.05, 3.0, 1001, 2.0)
-    assert refined.solve_nodes > 67 and refined.energies.size == settled.energies.size == 19
+    assert refined.solve_nodes == 107 and refined.energies.size == settled.energies.size == 19
     assert np.max(np.abs(refined.energies - settled.energies)) <= 2e-12
     # a refinement that would pass the cap is refused
     monkeypatch.setattr(spectra, "MAX_DVR_NODES", 68)
@@ -237,7 +251,7 @@ def test_dvr_count_certificate_catches_a_coarse_grid(monkeypatch):
 @pytest.mark.parametrize("fill", [1, 2])
 def test_dvr_refines_a_catalog_of_few_levels(hbar, fill):
     # the momentum rule alone gave 50 nodes at hbar = 0.05, fill 1, which
-    # missed hbar by 2.6e-7; the re-solve now refines it to 79
+    # missed hbar by 2.6e-7; the ladder refines it to 99
     cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, hbar * (2 * fill + 1) + 0.01)
     exact = hbar * (2.0 * np.arange(fill + 1) + 1.0)
     assert cat.energies.size == fill + 1
@@ -249,18 +263,28 @@ def test_dvr_refines_a_catalog_of_few_levels(hbar, fill):
 @pytest.mark.parametrize("q", [2, 4])
 def test_parity_blocks_hold_the_full_spectrum(q, n, hbar):
     # odd n puts the centre node in the even block, coupled by sqrt(2) t(i);
-    # even n couples the mirrored nodes through t(i + j - 1)
+    # even n couples the mirrored nodes through t(i + j - 1).  The oracle is
+    # the full Colbert-Miller matrix on the nodes -3 + i h, i = 1..n
     v = lambda x: x**q
-    H = spectra._dvr_hamiltonian(v, hbar, 3.0, n)[2]
-    c = np.linalg.eigh(H)[1]
+    h = 6.0 / (n + 1)
+    H = spectra._toeplitz(spectra._kinetic_band(n), n) * (hbar / h) ** 2
+    H += np.diag(v(-3.0 + h * np.arange(1, n + 1)))
+    w, c = np.linalg.eigh(H)
     parts = [np.linalg.eigh(spectra._parity_block(v, hbar, 3.0, n, s)) for s in (1.0, -1.0)]
     w_fold = np.concatenate([p[0] for p in parts])
     order = np.argsort(w_fold)
-    w = np.linalg.eigvalsh(H)
     assert np.max(np.abs(w_fold[order] - w)) <= 1e-13 * np.max(np.abs(w))
     # a unit block vector's last component^2 is the full vector's c_0^2 + c_{n-1}^2
     ends_fold = np.concatenate([p[1][-1] ** 2 for p in parts])[order]
     assert np.max(np.abs(ends_fold - (c[0] ** 2 + c[-1] ** 2))) <= 1e-13
+    # and the unfolded block vectors are the full matrix's, up to sign, on the
+    # levels a catalog of lambda_max = 2 keeps; high in the x^4 spectrum the
+    # states sit at both ends in near-degenerate pairs, whose vectors rounding
+    # fixes only to eps ||H|| / gap
+    kept = w <= 2.0
+    unfolded = spectra._unfolded_vectors(parts, n)[:, kept]
+    signs = np.sign(np.sum(unfolded * c[:, kept], axis=0))
+    assert np.max(np.abs(unfolded * signs - c[:, kept])) <= 1e-12
 
 
 def _fd_matrix(v, hbar, halfwidth, points, lambda_max):
@@ -431,33 +455,63 @@ def dense_solves(monkeypatch):
     return calls
 
 
-def test_weyl_scan_fd_1d_work_budget(dense_solves):
-    weyl_error_scan({"kind": "fd_1d", "v": lambda x: x**4, "halfwidth": 3.0}, [2, 20, 200], 2.0)
+@pytest.fixture
+def block_solves(monkeypatch, dense_solves):
+    """(n, sign, solver) of every sinc-DVR parity block built and solved."""
+    built = []
+    block = spectra._parity_block
 
-    def grid(n):  # an eigh of n nodes' two blocks, then an eigvalsh of ceil(1.25 n) nodes'
-        check = math.ceil(1.25 * n)
-        return [("eigh", n - n // 2), ("eigh", n // 2)] + [
-            ("eigvalsh", check - check // 2), ("eigvalsh", check // 2)
+    def recorder(v, hbar, halfwidth, n, sign):
+        built.append((n, sign))
+        return block(v, hbar, halfwidth, n, sign)
+
+    monkeypatch.setattr(spectra, "_parity_block", recorder)
+
+    def solves():
+        # each block is solved once, right after it is built
+        assert [rows for _, rows in dense_solves] == [
+            n - n // 2 if sign > 0 else n // 2 for n, sign in built
         ]
+        return [(n, sign, solver) for (n, sign), (solver, _) in zip(built, dense_solves)]
 
-    # N = 2 refines its 13-node grid to 28 nodes; N = 20 and 200 settle at
-    # once on the momentum rule's 135 and 1350 nodes
-    assert dense_solves == sum((grid(n) for n in (13, 17, 22, 28, 135, 1350)), [])
-    # a block holds at most ceil(n / 2) + 1 rows: 845 for the 1688-node re-solve
-    assert max(rows for _, rows in dense_solves) <= 845
+    return solves
+
+
+def _ladder(coarse, *kept):
+    """The block solves of a ladder: levels alone on the coarse grid, then
+    levels and vectors on each later one."""
+    return [(coarse, s, "eigvalsh") for s in (1.0, -1.0)] + [
+        (n, s, "eigh") for n in kept for s in (1.0, -1.0)
+    ]
+
+
+def test_weyl_scan_fd_1d_work_budget(block_solves):
+    weyl_error_scan({"kind": "fd_1d", "v": lambda x: x**4, "halfwidth": 3.0}, [2, 20, 200], 2.0)
+    # N = 2 refines past the momentum rule's 13 nodes to 35; N = 20 and 200
+    # keep the momentum rule's 135 and 1350 nodes.  No grid is solved twice
+    assert block_solves() == (
+        _ladder(11, 13, 17, 22, 28, 35) + _ladder(108, 135) + _ladder(1080, 1350)
+    )
+
+
+def test_dvr_catalog_work_budget(block_solves):
+    dvr_catalog_1d(lambda x: x * x, 0.05, 4.0, 1001, 21.0 * 0.05 + 0.01)
+    assert block_solves() == _ladder(105, 131)
 
 
 def test_weyl_scan_fd_1d_refuses_an_uneven_trap(monkeypatch, dense_solves):
     monkeypatch.setattr(spectra, "_parity_block", lambda *a: pytest.fail("block built"))
+    uneven = lambda x: (x + 0.1) ** 2
     with pytest.raises(ValueError, match="even trap"):
-        weyl_error_scan({"kind": "fd_1d", "v": lambda x: (x + 0.1) ** 2, "halfwidth": 3.0},
-                        [2, 20, 200], 2.0)
+        weyl_error_scan({"kind": "fd_1d", "v": uneven, "halfwidth": 3.0}, [2, 20, 200], 2.0)
+    with pytest.raises(ValueError, match="even trap"):
+        dvr_catalog_1d(uneven, 0.05, 4.0, 1001, 1.06)
     assert dense_solves == []
 
 
 def test_weyl_scan_fd_1d_stops_a_kink_at_the_cap(monkeypatch):
     # |x| has a kink at its minimum, so the sinc-DVR levels converge slowly
-    # and the re-solve never settles; the refinement stops at the cap
+    # and no two grids of the ladder agree; the refinement stops at the cap
     built = []
     block = spectra._parity_block
 
@@ -468,7 +522,7 @@ def test_weyl_scan_fd_1d_stops_a_kink_at_the_cap(monkeypatch):
     monkeypatch.setattr(spectra, "_parity_block", recorder)
     with pytest.raises(ResolutionError, match="disagree"):
         weyl_error_scan({"kind": "fd_1d", "v": np.abs, "halfwidth": 6.0}, [2, 200], 2.0)
-    assert built[:2] == [27, 27] and max(built) <= spectra.MAX_DVR_NODES
+    assert built[:4] == [22, 22, 27, 27] and max(built) <= spectra.MAX_DVR_NODES
 
 
 @pytest.mark.parametrize("q", [2, 4])
