@@ -469,6 +469,7 @@ def cmd_husimi(config, outdir):
             f"solve_nodes={cat.solve_nodes} momentum_margin={cat.momentum_margin!r}",
             f"boundary_mass={cat.boundary_mass!r}",
             f"convergence_estimate={cat.convergence_estimate!r}",
+            f"husimi_grid: n_xm={rep.n_xm} band={rep.band} n_p={rep.n_p}",
         ]),
         ("hbar", "hbar_x", "hbar_p", "fill", "resolution_residual", "kinetic_residual",
          "potential_residual", "lowfreq_residual", "m_min", "m_max"),

@@ -718,7 +718,9 @@ class HusimiReport:
     lowfreq_identity_residual: float
     m_min: float
     m_max: float
-    grad_window_sq: float
+    n_xm: int  # Husimi x-nodes
+    band: int  # grid samples per window, 2 K + 1
+    n_p: int  # momentum nodes
 
 
 # Fermi momentum of the low-frequency weight 1 - Gamma(p) = min(1, (p_F / p)^2)
@@ -742,8 +744,11 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
 
     Each window is cut to the band of 2K + 1 grid samples around its
     node, K = ceil(10 sigma / h), where the Gaussian is still above
-    e^-50; the node's own phase cancels in |overlap|^2, so each filled
-    level costs two real (n_xm x band) . (band x n_p) products.
+    e^-50; the node's own phase cancels in |overlap|^2.  Windows and
+    eigenvectors are real, so each band folds to its K offsets d > 0
+    (cos is even in d, sin odd), and m(x, -p) = m(x, p) is computed on
+    the ceil(n_p / 2) momenta p >= 0 and mirrored: each filled level
+    costs two real (n_xm x K) . (K x ceil(n_p / 2)) products.
     """
     if catalog.vectors is None or catalog.grid is None:
         raise ValueError("catalog must carry grid and eigenvectors (a one-dimensional catalog)")
@@ -794,8 +799,7 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     # Gaussian windows on the band of 2 n_band + 1 grid samples around
     # each Husimi node: beyond 10 sigma a window is below e^-50, under the
     # rounding of every sum it enters.  Samples past the grid ends get a
-    # zero window.  Normalized in the same discrete norm as psi; the unit
-    # Gaussian has |grad f|^2 = 1/2 exactly
+    # zero window.  Normalized in the same discrete norm as psi
     n_band = min(int(math.ceil(10.0 * sigma / h)), n_grid - 1)
     offsets = np.arange(-n_band, n_band + 1)
     cols = stride * np.arange(xm.size)[:, None] + offsets[None, :]
@@ -804,27 +808,36 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     w = np.exp(-((xm[:, None] - x[cols]) ** 2) / (2.0 * hbar_x))
     w[~inside] = 0.0
     w /= np.sqrt(h * np.sum(w * w, axis=1))[:, None]
-    grad_window_sq = 0.5
 
     # Relative to its node x_m the band sits at offsets d h, and the phase
     # exp(-i p x_m / hbar) common to a row drops out of |overlap|^2, so one
-    # (n_p x band) table serves every row; its real and imaginary parts
-    # give two real products per level
-    phases = np.exp(-1j * np.outer(p, offsets * h) / hbar) * h  # quadrature weight folded in
+    # phase table serves every row.  Its cos is even in d and its sin odd,
+    # so the table covers d = 1 .. n_band and p >= 0 only (see above)
+    half_p = p[n_p // 2 :]
+    phases = np.exp(-1j * np.outer(half_p, np.arange(1, n_band + 1) * h) / hbar) * h  # weight h
     cos_t = phases.real.T.copy()
     sin_t = phases.imag.T.copy()
-    m = np.zeros((xm.size, p.size))
+    # each level's bands are windows of psi padded by n_band zeros at both
+    # ends, where w is 0 too
+    padded = np.zeros((fill, n_grid + 2 * n_band))
+    padded[:, n_band : n_band + n_grid] = psi.T
+    bands = np.lib.stride_tricks.sliding_window_view(padded, offsets.size, axis=1)[:, ::stride]
+    m_half = np.zeros((xm.size, half_p.size))
     for j in range(fill):
-        windowed = w * psi[cols, j]
-        re = windowed @ cos_t
-        im = windowed @ sin_t
-        m += re * re + im * im
+        windowed = w * bands[j]
+        lo = windowed[:, n_band - 1 :: -1]  # offsets -1, -2, ..., -n_band
+        hi = windowed[:, n_band + 1 :]  # offsets 1, 2, ..., n_band
+        re = (lo + hi) @ cos_t
+        re += windowed[:, n_band, None] * h
+        im = (hi - lo) @ sin_t
+        m_half += re * re + im * im
+    m = np.concatenate((m_half[:, ::-1][:, : n_p // 2], m_half), axis=1)  # m(x, -p) = m(x, p)
 
     mass = float(np.sum(m)) * dx * dp / (2.0 * math.pi * hbar)
     resolution_residual = abs(mass - fill) / fill
 
     kin_husimi = float(np.sum(m * p[None, :] ** 2)) * dx * dp / (2.0 * math.pi * hbar)
-    kin_expected = kinetic_spec + hbar_p * fill * grad_window_sq
+    kin_expected = kinetic_spec + hbar_p * fill * 0.5  # the unit Gaussian has |grad f|^2 = 1/2
     kinetic_residual = abs(kin_husimi - kin_expected)
 
     vv = np.asarray(catalog.potential_1d(x), dtype=float)
@@ -852,7 +865,9 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
         lowfreq_identity_residual=lowfreq_residual,
         m_min=float(np.min(m)),
         m_max=float(np.max(m)),
-        grad_window_sq=grad_window_sq,
+        n_xm=int(xm.size),
+        band=int(offsets.size),
+        n_p=int(n_p),
     )
 
 

@@ -583,6 +583,14 @@ def test_headers_carry_version_and_config(tmp_path):
     assert any(c.startswith("# formula:") for c in comments)
 
 
+def test_husimi_header_names_its_sampling_grid(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["husimi", "--out", str(out)]) == 0
+    comments, _, _ = read_table(out / "husimi.csv")
+    # 501 x-nodes at stride 2, windows of 2 * 170 + 1 samples, 237 momenta
+    assert "# formula: husimi_grid: n_xm=501 band=341 n_p=237" in comments
+
+
 @pytest.mark.parametrize("command", ["spectra", "husimi", "boxes"])
 def test_default_config_tables_are_numeric(tmp_path, command):
     # NumPy scalars must be written as plain floats, never as np.float64(...)

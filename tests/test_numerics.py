@@ -290,6 +290,40 @@ def test_lp_triangle_inequality(fv, gv, hv, p):
     assert lp_distance(f, h, p) <= lp_distance(f, g, p) + lp_distance(g, h, p) + 1e-10
 
 
+def _three_step_gauss(n):
+    """The n-point Gauss-Legendre rule by three Newton steps at 40 digits."""
+    from decimal import Decimal, localcontext
+
+    def legendre(t):
+        p_prev, p = Decimal(1), t
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+        return p, n * (t * p - p_prev) / (t * t - 1)
+
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for guess in np.polynomial.legendre.leggauss(n)[0][: n // 2]:
+            t = Decimal(float(guess))
+            for _ in range(3):
+                p, dp = legendre(t)
+                t -= p / dp
+            nodes.append(float(t))
+            weights.append(float(2 / ((1 - t * t) * dp * dp)))
+    return nodes + [-x for x in reversed(nodes)], weights + weights[::-1]
+
+
+def test_gauss_rule_matches_three_newton_steps():
+    # every order the shared rule reaches, 16 against 32 up to the cap
+    # against twice the cap: two steps at 34 digits give the same doubles
+    n = numerics._RULE_START
+    while n <= 2 * numerics._RULE_CAP:
+        nodes, weights = _three_step_gauss(n)
+        x, w = numerics._gauss(n)
+        assert x.tolist() == nodes and w.tolist() == weights, n
+        n *= 2
+
+
 def _integrate_radial_reference(f, r_max, tol, breakpoints=()):
     """Reference: the shared Gauss rule in plain Python floats.
 

@@ -629,7 +629,6 @@ def test_husimi_resolution_identity(husimi_catalog):
 def test_husimi_kinetic_identity(husimi_catalog):
     rep = coherent_identity_check_1d(husimi_catalog, 10)
     assert rep.kinetic_identity_residual <= 1e-6 * rep.kinetic_reference
-    assert rep.grad_window_sq == 0.5
 
 
 def test_husimi_occupation_bounds(husimi_catalog):
@@ -718,7 +717,6 @@ def _dense_husimi_reference(catalog, fill, p_F=1.0):
         ),
         "m_min": float(np.min(m)),
         "m_max": float(np.max(m)),
-        "grad_window_sq": 0.5,
     }
 
 
@@ -744,6 +742,45 @@ def test_husimi_band_matches_dense_products(hbar, halfwidth, fill):
             assert abs(got - want) <= 1e-12, (name, got, want)
         else:
             assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
+
+
+class _ExpShapes:
+    """Stands in for ``numpy`` inside ``spectra`` and records the shapes of 2-d ``exp`` results."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        out = np.exp(x, *args, **kwargs)
+        if np.ndim(out) == 2:
+            self.shapes.append((np.iscomplexobj(out), out.shape))
+        return out
+
+
+@pytest.mark.parametrize(
+    "make_catalog, hbar, n_xm, n_band, n_p",
+    [
+        (fd_catalog_1d, 0.05, 501, 170, 237),
+        (fd_catalog_1d, 0.025, 1001, 108, 229),
+        (dvr_catalog_1d, 0.025, 1001, 108, 228),  # an even p grid: no p = 0 node
+    ],
+)
+def test_husimi_work_budget(monkeypatch, make_catalog, hbar, n_xm, n_band, n_p):
+    cat = make_catalog(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+    h = float(cat.grid[1] - cat.grid[0])
+    assert n_band == math.ceil(10.0 * hbar ** (2.0 / 3.0) / h)
+    probe = _ExpShapes()
+    monkeypatch.setattr(spectra, "np", probe)
+    rep = coherent_identity_check_1d(cat, 10)
+    monkeypatch.undo()
+    assert (rep.n_xm, rep.band, rep.n_p) == (n_xm, 2 * n_band + 1, n_p)
+    # the real windows on the full band, and one complex phase table on the
+    # ceil(n_p / 2) momenta p >= 0 and the n_band offsets d > 0: the products
+    # run on the folded band and half the p grid
+    assert probe.shapes == [(False, (n_xm, 2 * n_band + 1)), (True, ((n_p + 1) // 2, n_band))]
 
 
 def test_husimi_grid_resolution_guard():
