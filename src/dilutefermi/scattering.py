@@ -177,9 +177,11 @@ def _rk4_steps(c0, ch, c1, h, u, du):
     """Fixed-step RK4 on u'' = c u from the coefficient samples of each step.
 
     ``c0``, ``ch`` and ``c1`` hold c at every step's start, midpoint and
-    end.  Returns u, u' after every step and, per step, the log2 of the
-    factor divided out so far: whenever a component passes 2.5e120 both
-    are divided by 2^400.
+    end.  Returns u, u' after every step, per step the log2 of the factor
+    divided out so far (whenever a component passes 2.5e120 both are
+    divided by 2^400), and w = r u' - u after the last step, at the last
+    step's scale.  w is carried as its own component, w' = r c u = r u'',
+    from w = 0 at r = 0, so each stage's w slope is r times its u' slope.
 
     The loop runs on Python floats: the coefficients are read, and the
     samples written, through memoryviews of float64 arrays, which round
@@ -189,11 +191,13 @@ def _rk4_steps(c0, ch, c1, h, u, du):
     hh = 0.5 * h
     h6 = h / 6.0
     shift = 0.0
+    w = 0.0
     us = np.empty(n)
     dus = np.empty(n)
     shifts = np.empty(n)
     us_out, dus_out, shifts_out = memoryview(us), memoryview(dus), memoryview(shifts)
     for i, (a0, am, a1) in enumerate(zip(memoryview(c0), memoryview(ch), memoryview(c1))):
+        r0 = h * i
         k1u = du
         k1d = a0 * u
         k2u = du + hh * k1d
@@ -204,25 +208,41 @@ def _rk4_steps(c0, ch, c1, h, u, du):
         k4d = a1 * (u + h * k3u)
         u = u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         du = du + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        w = w + h6 * (r0 * k1d + 2.0 * (r0 + hh) * (k2d + k3d) + (r0 + h) * k4d)
         if abs(u) > 2.5e120 or abs(du) > 2.5e120:
             u *= 2.0**-400
             du *= 2.0**-400
+            w *= 2.0**-400
             shift += 400.0
         us_out[i] = u
         dus_out[i] = du
         shifts_out[i] = shift
-    return us, dus, shifts
+    return us, dus, shifts, w
+
+
+def _x_cosh_minus_sinh_over_x(y):
+    """(x cosh x - sinh x) / x at x = sqrt(y), 0 <= y <= 1, by its series
+    sum_{n >= 1} 2n y^n / (2n + 1)!.  Its terms are all positive, where
+    the two terms of the difference cancel to x^3 / 3 at small x; the
+    first term past the twelfth is below 1e-26 of the sum at y = 1."""
+    term = y / 6.0  # y^n / (2n + 1)! at n = 1
+    parts = []
+    for n in range(1, 13):
+        parts.append(2.0 * n * term)
+        term *= y / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
+    return math.fsum(parts)
 
 
 def _rk4_outward(vfun, R, steps_per_unit):
     """Outward solution of u'' = (1/2) v u on [0, R] from u(0) = 0, u'(0) = 1.
 
-    Returns node positions and (u, u') samples at every node, rescaled
-    to the final magnitude.  [0, R] is cut into n equal steps, and the
-    coefficient c = v/2 is sampled in vectorized form at every step's
-    start, midpoint and end.  All samples lie inside the open interval
-    (the end samples one ulp inward), so none reads a jump at either
-    end.  The steps then take one of two rules on the same nodes:
+    Returns node positions, (u, u') samples at every node, rescaled to
+    the final magnitude, and a = R - u(R)/u'(R), the scattering length of
+    the exterior form u = const (r - a).  [0, R] is cut into n equal
+    steps, and the coefficient c = v/2 is sampled in vectorized form at
+    every step's start, midpoint and end.  All samples lie inside the
+    open interval (the end samples one ulp inward), so none reads a jump
+    at either end.  The steps then take one of two rules on the same nodes:
 
     - if every sample equals one constant c >= 0, the closed form
       u = sinh(ks)/k, u' = cosh(ks) with k = sqrt(c), or the linear
@@ -230,12 +250,19 @@ def _rk4_outward(vfun, R, steps_per_unit):
       the nodes;
     - otherwise the fixed-step fourth-order RK4 loop (`_rk4_steps`).
 
+    R - u/u' loses log2(R/a) bits to cancellation, so where a < R/4 it
+    is taken as w/u' with w = R u' - u formed without the difference: RK4
+    carries w as a third component (whose own rounding grows with the
+    step count, where that of u/u' does not), and the closed form takes
+    w = (x cosh x - sinh x)/k at x = kR <= 1, where a/R <= 1 - tanh 1,
+    from its positive series (`_x_cosh_minus_sinh_over_x`).
+
     Because the equation is linear, the solution may grow like
     exp(k r).  Both rules carry it divided by a factor whose log2 is
     recorded per node: RK4 divides by 2^400 whenever a component passes
     2.5e120, the closed form by e^(kR) when kR is large, and its result
     is brought back under 2.5e120 by an exact power of two.  The
-    extraction a = R - u/u' is scale-free, so barrier heights up to the
+    extraction of a is scale-free, so barrier heights up to the
     hard-core regime never overflow; early samples may underflow to zero
     at the final scale.
     """
@@ -256,8 +283,13 @@ def _rk4_outward(vfun, R, steps_per_unit):
         if big > 2.5e120:
             e = math.frexp(big)[1]
             us, dus, shifts = np.ldexp(us, -e), np.ldexp(dus, -e), shifts + e
+        y = c * R * R  # x^2
+        a = R * _x_cosh_minus_sinh_over_x(y) / dus[-1] if y <= 1.0 else R - us[-1] / dus[-1]
     else:
-        us, dus, shifts = _rk4_steps(c0, ch, c1, h, 0.0, 1.0)
+        us, dus, shifts, w = _rk4_steps(c0, ch, c1, h, 0.0, 1.0)
+        a = R - us[-1] / dus[-1]
+        if a < 0.25 * R:
+            a = w / dus[-1]
     rs = np.concatenate([[0.0], nodes])
     us = np.concatenate([[0.0], us])
     dus = np.concatenate([[1.0], dus])
@@ -272,7 +304,7 @@ def _rk4_outward(vfun, R, steps_per_unit):
         whole = np.maximum(whole, -2200.0).astype(np.int64)  # 2^-2200 of any float is 0
         us = np.ldexp(us * fraction, whole)
         dus = np.ldexp(dus * fraction, whole)
-    return rs, us, dus
+    return rs, us, dus, float(a)
 
 
 # nodes of the force-free exterior (R, r_max], where u is exactly linear
@@ -283,7 +315,9 @@ def zero_energy_solve(spec: InteractionSpec) -> ScatteringSolution:
     """Scattering length and zero-energy profile of a finite-range interaction.
 
     Integrates outward from u(0) = 0, u'(0) = 1 (or from the hard-core
-    wall), extracts a = R - u(R)/u'(R) exactly at the support edge, then
+    wall), extracts a = R - u(R)/u'(R) exactly at the support edge, as
+    w(R)/u'(R) with w = r u' - u where the difference would cancel
+    (``_rk4_outward``), then
     renormalizes so u(r) = r - a outside.  A half-step rerun provides a
     Richardson error estimate; the fine run is the one reported.  The
     profile reaches r_max = max(2R, R + 1, 1), through ``EXTERIOR_NODES``
@@ -339,7 +373,7 @@ def zero_energy_solve(spec: InteractionSpec) -> ScatteringSolution:
     steps_per_unit = 2000.0 / R  # step <= R / 2000
 
     def run(mult):
-        rs, us, dus = _rk4_outward(spec, R, steps_per_unit * mult)
+        rs, us, dus, a = _rk4_outward(spec, R, steps_per_unit * mult)
         uR, duR = us[-1], dus[-1]
         if not (math.isfinite(uR) and math.isfinite(duR)):
             raise StiffnessError(
@@ -350,7 +384,7 @@ def zero_energy_solve(spec: InteractionSpec) -> ScatteringSolution:
             raise NonPhysicalSolutionError(
                 "u'(R) <= 0 at the support edge; attractive-like data is out of scope"
             )
-        return rs, us, dus, R - uR / duR
+        return rs, us, dus, a
 
     _, _, _, a_coarse = run(1.0)
     rs, us, dus, a = run(2.0)

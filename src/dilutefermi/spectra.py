@@ -21,11 +21,12 @@ grows like N.
 
 SciPy is needed only by ``fd_catalog_1d``; ``scipy.linalg`` is imported
 at its first eigensolve.  The sinc-DVR uses NumPy alone and one path
-(``_settled_dvr_solve``): each grid of its ladder is solved once, as the
-two parity blocks of the even trap, and the catalog of ``husimi`` and
-``verify-all`` unfolds the kept grid's block vectors onto the full grid,
-where the ``fd_1d`` Weyl scans keep the levels alone.  So no command and
-no Weyl scan loads SciPy.
+(``_settled_dvr_solve``): each grid of its ladder is solved as the two
+parity blocks of the even trap, once for its levels alone on the coarse
+probe grids and once with its vectors on the grid kept, or tried, for the
+catalog.  The catalog of ``husimi`` and ``verify-all`` unfolds the kept
+grid's block vectors onto the full grid, where the ``fd_1d`` Weyl scans
+keep the levels alone.  So no command and no Weyl scan loads SciPy.
 """
 
 from __future__ import annotations
@@ -274,13 +275,15 @@ def fd_catalog_1d(
     )
 
 
-# The sinc-DVR solve grid carries momenta up to pi hbar / h_c; that must be
-# at least this multiple of sqrt(lambda_max - min v), the largest classical
-# momentum below lambda_max.
+# The vector walk of the sinc-DVR ladder starts on the grid whose largest
+# momentum pi hbar / h_c is this multiple of sqrt(lambda_max - min v), the
+# largest classical momentum below lambda_max; the levels-only probes below
+# it reach down to a multiple of 1.
 _DVR_MARGIN = 2.5
 # A sinc-DVR grid is settled when the grid before it on the ladder finds as
 # many levels at or below lambda_max, none of them moved by more than this
-# fraction, or the grid's largest end mass if larger, of lambda_max - min v.
+# fraction of lambda_max - min v; once the grid's vectors are solved, by
+# more than its largest end mass, if larger.
 _DVR_SETTLED = 1e-12
 # nodes of a sinc-DVR grid: its larger parity block, the largest dense
 # solve, and the eigensolver's copy hold nodes^2 / 2 doubles, 17 MB at this
@@ -343,24 +346,54 @@ def _parity_block(v, hbar, halfwidth, n, sign):
     return block
 
 
+def _dvr_eigenpairs(v, hbar, halfwidth, n, lambda_max):
+    """Grid n's sorted levels at or below lambda_max, the (levels, vectors)
+    of its even and odd blocks, solved one at a time, and its largest end
+    mass c_0^2 + c_{n-1}^2, the last component^2 of a unit block vector."""
+    blocks = []
+    for sign in (1.0, -1.0):
+        wb, ub = np.linalg.eigh(_parity_block(v, hbar, halfwidth, n, sign))
+        blocks.append((wb[wb <= lambda_max], ub[:, wb <= lambda_max]))
+        del ub  # the block's vectors are freed before the next block is built
+    w = np.sort(np.concatenate([wb for wb, _ in blocks]))
+    return w, blocks, max(float(np.max(u[-1] ** 2, initial=0.0)) for _, u in blocks)
+
+
+def _level_change(coarse, w):
+    """The largest level change between two grids, inf if their counts differ."""
+    if coarse.size != w.size:
+        return math.inf
+    return float(np.max(np.abs(w - coarse), initial=0.0))
+
+
 def _settled_dvr_solve(v, hbar, halfwidth, lambda_max):
     """Size a sinc-DVR grid for an even v and certify its levels.
 
-    n_1 is the coarsest grid, of at least 2 nodes, whose largest momentum
-    pi hbar / h is ``_DVR_MARGIN`` times sqrt(lambda_max - min v).  The
-    ladder n_0 = min(ceil(0.8 n_1), n_1 - 1), n_1, n_{k+1} = ceil(1.25 n_k)
-    solves each grid once, as its two ``_parity_block`` blocks one at a
-    time: n_0 for its levels, later grids with their vectors.  Grid n_k is
-    kept once n_{k-1} finds as many levels at or below lambda_max and moves
-    none by more than max(``_DVR_SETTLED``, end mass) (lambda_max - min v).
-    The end mass, n_k's largest c_0^2 + c_{n-1}^2, is the last component^2
-    of a unit block vector; a level that reaches the ends moves with them,
-    so no finer grid would settle it.
+    The ladder runs on grids whose largest momentum pi hbar / h is a
+    multiple, the margin, of sqrt(lambda_max - min v).  n_1 is the coarsest
+    grid, of at least 2 nodes, of margin ``_DVR_MARGIN``; below it come
+    n_0 = min(ceil(0.8 n_1), n_1 - 1) and, by the same step, the probes down
+    to the last grid of margin at least 1; above it n_{k+1} = ceil(1.25 n_k).
+    Each grid is built as its two ``_parity_block`` blocks, one at a time.
+
+    The probes and n_0 are solved for their levels alone, from the coarsest
+    up.  Once a grid finds as many levels at or below lambda_max as the one
+    before it, at least one, and moves none by more than ``_DVR_SETTLED``
+    (lambda_max - min v), it is re-solved with its vectors and kept if its
+    end mass, the largest c_0^2 + c_{n-1}^2, is at most
+    ``MAX_BOUNDARY_MASS`` and its levels still agree within
+    max(``_DVR_SETTLED``, end mass) (lambda_max - min v); an end mass above
+    the limit only passes the walk on.  Failing that, n_1 and the grids
+    above it are solved with their vectors until one agrees so with the
+    grid before it; there an end mass above ``MAX_BOUNDARY_MASS`` raises.
+    A level that reaches the ends moves with them, so no finer grid would
+    settle it.
 
     Returns the kept grid's sorted levels at or below lambda_max, the
     (levels, vectors) of its even and odd blocks, and the certificate
     fields of ``SpectralCatalog``; ``convergence_estimate`` is the largest
-    level change within the pair.
+    level change between the kept grid's levels and those of the grid
+    before it.
 
     Raises, before any block is built, ``ValueError`` for a v whose 8191
     samples of the 20% turning-point check differ from their mirror images
@@ -368,7 +401,7 @@ def _settled_dvr_solve(v, hbar, halfwidth, lambda_max):
     ``MAX_DVR_NODES`` or not finite; later, ``ResolutionError`` for a
     ladder that would pass the cap, ``TruncationError`` for no level below
     lambda_max and ``DomainTooSmallError`` for an end mass above
-    ``MAX_BOUNDARY_MASS``.
+    ``MAX_BOUNDARY_MASS`` from n_1 on.
     """
     vx = _allowed_region_samples(v, halfwidth, lambda_max)
     v_min = float(np.min(vx))
@@ -388,33 +421,46 @@ def _settled_dvr_solve(v, hbar, halfwidth, lambda_max):
         raise ValueError("the parity-folded sinc-DVR needs an even trap v(-x) = v(x)")
 
     n_1 = max(math.ceil(steps) - 1, 2)
-    n = min(math.ceil(0.8 * n_1), n_1 - 1)
-    w = np.sort(np.concatenate([
-        np.linalg.eigvalsh(_parity_block(v, hbar, halfwidth, n, sign)) for sign in (1.0, -1.0)
-    ]))
-    coarse, n_coarse, n = w[w <= lambda_max], n, n_1
+    probes = [min(math.ceil(0.8 * n_1), n_1 - 1)]  # n_0, then downwards to margin 1
     while True:
-        blocks = []
-        for sign in (1.0, -1.0):
-            wb, ub = np.linalg.eigh(_parity_block(v, hbar, halfwidth, n, sign))
-            blocks.append((wb[wb <= lambda_max], ub[:, wb <= lambda_max]))
-            del ub  # the block's vectors are freed before the next block is built
-        w = np.sort(np.concatenate([wb for wb, _ in blocks]))
-        boundary_mass = max(float(np.max(u[-1] ** 2, initial=0.0)) for _, u in blocks)
-        if boundary_mass > MAX_BOUNDARY_MASS:
-            raise DomainTooSmallError(
-                f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
-            )
-        if coarse.size == w.size:
-            change = float(np.max(np.abs(w - coarse), initial=0.0))
+        n = min(math.ceil(0.8 * probes[-1]), probes[-1] - 1)
+        if n < 1 or (n + 1) * _DVR_MARGIN < steps:
+            break
+        probes.append(n)
+    coarse = None
+    for n in reversed(probes):
+        levels = np.sort(np.concatenate([
+            np.linalg.eigvalsh(_parity_block(v, hbar, halfwidth, n, sign))
+            for sign in (1.0, -1.0)
+        ]))
+        levels = levels[levels <= lambda_max]
+        if coarse is not None and levels.size and (
+            _level_change(coarse, levels) <= _DVR_SETTLED * span
+        ):
+            w, blocks, boundary_mass = _dvr_eigenpairs(v, hbar, halfwidth, n, lambda_max)
+            change = _level_change(coarse, w)
+            if boundary_mass <= MAX_BOUNDARY_MASS and (
+                change <= max(_DVR_SETTLED, boundary_mass) * span
+            ):
+                break
+        coarse, n_coarse = levels, n
+    else:
+        n = n_1
+        while True:
+            w, blocks, boundary_mass = _dvr_eigenpairs(v, hbar, halfwidth, n, lambda_max)
+            if boundary_mass > MAX_BOUNDARY_MASS:
+                raise DomainTooSmallError(
+                    f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
+                )
+            change = _level_change(coarse, w)
             if change <= max(_DVR_SETTLED, boundary_mass) * span:
                 break
-        if math.ceil(1.25 * n) > MAX_DVR_NODES:
-            raise ResolutionError(
-                f"sinc-DVR grids of {n_coarse} and {n} nodes disagree on the levels below "
-                f"lambda_max={lambda_max!r}, and a finer grid would pass {MAX_DVR_NODES} nodes"
-            )
-        coarse, n_coarse, n = w, n, math.ceil(1.25 * n)
+            if math.ceil(1.25 * n) > MAX_DVR_NODES:
+                raise ResolutionError(
+                    f"sinc-DVR grids of {n_coarse} and {n} nodes disagree on the levels below "
+                    f"lambda_max={lambda_max!r}, and a finer grid would pass {MAX_DVR_NODES} nodes"
+                )
+            coarse, n_coarse, n = w, n, math.ceil(1.25 * n)
     if w.size == 0:
         raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
     if np.any(np.diff(w) <= 0):
@@ -524,12 +570,18 @@ class WeylScan:
 
 
 def _fit_exponent(Ns, errs):
-    pts = [(n, e) for n, e in zip(Ns, errs) if e > 0]
+    """Least-squares slope of log10 err against log10 N over the nonzero
+    errors, inf below two points: sum (x - x_bar)(y - y_bar) over
+    sum (x - x_bar)^2, with correctly rounded sums, so no BLAS kernel
+    sets its digits."""
+    pts = [(math.log10(n), math.log10(e)) for n, e in zip(Ns, errs) if e > 0]
     if len(pts) < 2:
         return math.inf
-    xs = np.log10([p for p, _ in pts])
-    ys = np.log10([e for _, e in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
+    x_bar = math.fsum(x for x, _ in pts) / len(pts)
+    y_bar = math.fsum(y for _, y in pts) / len(pts)
+    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in pts)
+    sxx = math.fsum((x - x_bar) ** 2 for x, _ in pts)
+    return sxy / sxx
 
 
 def _counts_cl_1d(v, Lambda, halfwidth):

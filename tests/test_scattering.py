@@ -46,6 +46,46 @@ def test_square_barrier_closed_forms():
         assert sol.step_error_estimate == 0.0
 
 
+@pytest.mark.parametrize("A", [1e-12, 1e-8, 1e-4])
+def test_weak_barrier_meets_its_closed_form_relatively(A):
+    # a << R: R - u/u' cancelled to 8e-4 relative at A = 1e-12
+    # (1.6653345369377348e-13); the series for x cosh x - sinh x does not
+    import mpmath
+
+    sol = zero_energy_solve(square_barrier(A))
+    with mpmath.workdps(40):
+        k = mpmath.sqrt(mpmath.mpf(A) / 2)
+        ref = 1 - mpmath.tanh(k) / k
+        assert abs(sol.a - ref) <= 1e-14 * ref
+
+
+def test_series_meets_x_cosh_minus_sinh():
+    import mpmath
+
+    for y in (0.0, 1e-300, 1e-12, 1e-4, 0.3, 0.999, 1.0):
+        got = scattering._x_cosh_minus_sinh_over_x(y)
+        # 40 digits past those the difference cancels
+        with mpmath.workdps(40 - (math.floor(math.log10(y)) if y else 0)):
+            x = mpmath.sqrt(mpmath.mpf(y))
+            ref = (x * mpmath.cosh(x) - mpmath.sinh(x)) / x if y else mpmath.mpf(0)
+            assert abs(got - ref) <= 2.3e-16 * ref, y
+
+
+@pytest.mark.parametrize("A", [1e-12, 1e-8, 1e-4])
+def test_weak_smooth_interaction_meets_an_ode_reference(A):
+    # RK4 carries w = r u' - u, so a = w(R)/u'(R) keeps its relative
+    # accuracy; R - u/u' read 8.24e-14 at A = 1e-12, against 3.81e-14
+    import mpmath
+
+    sol = zero_energy_solve(_bump(A))
+    with mpmath.workdps(30):
+        c = lambda r: mpmath.mpf(A) / 2 * (1 - r * r) ** 2
+        rhs = lambda r, y: [y[1], c(r) * y[0], r * c(r) * y[0]]  # (u, u', w = r u' - u)
+        u, du, w = mpmath.odefun(rhs, 0, [0, 1, 0])(1)
+        assert abs(sol.a - w / du) <= 1e-13 * w / du
+    assert abs(sol.a - 4.0 * A / 105.0) <= 0.1 * A * sol.a  # first Born term, 4A/105
+
+
 def test_length_stays_in_physical_window():
     for A in (0.5, 2.0, 50.0, 5000.0):
         sol = zero_energy_solve(square_barrier(A))
@@ -208,10 +248,12 @@ def test_square_barrier_has_no_step_error():
 def _rk4_outward_scalar(vfun, R, steps_per_unit):
     """Reference: the RK4 step loop on NumPy scalars, indexing each coefficient.
 
-    Samples the coefficient inside the open interval (0, R) and brings the
-    samples to the final scale with ldexp, as the solver does.
+    Samples the coefficient inside the open interval (0, R), carries
+    w = r u' - u with w' = r c u, brings the samples to the final scale with
+    ldexp and returns a = R - u(R)/u'(R), as w(R)/u'(R) below R/4, as the
+    solver does.
     """
-    u, du = 0.0, 1.0
+    u, du, w = 0.0, 1.0, 0.0
     shift = 0.0
     n = max(1, int(math.ceil(R * steps_per_unit)))
     h = R / n
@@ -234,11 +276,18 @@ def _rk4_outward_scalar(vfun, R, steps_per_unit):
         k3d = am * (u + 0.5 * h * k2u)
         k4u = du + h * k3d
         k4d = a1 * (u + h * k3u)
+        r = h * i
+        k1w = r * k1d
+        k2w = (r + 0.5 * h) * k2d
+        k3w = (r + 0.5 * h) * k3d
+        k4w = (r + h) * k4d
         u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         du = du + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        w = w + h / 6.0 * (k1w + 2.0 * (k2w + k3w) + k4w)
         if abs(u) > 2.5e120 or abs(du) > 2.5e120:
             u *= 2.0**-400
             du *= 2.0**-400
+            w *= 2.0**-400
             shift += 400.0
         us[i + 1] = u
         dus[i + 1] = du
@@ -248,7 +297,8 @@ def _rk4_outward_scalar(vfun, R, steps_per_unit):
         whole = np.maximum(shifts - shift, -2200.0).astype(np.int64)
         us = np.ldexp(us, whole)
         dus = np.ldexp(dus, whole)
-    return rs, us, dus
+    a = R - us[-1] / dus[-1]
+    return rs, us, dus, float(w / dus[-1] if a < 0.25 * R else a)
 
 
 def _ramp(amplitude):
@@ -260,13 +310,14 @@ def test_rk4_outward_matches_scalar_reference(monkeypatch):
     specs = [_ramp(A) for A in (2.0, 2e3, 2e12)]
     for spec in specs:
         for steps_per_unit in (2000.0, 4000.0):
-            got = scattering._rk4_outward(spec, 1.0, steps_per_unit)
-            want = _rk4_outward_scalar(spec, 1.0, steps_per_unit)
-            for g, w in zip(got, want):
+            *got, a = scattering._rk4_outward(spec, 1.0, steps_per_unit)
+            *want, a_want = _rk4_outward_scalar(spec, 1.0, steps_per_unit)
+            for g, w in zip(got, want, strict=True):
                 assert g.dtype == np.float64 and g.flags.writeable
                 assert np.array_equal(g, w)
+            assert a == a_want
     # 2e12 crosses 2^400: the rescale runs and early samples underflow to zero
-    _, us, _ = scattering._rk4_outward(specs[2], 1.0, 2000.0)
+    _, us, _, _ = scattering._rk4_outward(specs[2], 1.0, 2000.0)
     assert us[1] == 0.0 and us[-1] > 0.0
     fast = [zero_energy_solve(spec) for spec in specs]
     monkeypatch.setattr(scattering, "_rk4_outward", _rk4_outward_scalar)
@@ -338,8 +389,7 @@ def test_rk4_error_and_its_estimate_on_a_smooth_interaction(A):
     spec = _bump(A)
 
     def length(steps_per_unit):
-        _, us, dus = scattering._rk4_outward(spec, 1.0, steps_per_unit)
-        return 1.0 - us[-1] / dus[-1]
+        return scattering._rk4_outward(spec, 1.0, steps_per_unit)[3]
 
     sol = zero_energy_solve(spec)  # runs at 2000 and 4000 steps per unit
     a_ref = length(16000.0)

@@ -3,11 +3,13 @@ import gc
 import math
 import sys
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dilutefermi import spectra
+from dilutefermi import cli, spectra
 from dilutefermi.cli import DEFAULT_CONFIG, cmd_husimi
 from dilutefermi.numerics import RadialProfile, Tolerance, integrate_radial, lp_distance
 from dilutefermi.potentials import harmonic_trap
@@ -235,8 +237,14 @@ def test_dvr_grid_past_the_cap_is_refused_before_it_is_built(monkeypatch, hbar, 
 def test_dvr_count_certificate_catches_a_coarse_grid(monkeypatch):
     quartic = lambda x: x**4
     settled = dvr_catalog_1d(quartic, 0.05, 3.0, 1001, 2.0)
-    # at a momentum margin of 1 the quartic catalog's grids of 44, 54, 68 and
-    # 85 nodes disagree pairwise; the ladder refines until two agree
+    # the probes of 56, 70 and 87 nodes (momentum margins 1.06, 1.31, 1.63)
+    # find all 19 levels, but each moves them by 3.3e-3 and 1.4e-7 of the
+    # range from the grid before it; 108 (margin 2.02) agrees with 87, so the
+    # count certificate keeps 108
+    assert settled.solve_nodes == 108
+    # with the vector walk at a momentum margin of 1 no probe lies below
+    # n_0, and the grids of 44, 54, 68 and 85 nodes disagree pairwise; the
+    # ladder refines until two agree
     monkeypatch.setattr(spectra, "_DVR_MARGIN", 1.0)
     refined = dvr_catalog_1d(quartic, 0.05, 3.0, 1001, 2.0)
     assert refined.solve_nodes == 107 and refined.energies.size == settled.energies.size == 19
@@ -380,6 +388,59 @@ def test_eigensolves_form_vectors_only_when_kept(eigensolves, tmp_path):
     assert vector_refs[-1]() is None  # the catalog holds only its rescaled copy
 
 
+def _exact_slope(Ns, errs):
+    """Least-squares slope of the float points (log10 N, log10 err), err > 0,
+    in exact rational arithmetic, then rounded once."""
+    pts = [(Fraction(math.log10(n)), Fraction(math.log10(e))) for n, e in zip(Ns, errs) if e > 0]
+    x_bar = sum(x for x, _ in pts) / len(pts)
+    y_bar = sum(y for _, y in pts) / len(pts)
+    sxy = sum((x - x_bar) * (y - y_bar) for x, y in pts)
+    return float(sxy / sum((x - x_bar) ** 2 for x, _ in pts))
+
+
+def test_weyl_exponents_of_the_default_scan_are_exact_slopes():
+    # the harmonic scan weyl_scan.csv prints; np.polyfit read 0.7978858510004925
+    # and 0.801794746330192, one and two ulp off the exact slopes
+    spec = DEFAULT_CONFIG["spectra"]
+    scan = weyl_error_scan({"kind": "harmonic", "offset": spec["offset"]},
+                           DEFAULT_CONFIG["sweeps"]["N"], cli._scan_lambda(spec))
+    assert scan.n_exponent == _exact_slope(scan.N, scan.n_err) == 0.7978858510004927
+    assert scan.e_exponent == _exact_slope(scan.N, scan.e_err) == 0.8017947463301922
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(1, 10**12), st.floats(1e-300, 1e300)), min_size=2, max_size=8,
+        unique_by=lambda p: p[0],
+    )
+)
+def test_fit_exponent_meets_the_exact_slope(points):
+    # centred sums in math.fsum: each product (x - x_bar)(y - y_bar)
+    # carries a few roundings of its own size, the quotient a few of the
+    # slope's, and the rounded means e_x, e_y (a few u |x_bar|, u |y_bar|)
+    # cancel to first order, leaving u^2 terms: e_y sum |dx|, e_x sum |dy|
+    # and k e_x e_y
+    u = 2.0**-53
+    Ns, errs = zip(*sorted(points))
+    xs = [math.log10(n) for n in Ns]
+    ys = [math.log10(e) for e in errs]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_bar) ** 2 for x in xs)
+    spread = sum(abs((x - x_bar) * (y - y_bar)) for x, y in zip(xs, ys)) / sxx
+    means = (
+        abs(y_bar) * sum(abs(x - x_bar) for x in xs)
+        + abs(x_bar) * sum(abs(y - y_bar) for y in ys)
+        + len(xs) * abs(x_bar * y_bar)
+    ) / sxx
+    exact = _exact_slope(Ns, errs)
+    got = spectra._fit_exponent(Ns, errs)
+    assert abs(got - exact) <= 4 * u * (spread + abs(exact)) + 16 * u * u * means
+    # a zero error drops its point, and fewer than two points fit nothing
+    dropped = spectra._fit_exponent(Ns, (0.0,) + errs[1:])
+    assert dropped == (spectra._fit_exponent(Ns[1:], errs[1:]) if len(Ns) > 2 else math.inf)
+
+
 def test_weyl_scan_harmonic_exponents():
     lam = 48.0 ** (1.0 / 3.0)
     scan = weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**5, 10**6], lam)
@@ -477,26 +538,131 @@ def block_solves(monkeypatch, dense_solves):
     return solves
 
 
-def _ladder(coarse, *kept):
-    """The block solves of a ladder: levels alone on the coarse grid, then
-    levels and vectors on each later one."""
-    return [(coarse, s, "eigvalsh") for s in (1.0, -1.0)] + [
+def _ladder(probes, *kept):
+    """The block solves of a ladder: levels alone on each probe grid, the
+    last of them n_0, then levels and vectors on each grid kept for a try:
+    a probe that settled, or n_1 and the grids above it."""
+    return [(n, s, "eigvalsh") for n in probes for s in (1.0, -1.0)] + [
         (n, s, "eigh") for n in kept for s in (1.0, -1.0)
     ]
 
 
 def test_weyl_scan_fd_1d_work_budget(block_solves):
     weyl_error_scan({"kind": "fd_1d", "v": lambda x: x**4, "halfwidth": 3.0}, [2, 20, 200], 2.0)
-    # N = 2 refines past the momentum rule's 13 nodes to 35; N = 20 and 200
-    # keep the momentum rule's 135 and 1350 nodes.  No grid is solved twice
+    # N = 2: no probe pair of 5 to 11 nodes agrees, and the vector walk
+    # refines past the momentum rule's 13 nodes to 35.  N = 20 and 200 settle
+    # on probes, 108 and 864 nodes (the momentum rule's 135 and 1350 were
+    # kept before the probes), so no block has more than 432 rows.  No grid
+    # is solved twice, apart from a settled probe's re-solve with vectors
     assert block_solves() == (
-        _ladder(11, 13, 17, 22, 28, 35) + _ladder(108, 135) + _ladder(1080, 1350)
+        _ladder([5, 6, 7, 8, 9, 11], 13, 17, 22, 28, 35)
+        + _ladder([56, 70, 87, 108], 108)
+        + _ladder([554, 692, 864], 864)
     )
 
 
 def test_dvr_catalog_work_budget(block_solves):
+    # no probe pair agrees, so the vector walk starts from n_0 = 105 as it
+    # did without the probes, and keeps n_1 = 131
     dvr_catalog_1d(lambda x: x * x, 0.05, 4.0, 1001, 21.0 * 0.05 + 0.01)
-    assert block_solves() == _ladder(105, 131)
+    assert block_solves() == _ladder([55, 68, 84, 105], 131)
+
+
+# criterion 15's four x^2 rungs: (hbar, solve nodes, convergence_estimate),
+# the grids and bits of the vector walk before the probes
+HUSIMI_RUNGS = [
+    (0.05, 131, 3.7192471324942744e-15),
+    (0.025, 186, 2.7200464103316335e-15),
+    (0.0125, 265, 1.8318679906315083e-15),
+    (0.00625, 382, 2.5396351688300456e-15),
+]
+
+
+@pytest.mark.parametrize("hbar, nodes, estimate", HUSIMI_RUNGS)
+def test_husimi_rungs_keep_their_grids(hbar, nodes, estimate):
+    # no probe pair below n_0 agrees on the oscillator levels (the closest,
+    # 245 and 306 nodes at hbar = 0.00625, differ by 1.6e-12 of the range)
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+    assert cat.solve_nodes == nodes
+    assert cat.convergence_estimate == estimate
+
+
+def test_dvr_leaky_probe_falls_through_to_the_vector_walk(monkeypatch, block_solves):
+    # the quartic catalog at hbar = 0.05 settles on its 108-node probe; if
+    # that probe's vectors leaked past MAX_BOUNDARY_MASS, it is passed over
+    # without an error, and the vector walk keeps n_1 = 135 as it did
+    # before the probes, with the same levels
+    eigenpairs = spectra._dvr_eigenpairs
+
+    def leaky_below_n_1(v, hbar, halfwidth, n, lambda_max):
+        w, blocks, mass = eigenpairs(v, hbar, halfwidth, n, lambda_max)
+        return w, blocks, (1e-6 if n < 135 else mass)
+
+    monkeypatch.setattr(spectra, "_dvr_eigenpairs", leaky_below_n_1)
+    cat = dvr_catalog_1d(lambda x: x**4, 0.05, 3.0, 1001, 2.0 + 1e-12)
+    assert block_solves() == _ladder([56, 70, 87, 108], 108, 135)
+    assert cat.solve_nodes == 135 and cat.boundary_mass <= spectra.MAX_BOUNDARY_MASS
+    assert float(np.sum(cat.energies)) == 16.62195341284722  # e_q at N = 20 before the probes
+
+
+def _vector_walk(v, hbar, halfwidth, lambda_max):
+    """Reference: the ladder without probes.  n_0 is solved for its levels,
+    then n_1 = the grid of momentum margin ``_DVR_MARGIN`` and the grids
+    ceil(1.25 n) above it with their vectors, until one finds as many
+    levels as the grid before it, none moved by more than
+    max(1e-12, end mass) (lambda_max - min v).  Returns the kept grid's
+    nodes, levels and end mass."""
+    xs = np.linspace(-halfwidth, halfwidth, 8191)
+    span = lambda_max - float(np.min(v(xs)))
+    steps = 2.0 * halfwidth * spectra._DVR_MARGIN * math.sqrt(span) / (math.pi * hbar)
+    n_1 = max(math.ceil(steps) - 1, 2)
+    n = min(math.ceil(0.8 * n_1), n_1 - 1)
+    blocks = [spectra._parity_block(v, hbar, halfwidth, n, s) for s in (1.0, -1.0)]
+    coarse = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    coarse, n = coarse[coarse <= lambda_max], n_1
+    while True:
+        pairs = [
+            np.linalg.eigh(spectra._parity_block(v, hbar, halfwidth, n, s)) for s in (1.0, -1.0)
+        ]
+        w = np.sort(np.concatenate([wb for wb, _ in pairs]))
+        w = w[w <= lambda_max]
+        mass = max(float(np.max(u[-1, wb <= lambda_max] ** 2, initial=0.0)) for wb, u in pairs)
+        if mass > spectra.MAX_BOUNDARY_MASS:
+            raise DomainTooSmallError(f"end mass {mass:.3e}")
+        change = np.max(np.abs(w - coarse), initial=0.0) if coarse.size == w.size else np.inf
+        if change <= max(1e-12, mass) * span:
+            return n, w, mass
+        coarse, n = w, math.ceil(1.25 * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 4, 6]),
+    lambda_max=st.floats(0.5, 3.0),
+    room=st.floats(1.6, 2.5),
+    nodes=st.integers(12, 200),
+)
+def test_probes_match_the_vector_walk(q, lambda_max, room, nodes):
+    # an even trap |x|^q on room times its turning point; hbar puts the
+    # momentum rule's n_1 near ``nodes``, so no grid passes ~400 nodes
+    v = lambda x: np.abs(x) ** q
+    halfwidth = room * lambda_max ** (1.0 / q)
+    hbar = 2.0 * halfwidth * spectra._DVR_MARGIN * math.sqrt(lambda_max) / (math.pi * nodes)
+    try:
+        n_ref, w_ref, mass_ref = _vector_walk(v, hbar, halfwidth, lambda_max)
+    except DomainTooSmallError:
+        with pytest.raises(DomainTooSmallError):
+            spectra._settled_dvr_solve(v, hbar, halfwidth, lambda_max)
+        return
+    if w_ref.size == 0:
+        with pytest.raises(TruncationError):
+            spectra._settled_dvr_solve(v, hbar, halfwidth, lambda_max)
+        return
+    w, _, certificates = spectra._settled_dvr_solve(v, hbar, halfwidth, lambda_max)
+    mass = max(certificates["boundary_mass"], mass_ref)
+    assert w.size == w_ref.size
+    assert np.max(np.abs(w - w_ref)) <= max(1e-12, mass) * lambda_max
+    assert certificates["solve_nodes"] <= n_ref
 
 
 def test_weyl_scan_fd_1d_refuses_an_uneven_trap(monkeypatch, dense_solves):
@@ -511,7 +677,8 @@ def test_weyl_scan_fd_1d_refuses_an_uneven_trap(monkeypatch, dense_solves):
 
 def test_weyl_scan_fd_1d_stops_a_kink_at_the_cap(monkeypatch):
     # |x| has a kink at its minimum, so the sinc-DVR levels converge slowly
-    # and no two grids of the ladder agree; the refinement stops at the cap
+    # and no two grids of the ladder agree, probes included; the refinement
+    # stops at the cap
     built = []
     block = spectra._parity_block
 
@@ -522,7 +689,9 @@ def test_weyl_scan_fd_1d_stops_a_kink_at_the_cap(monkeypatch):
     monkeypatch.setattr(spectra, "_parity_block", recorder)
     with pytest.raises(ResolutionError, match="disagree"):
         weyl_error_scan({"kind": "fd_1d", "v": np.abs, "halfwidth": 6.0}, [2, 200], 2.0)
-    assert built[:4] == [22, 22, 27, 27] and max(built) <= spectra.MAX_DVR_NODES
+    # the probes of 10 to 18 nodes and n_0 = 22 come first, each solved once
+    assert built[:12] == [10, 10, 12, 12, 15, 15, 18, 18, 22, 22, 27, 27]
+    assert max(built) <= spectra.MAX_DVR_NODES
 
 
 @pytest.mark.parametrize("q", [2, 4])
