@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 import gc
 import math
+import os
+import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,7 +573,10 @@ def test_dvr_catalog_work_budget(block_solves):
 
 
 # criterion 15's four x^2 rungs: (hbar, solve nodes, convergence_estimate),
-# the grids and bits of the vector walk before the probes
+# the grids and bits of the vector walk before the probes, with one BLAS
+# thread (the thread count of ``bench/run.py``); OpenBLAS splits the
+# eigensolver's work by thread count, so with two threads the 382-node
+# rung's estimate reads 2.8657631823136853e-15 before and after the probes
 HUSIMI_RUNGS = [
     (0.05, 131, 3.7192471324942744e-15),
     (0.025, 186, 2.7200464103316335e-15),
@@ -577,14 +584,41 @@ HUSIMI_RUNGS = [
     (0.00625, 382, 2.5396351688300456e-15),
 ]
 
+_RUNGS_SCRIPT = """
+from dilutefermi.spectra import dvr_catalog_1d
+for hbar in (0.05, 0.025, 0.0125, 0.00625):
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+    print(cat.solve_nodes, cat.convergence_estimate.hex())
+"""
+
+
+@functools.cache
+def _single_thread_rungs():
+    """(solve nodes, convergence_estimate) of each Husimi rung, from a child
+    process held to one BLAS thread."""
+    one = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _RUNGS_SCRIPT],
+        env={**os.environ, **one, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.split("\n") if line]
+    return {hbar: (int(n), float.fromhex(e)) for (hbar, _, _), (n, e) in zip(HUSIMI_RUNGS, rows)}
+
 
 @pytest.mark.parametrize("hbar, nodes, estimate", HUSIMI_RUNGS)
 def test_husimi_rungs_keep_their_grids(hbar, nodes, estimate):
     # no probe pair below n_0 agrees on the oscillator levels (the closest,
-    # 245 and 306 nodes at hbar = 0.00625, differ by 1.6e-12 of the range)
-    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
-    assert cat.solve_nodes == nodes
-    assert cat.convergence_estimate == estimate
+    # 245 and 306 nodes at hbar = 0.00625, differ by 1.6e-12 of the range),
+    # so the catalog keeps the vector walk's grid and its estimate, bit for
+    # bit, at this process's thread count and at the pinned one
+    v = lambda x: x * x
+    cat = dvr_catalog_1d(v, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+    n_ref, _, _, change_ref = _vector_walk(v, hbar, 4.0, 21.0 * hbar + 0.01)
+    assert cat.solve_nodes == n_ref == nodes
+    assert cat.convergence_estimate == change_ref
+    assert _single_thread_rungs()[hbar] == (nodes, estimate)
 
 
 def test_dvr_leaky_probe_falls_through_to_the_vector_walk(monkeypatch, block_solves):
@@ -611,7 +645,7 @@ def _vector_walk(v, hbar, halfwidth, lambda_max):
     ceil(1.25 n) above it with their vectors, until one finds as many
     levels as the grid before it, none moved by more than
     max(1e-12, end mass) (lambda_max - min v).  Returns the kept grid's
-    nodes, levels and end mass."""
+    nodes, levels, end mass and largest level change."""
     xs = np.linspace(-halfwidth, halfwidth, 8191)
     span = lambda_max - float(np.min(v(xs)))
     steps = 2.0 * halfwidth * spectra._DVR_MARGIN * math.sqrt(span) / (math.pi * hbar)
@@ -631,7 +665,7 @@ def _vector_walk(v, hbar, halfwidth, lambda_max):
             raise DomainTooSmallError(f"end mass {mass:.3e}")
         change = np.max(np.abs(w - coarse), initial=0.0) if coarse.size == w.size else np.inf
         if change <= max(1e-12, mass) * span:
-            return n, w, mass
+            return n, w, mass, change
         coarse, n = w, math.ceil(1.25 * n)
 
 
@@ -649,7 +683,7 @@ def test_probes_match_the_vector_walk(q, lambda_max, room, nodes):
     halfwidth = room * lambda_max ** (1.0 / q)
     hbar = 2.0 * halfwidth * spectra._DVR_MARGIN * math.sqrt(lambda_max) / (math.pi * nodes)
     try:
-        n_ref, w_ref, mass_ref = _vector_walk(v, hbar, halfwidth, lambda_max)
+        n_ref, w_ref, mass_ref, _ = _vector_walk(v, hbar, halfwidth, lambda_max)
     except DomainTooSmallError:
         with pytest.raises(DomainTooSmallError):
             spectra._settled_dvr_solve(v, hbar, halfwidth, lambda_max)
