@@ -145,7 +145,7 @@ SCHEMA = {
                 "density": {"hbar": "> 0", "M": "integer >= 1", "r_max": "> 0",
                             "nodes": f"integer >= 16 and <= {sp.MAX_DENSITY_NODES}"}},
     "husimi": {"hbar": "> 0", "fill": "integer >= 1", "halfwidth": "> 0",
-               "points": f"integer >= {sp.MIN_FD_POINTS} and <= {sp.MAX_FD_POINTS}",
+               "points": f"integer >= {sp.MIN_SAMPLE_POINTS} and <= {sp.MAX_SAMPLE_POINTS}",
                "lambda_max": "number"},
     "boxes": {"l": "null or > 0"},
     "output": {"directory": "a nonempty string", "json_mirror": "true or false"},

@@ -4,7 +4,8 @@ One Gauss-Legendre rule for every radial integral: ``_gauss_rule`` checks
 order n against order 2n and doubles n up to a fixed cap.  The level
 integrals of ``thomas_fermi`` run it on their support, and
 ``integrate_radial`` on the panels between given breakpoints.  Also L^p
-distances between radial profiles, which vanish beyond their last node.
+distances between radial profiles, which vanish beyond their last node,
+and the one least-squares slope of a log-log fit, ``_loglog_slope``.
 Level multipliers are fixed elsewhere, by Newton steps from above in
 ``thomas_fermi``.
 Everything here is pure: no global mutable state, no randomness,
@@ -322,3 +323,18 @@ def lp_distance(f, g, p):
     mass = _segment_masses(fa - ga, fb - gb, nodes[:-1], nodes[1:], p)
     total = float(np.add.accumulate(mass)[-1])
     return max(total, 0.0) ** (1.0 / p)
+
+
+def _loglog_slope(xs, ys):
+    """Least-squares slope of log10 y against log10 x over the points with
+    y > 0, inf below two points: sum (u - u_bar)(w - w_bar) over
+    sum (u - u_bar)^2 of u = log10 x, w = log10 y, with correctly rounded
+    sums, so no BLAS kernel sets its digits."""
+    pts = [(math.log10(x), math.log10(y)) for x, y in zip(xs, ys) if y > 0]
+    if len(pts) < 2:
+        return math.inf
+    u_bar = math.fsum(u for u, _ in pts) / len(pts)
+    w_bar = math.fsum(w for _, w in pts) / len(pts)
+    suw = math.fsum((u - u_bar) * (w - w_bar) for u, w in pts)
+    suu = math.fsum((u - u_bar) ** 2 for u, _ in pts)
+    return suw / suu

@@ -1,32 +1,30 @@
 """Quantum side of the semiclassical comparison.
 
 Eigenvalue catalogs come from the analytic 3d isotropic harmonic
-spectrum and from one-dimensional discretizations (dense 3d eigensolvers
-exceed desk scale, and the phase-space identities are dimension-agnostic):
-the Colbert-Miller sinc-DVR of an even trap, which every command, criterion
-and Weyl scan uses, and symmetric finite differences (``fd_catalog_1d``).
-On top of the catalogs sit spectral counting, Weyl-error exponent scans,
-the radial density of the filled free ground state, and coherent-state
-(Husimi) identity checks.
+spectrum and from the Colbert-Miller sinc-DVR of an even one-dimensional
+trap (dense 3d eigensolvers exceed desk scale, and the phase-space
+identities are dimension-agnostic).  On top of the catalogs sit spectral
+counting, Weyl-error exponent scans, the radial density of the filled
+free ground state, and coherent-state (Husimi) identity checks.
 
 The choices are fixed: the coherent states split hbar^2 into
 hbar_x = hbar^(4/3) in position and hbar_p = hbar^(2/3) in momentum, the
 low-frequency identity uses p_F = ``HUSIMI_P_F`` = 1, and configured sizes
-stop at ``MAX_FD_POINTS`` grid points, ``MAX_SHELLS`` shells and
+stop at ``MAX_SAMPLE_POINTS`` sampling points, ``MAX_SHELLS`` shells and
 ``MAX_DENSITY_NODES`` density nodes.
 
 The one-dimensional analog of the bulk scaling hbar = N^(-1/3) is
 hbar = N^(-1), so the number of bound states below a fixed level again
 grows like N.
 
-SciPy is needed only by ``fd_catalog_1d``; ``scipy.linalg`` is imported
-at its first eigensolve.  The sinc-DVR uses NumPy alone and one path
-(``_settled_dvr_solve``): each grid of its ladder is solved as the two
-parity blocks of the even trap, once for its levels alone on the coarse
-probe grids and once with its vectors on the grid kept, or tried, for the
-catalog.  The catalog of ``husimi`` and ``verify-all`` unfolds the kept
-grid's block vectors onto the full grid, where the ``fd_1d`` Weyl scans
-keep the levels alone.  So no command and no Weyl scan loads SciPy.
+The one-dimensional levels have one eigensolver, in NumPy alone:
+``_settled_dvr_solve`` solves each grid of its ladder as the two parity
+blocks of the even trap, once for its levels alone on the coarse probe
+grids and once with its vectors on the grid kept, or tried, for the
+catalog.  ``dvr_catalog_1d`` unfolds the kept grid's block vectors onto
+the full grid, where the ``fd_1d`` Weyl scans keep the levels alone.
+``fd_catalog_1d`` is ``dvr_catalog_1d`` under the older name that the
+benchmark calls.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RadialProfile
+from .numerics import RadialProfile, _loglog_slope
 from .semiclassics import phase_space_counts
 from .potentials import harmonic_trap
 from .tables import write_table
@@ -86,11 +84,10 @@ class ResolutionError(RuntimeError):
 class SpectralCatalog:
     """Sorted eigenvalue list with degeneracies, complete below lambda_max.
 
-    One-dimensional catalogs also carry their grid, the potential and,
-    when kept, the eigenvectors sampled on the grid, and report whether a
-    count certifies the completeness: a Sturm count for finite
-    differences, agreement with the coarser grid before it for the
-    sinc-DVR.
+    One-dimensional catalogs also carry their sampling grid, the potential,
+    the eigenvectors sampled on the grid and the certificates of their
+    sinc-DVR solve.  ``sturm_certified`` is True on every one of them: the
+    coarser grid before the solve grid finds as many levels.
     """
 
     hbar: float
@@ -120,11 +117,11 @@ class SpectralCatalog:
         object.__setattr__(self, "degeneracies", d)
 
 
-MIN_FD_POINTS = 200
-# grid points of a configured one-dimensional catalog: a finite-difference
-# eigenvector matrix holds up to points^2 doubles, 128 MB at this cap, and
-# the sinc-DVR interpolation builds a few points x 2048 arrays, 66 MB each
-MAX_FD_POINTS = 4001
+# points of the grid a configured one-dimensional catalog samples its
+# eigenfunctions on: the sinc interpolation builds a few points x n_c
+# arrays, n_c <= MAX_DVR_NODES = 2048, 66 MB each at the upper cap
+MIN_SAMPLE_POINTS = 200
+MAX_SAMPLE_POINTS = 4001
 # nodes of a configured free-state density: its Hermite table holds
 # (shells + 1) x nodes doubles, 105 MB at this cap and the 200-shell depth
 MAX_DENSITY_NODES = 65537
@@ -169,34 +166,8 @@ def harmonic_catalog(hbar, lambda_max, offset=0.0) -> SpectralCatalog:
     )
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """SciPy's symmetric tridiagonal eigensolver, imported on first use."""
-    from scipy.linalg import eigh_tridiagonal as solve
-
-    return solve(d, e, **kwargs)
-
-
-def _sturm_count(diag, off, x):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
-
-    The recurrence runs on Python floats read through memoryviews of the
-    float64 inputs; they round exactly like NumPy scalars.
-    """
-    x = float(x)
-    tiny = 1e-300
-    diag_in = iter(memoryview(np.ascontiguousarray(diag, dtype=float)))
-    d = next(diag_in) - x
-    count = 1 if d < 0 else 0
-    for dg, o in zip(diag_in, memoryview(np.ascontiguousarray(off, dtype=float))):
-        denom = d if abs(d) > tiny else math.copysign(tiny, d if d != 0 else 1.0)
-        d = (dg - x) - o**2 / denom
-        if d < 0:
-            count += 1
-    return count
-
-
-# Largest eigenfunction mass a finite-difference catalog may put on its
-# two wall rows.
+# Largest end mass c_0^2 + c_{n-1}^2 of a unit sinc-DVR eigenvector on the
+# grid a catalog keeps: more means the level reaches the ends of the domain.
 MAX_BOUNDARY_MASS = 1e-8
 
 
@@ -215,64 +186,6 @@ def _allowed_region_samples(v, halfwidth, lambda_max):
             f"inside halfwidth {halfwidth}"
         )
     return vx
-
-
-def fd_catalog_1d(
-    v, hbar, halfwidth, points, lambda_max, keep_vectors=True
-) -> SpectralCatalog:
-    """Eigenvalues of -hbar^2 d^2/dx^2 + v on [-halfwidth, halfwidth].
-
-    Symmetric second differences with homogeneous Dirichlet boundary
-    conditions.  Completeness below lambda_max is certified by a Sturm
-    count; eigenfunction mass on the two wall rows above
-    ``MAX_BOUNDARY_MASS`` raises a domain error.  A diagonal that is not
-    finite, such as x^2 overflowing on a huge halfwidth, raises
-    ``ResolutionError`` before the eigensolve.
-
-    Every catalog is solved with vectors, which give the boundary mass;
-    ``keep_vectors=False`` drops them from the catalog.
-    """
-    if points < MIN_FD_POINTS:
-        raise ValueError(f"need at least {MIN_FD_POINTS} grid points")
-    _allowed_region_samples(v, halfwidth, lambda_max)
-
-    x = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
-    h = x[1] - x[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = hbar**2 * 2.0 / h**2 + np.asarray(v(x), dtype=float)
-    if not np.all(np.isfinite(diag)):
-        raise ResolutionError(
-            f"the operator is not finite on the grid of halfwidth {halfwidth} and spacing {h:.3g}"
-        )
-    off = np.full(points - 1, -(hbar**2) / h**2)
-    lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)  # below every level (Gershgorin)
-    if lo >= lambda_max:
-        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
-
-    w, vecs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, lambda_max))
-    if w.size == 0:
-        raise TruncationError("no eigenvalues below lambda_max; raise it or shrink hbar")
-    if np.any(np.diff(w) <= 0):
-        raise ResolutionError(f"grid spacing {h:.3g} too coarse to separate levels at hbar={hbar}")
-    sturm_ok = _sturm_count(diag, off, lambda_max) == w.size
-
-    # unit l2 vectors: entry^2 is already a mass fraction
-    boundary_mass = float(np.max(vecs[0, :] ** 2 + vecs[-1, :] ** 2))
-    if boundary_mass > MAX_BOUNDARY_MASS:
-        raise DomainTooSmallError(
-            f"eigenfunction boundary mass {boundary_mass:.3e} exceeds 1e-8"
-        )
-
-    return SpectralCatalog(
-        hbar=float(hbar),
-        energies=w,
-        degeneracies=np.ones(w.size, dtype=int),
-        lambda_max=float(lambda_max),
-        grid=x,
-        vectors=vecs / math.sqrt(h) if keep_vectors else None,
-        potential_1d=v,
-        sturm_certified=bool(sturm_ok),
-    )
 
 
 # The vector walk of the sinc-DVR ladder starts on the grid whose largest
@@ -504,8 +417,9 @@ def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
     depend on ``points``.  Its block vectors unfold onto it
     (``_unfolded_vectors``), and the eigenfunctions psi(x) = sum_i c_i
     sinc((x - x_i) / h_c) / sqrt(h_c), which are band-limited, are
-    evaluated exactly on the grid of ``points`` interior points that
-    ``fd_catalog_1d`` would use, and renormalized there to h sum psi^2 = 1.
+    evaluated exactly on the ``points`` interior points of the uniform
+    grid of [-halfwidth, halfwidth], and renormalized there to
+    h sum psi^2 = 1.
 
     Certificates: ``sturm_certified`` is True, for the coarser grid before
     n_c finds as many levels; ``convergence_estimate`` is the largest level
@@ -531,6 +445,11 @@ def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
         potential_1d=v,
         **certificates,
     )
+
+
+def fd_catalog_1d(v, hbar, halfwidth, points, lambda_max, keep_vectors=True):
+    """``dvr_catalog_1d`` under the name the benchmark calls; ``keep_vectors`` is accepted and unread."""
+    return dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max)
 
 
 def spectral_counts(catalog: SpectralCatalog, Lambda):
@@ -567,21 +486,6 @@ class WeylScan:
     @property
     def e_err_over_N(self):
         return [e / n for e, n in zip(self.e_err, self.N)]
-
-
-def _fit_exponent(Ns, errs):
-    """Least-squares slope of log10 err against log10 N over the nonzero
-    errors, inf below two points: sum (x - x_bar)(y - y_bar) over
-    sum (x - x_bar)^2, with correctly rounded sums, so no BLAS kernel
-    sets its digits."""
-    pts = [(math.log10(n), math.log10(e)) for n, e in zip(Ns, errs) if e > 0]
-    if len(pts) < 2:
-        return math.inf
-    x_bar = math.fsum(x for x, _ in pts) / len(pts)
-    y_bar = math.fsum(y for _, y in pts) / len(pts)
-    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in pts)
-    sxx = math.fsum((x - x_bar) ** 2 for x, _ in pts)
-    return sxy / sxx
 
 
 def _counts_cl_1d(v, Lambda, halfwidth):
@@ -679,8 +583,8 @@ def weyl_error_scan(trap, N_list, Lambda) -> WeylScan:
         e_cl=e_cl,
         n_err=n_err,
         e_err=e_err,
-        n_exponent=_fit_exponent(Ns, n_err),
-        e_exponent=_fit_exponent(Ns, e_err),
+        n_exponent=_loglog_slope(Ns, n_err),
+        e_exponent=_loglog_slope(Ns, e_err),
     )
 
 

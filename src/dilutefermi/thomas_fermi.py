@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RadialProfile, Tolerance, _gauss_rule, integrate_radial
+from .numerics import RadialProfile, Tolerance, _gauss_rule, _loglog_slope, integrate_radial
 from .tables import write_table
 
 __all__ = [
@@ -519,13 +519,7 @@ def cutoff_gap_scan(v, p_F_list) -> CutoffScan:
     gaps = [base.E_TF - sol.E_TF_pF for sol in solutions]
     floor = 1e-12 * max(1.0, abs(base.E_TF))
     usable = [(p, gap) for p, gap in zip(p_F_list, gaps) if gap > floor]
-    if len(usable) >= 2:
-        xs = np.log([p for p, _ in usable])
-        ys = np.log([gap for _, gap in usable])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        exponent = -slope
-    else:
-        exponent = math.inf
+    exponent = -_loglog_slope(*zip(*usable)) if len(usable) >= 2 else math.inf
     return CutoffScan(list(p_F_list), gaps, exponent, solutions)
 
 

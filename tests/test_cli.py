@@ -186,8 +186,8 @@ def test_invalid_parameter_is_numerical_or_config(tmp_path):
         ("tf", {"potential": {"kind": "harmonic_plus_one", "s": 4.0}}),
         ("tf", {"potential": {"kind": ["harmonic"]}}),
         ("scatter", {"interaction": {"kind": {"hardcore": 1}}}),
-        ("husimi", {"husimi": {"points": 4002}}),  # one past spectra.MAX_FD_POINTS
-        ("husimi", {"husimi": {"points": 10**9}}),  # an 8e18-byte eigenvector matrix
+        ("husimi", {"husimi": {"points": 4002}}),  # one past spectra.MAX_SAMPLE_POINTS
+        ("husimi", {"husimi": {"points": 10**9}}),  # a 10^9 x 131 sinc interpolation matrix, 1 TB
         # d_n_cl is a central difference: one level has none, a repeated level divides by zero
         ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": [2.0]}}),
         ("semiclass", {"potential": {"kind": "harmonic"}, "sweeps": {"Lambda": [2.0, 2.0, 3.0]}}),

@@ -1,6 +1,11 @@
 import ast
 import dataclasses
 import inspect
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,8 +129,7 @@ BENCH_READS = [
     (scattering.InteractionSpec, ("hardcore", "range_")),
     (potentials.Potential, ("growth", "min_value")),
 ]
-TRACER_HOOKS = [(spectra, "eigh_tridiagonal"), (spectra, "np"), (scattering, "_rk4_outward"),
-                (cli, "_mirror_csv_as_json")]
+TRACER_HOOKS = [(spectra, "np"), (scattering, "_rk4_outward"), (cli, "_mirror_csv_as_json")]
 
 
 def test_bench_call_shapes_still_bind():
@@ -184,25 +188,49 @@ def test_every_dataclass_output_is_read():
     assert unread == set(UNREAD_OUTPUTS)
 
 
-def _scipy_imports(tree, scope="<module>"):
-    """(enclosing function, import statement) of every SciPy import under ``tree``."""
-    found = []
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
-                alias.name for alias in node.names
-            ]
-            if any(m.split(".")[0] == "scipy" for m in modules):
-                found.append((scope, ast.unparse(node)))
-        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        found += _scipy_imports(node, inner)
-    return found
+def _third_party_imports(paths):
+    """Top-level names of the absolute imports in ``paths`` outside the standard library."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
 
 
-def test_src_imports_scipy_once():
-    imports = [
-        (f"{path.stem}.{scope}", statement)
-        for path in sorted(SRC.glob("*.py"))
-        for scope, statement in _scipy_imports(ast.parse(path.read_text()))
-    ]
-    assert imports == [("spectra.eigh_tridiagonal", "from scipy.linalg import eigh_tridiagonal as solve")]
+def _requirement_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+
+
+def test_src_imports_only_the_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    runtime = _requirement_names(project["dependencies"])
+    assert _third_party_imports(SRC.glob("*.py")) == runtime == {"numpy"}
+    # SciPy stays an oracle of the tests and the benchmark's checks
+    assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
+
+
+# the benchmark's three fd_catalog_1d calls, as its Husimi ops and warm-up
+# make them, in one fresh process; prints the SciPy modules loaded
+_BENCH_CATALOGS = """
+import json, sys
+from dilutefermi import spectra as sp
+for hb in (0.05, 0.025):
+    cat = sp.fd_catalog_1d(lambda x: x * x, hb, 4.0, 1001, 21.0 * hb + 0.01)
+    sp.coherent_identity_check_1d(cat, 10)
+sp.fd_catalog_1d(lambda x: x**4, 0.05, 3.0, 1000, 2.0, keep_vectors=False)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_bench_catalogs_load_no_scipy():
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BENCH_CATALOGS], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,11 +1,9 @@
 import dataclasses
 import functools
-import gc
 import math
 import os
 import subprocess
 import sys
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilutefermi import cli, spectra
+from dilutefermi import cli, numerics, spectra
 from dilutefermi.cli import DEFAULT_CONFIG, cmd_husimi
 from dilutefermi.numerics import RadialProfile, Tolerance, integrate_radial, lp_distance
 from dilutefermi.potentials import harmonic_trap
@@ -25,7 +23,6 @@ from dilutefermi.spectra import (
     TruncationError,
     coherent_identity_check_1d,
     dvr_catalog_1d,
-    fd_catalog_1d,
     free_ground_state_density,
     free_ground_state_density_fn,
     harmonic_catalog,
@@ -83,85 +80,19 @@ def test_counts_match_closed_shell_sum():
     assert spectral_counts(cat, lam)[0] == n_direct
 
 
-def test_fd_oscillator_spectrum():
-    cat = fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 800, 12.0)
-    expected = np.arange(1.0, 12.0, 2.0)
-    assert np.max(np.abs(cat.energies[:6] - expected[:6])) < 5e-3
-    assert cat.sturm_certified
-    assert np.all(cat.degeneracies == 1)
-
-
-def _sturm_count_scalar(diag, off, x):
-    """Reference: the Sturm recurrence on NumPy scalars, indexing each entry."""
-    count = 0
-    d = diag[0] - x
-    if d < 0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, len(diag)):
-        denom = d if abs(d) > tiny else math.copysign(tiny, d if d != 0 else 1.0)
-        d = (diag[i] - x) - off[i - 1] ** 2 / denom
-        if d < 0:
-            count += 1
-    return count
-
-
-def test_sturm_count_matches_scalar_reference():
-    rng = np.random.default_rng(3)
-    diag = rng.uniform(-2.0, 2.0, 300)
-    off = rng.uniform(-1.0, 1.0, 299)
-    levels = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    for x in (-3.0, -0.5, 0.0, 0.7, 3.0):
-        count = spectra._sturm_count(diag, off, x)
-        assert count == _sturm_count_scalar(diag, off, x) == int(np.sum(levels < x))
-    # exact zero pivots take the tiny-denominator branch
-    ones = np.ones(5)
-    assert spectra._sturm_count(ones, ones[:4], 1.0) == _sturm_count_scalar(ones, ones[:4], 1.0)
-
-
-def test_fd_small_hbar_ground_state():
-    cat = fd_catalog_1d(lambda x: x * x, 0.1, 3.0, 1200, 1.0)
-    assert abs(cat.energies[0] - 0.1) < 1e-4
-
-
-def test_fd_second_order_convergence():
-    exact = np.arange(1.0, 10.0, 2.0)
-    coarse = fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 400, 10.0).energies[:5]
-    fine = fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 800, 10.0).energies[:5]
-    ratios = np.abs(coarse - exact) / np.abs(fine - exact)
-    assert np.all(ratios > 3.4)
-    assert np.all(ratios < 4.6)
-
-
 def test_fd_eigenvalues_monotone_in_potential():
-    base = fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 500, 10.0).energies
-    raised = fd_catalog_1d(lambda x: x * x + 0.3 * np.exp(-(x**2)), 1.0, 8.0, 500, 10.0).energies
+    base = dvr_catalog_1d(lambda x: x * x, 1.0, 8.0, 500, 10.0).energies
+    raised = dvr_catalog_1d(lambda x: x * x + 0.3 * np.exp(-(x**2)), 1.0, 8.0, 500, 10.0).energies
     k = min(base.size, raised.size)
     assert np.all(raised[:k] >= base[:k] - 1e-12)
 
 
 def test_fd_domain_margin_guard():
-    with pytest.raises(DomainTooSmallError):
-        fd_catalog_1d(lambda x: x * x, 1.0, 3.5, 500, 12.0)
     # the allowed region |x + 1.2| <= sqrt(2) reaches x = -2.61, past 3 / 1.2,
     # on the left for one trap and on the right for its mirror image
     for shift in (1.2, -1.2):
         with pytest.raises(DomainTooSmallError, match=r"\|x\| <= 2\.61"):
-            fd_catalog_1d(lambda x: (x + shift) ** 2, 1.0, 3.0, 500, 2.0)
-    with pytest.raises(ValueError):
-        fd_catalog_1d(lambda x: x * x, 1.0, 8.0, 150, 10.0)
-
-
-def test_fd_without_vectors_is_exact():
-    kept = fd_catalog_1d(lambda x: x**4, 0.02, 3.0, 2000, 2.0)
-    dropped = fd_catalog_1d(lambda x: x**4, 0.02, 3.0, 2000, 2.0, keep_vectors=False)
-    assert np.array_equal(kept.energies, dropped.energies)
-    assert kept.sturm_certified and dropped.sturm_certified
-    assert kept.vectors is not None and dropped.vectors is None
-    # the 20% margin holds (turning point 1.87), but the second level leaks
-    # past |x| = 2.3, so only the boundary-mass check catches it
-    with pytest.raises(DomainTooSmallError, match="boundary mass"):
-        fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
+            dvr_catalog_1d(lambda x: (x + shift) ** 2, 1.0, 3.0, 500, 2.0)
 
 
 @pytest.mark.parametrize("hbar", [0.05, 0.025, 0.0125, 0.00625])
@@ -205,7 +136,7 @@ def test_dvr_husimi_identities_meet_their_closed_forms():
 
 
 def test_dvr_domain_guards():
-    # the allowed region |x| <= 3.46 misses the 20% margin, as for finite differences
+    # the allowed region |x| <= 3.46 misses the 20% margin
     with pytest.raises(DomainTooSmallError, match="20% margin"):
         dvr_catalog_1d(lambda x: x * x, 1.0, 3.5, 500, 12.0)
     # the margin holds (turning point 1.87), but the levels leak past |x| = 2.3
@@ -299,99 +230,6 @@ def test_parity_blocks_hold_the_full_spectrum(q, n, hbar):
     assert np.max(np.abs(unfolded * signs - c[:, kept])) <= 1e-12
 
 
-def _fd_matrix(v, hbar, halfwidth, points, lambda_max):
-    """The tridiagonal matrix and levels of fd_catalog_1d, with the clustered vectors."""
-    from scipy.linalg import eigh_tridiagonal
-
-    x = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
-    h = x[1] - x[0]
-    diag = hbar**2 * 2.0 / h**2 + v(x)
-    off = np.full(points - 1, -(hbar**2) / h**2)
-    lo = float(np.min(diag) - 3.0 * hbar**2 / h**2)
-    w, vecs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, lambda_max))
-    return diag, off, w, vecs[0] ** 2 + vecs[-1] ** 2
-
-
-@pytest.fixture
-def eigensolves(monkeypatch):
-    """(points, eigvals_only) of every call to spectra.eigh_tridiagonal.
-
-    Also keeps a weak reference to each eigenvector array it returns.
-    """
-    calls, vector_refs = [], []
-    solve = spectra.eigh_tridiagonal
-
-    def recorder(d, e, **kwargs):
-        out = solve(d, e, **kwargs)
-        calls.append((len(d), kwargs.get("eigvals_only", False)))
-        if not kwargs.get("eigvals_only", False):
-            vector_refs.append(weakref.ref(out[1]))
-        return out
-
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", recorder)
-    return calls, vector_refs
-
-
-@pytest.mark.parametrize(
-    "v, hbar, halfwidth, points, lambda_max, leaks",
-    [
-        (lambda x: x * x, 1.0, 2.3, 500, 3.5, True),  # boundary mass 5.4e-7
-        (lambda x: x * x, 1.0, 3.6, 500, 3.5, False),  # boundary mass 8.0e-9, just passes
-        # the quartic Weyl scan's top rung on the 10^4-point grid the benchmark sends
-        (lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, False),
-    ],
-    ids=["leaky_x2", "near_threshold_x2", "quartic_1e4"],
-)
-def test_end_masses_match_clustered_vectors(v, hbar, halfwidth, points, lambda_max, leaks):
-    diag, off, w, reference = _fd_matrix(v, hbar, halfwidth, points, lambda_max)
-    assert (np.max(reference) > spectra.MAX_BOUNDARY_MASS) == leaks
-    args = (v, hbar, halfwidth, points, lambda_max)
-    for keep in (True, False):
-        if leaks:
-            with pytest.raises(DomainTooSmallError, match="boundary mass"):
-                fd_catalog_1d(*args, keep_vectors=keep)
-        else:
-            cat = fd_catalog_1d(*args, keep_vectors=keep)
-            assert np.array_equal(cat.energies, w) and cat.sturm_certified
-
-
-def test_fd_catalog_without_vectors_solves_once(eigensolves):
-    calls, vector_refs = eigensolves
-    # the quartic Weyl scan's top rung on 10^4 points: one solve, with vectors
-    quartic = fd_catalog_1d(lambda x: x**4, 1.0 / 200, 3.0, 10**4, 2.0 + 1e-12, keep_vectors=False)
-    assert quartic.energies.size == 187
-    assert calls == [(10**4, False)]
-    gc.collect()
-    assert quartic.vectors is None and vector_refs[-1]() is None  # dropped, not kept
-    # a leaky catalog reads its masses from the same solve, and raises
-    calls.clear()
-    with pytest.raises(DomainTooSmallError, match="boundary mass 5.396e-07 exceeds 1e-8"):
-        fd_catalog_1d(lambda x: x * x, 1.0, 2.3, 500, 3.5, keep_vectors=False)
-    assert calls == [(500, False)]
-    # near threshold (mass 8.0e-9): the energies are those of the kept catalog
-    calls.clear()
-    dropped = fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5, keep_vectors=False)
-    kept = fd_catalog_1d(lambda x: x * x, 1.0, 3.6, 500, 3.5)
-    assert calls == [(500, False), (500, False)]
-    assert np.array_equal(dropped.energies, kept.energies)
-    assert dropped.vectors is None
-
-
-def test_eigensolves_form_vectors_only_when_kept(eigensolves, tmp_path):
-    calls, vector_refs = eigensolves
-    quartic = lambda x: x**4
-    weyl_error_scan(
-        {"kind": "fd_1d", "v": quartic, "halfwidth": 3.0, "points": 1000}, [2, 20, 200], 2.0
-    )
-    assert calls == []  # the scan solves on the parity-folded sinc-DVR
-    cmd_husimi(DEFAULT_CONFIG, str(tmp_path))
-    assert calls == []  # husimi solves on the sinc-DVR
-    kept = fd_catalog_1d(quartic, 0.02, 3.0, 2000, 2.0)
-    gc.collect()
-    assert kept.vectors is not None
-    assert vector_refs[-1]() is None  # the catalog holds only its rescaled copy
-
-
 def _exact_slope(Ns, errs):
     """Least-squares slope of the float points (log10 N, log10 err), err > 0,
     in exact rational arithmetic, then rounded once."""
@@ -438,11 +276,11 @@ def test_fit_exponent_meets_the_exact_slope(points):
         + len(xs) * abs(x_bar * y_bar)
     ) / sxx
     exact = _exact_slope(Ns, errs)
-    got = spectra._fit_exponent(Ns, errs)
+    got = numerics._loglog_slope(Ns, errs)
     assert abs(got - exact) <= 4 * u * (spread + abs(exact)) + 16 * u * u * means
     # a zero error drops its point, and fewer than two points fit nothing
-    dropped = spectra._fit_exponent(Ns, (0.0,) + errs[1:])
-    assert dropped == (spectra._fit_exponent(Ns[1:], errs[1:]) if len(Ns) > 2 else math.inf)
+    dropped = numerics._loglog_slope(Ns, (0.0,) + errs[1:])
+    assert dropped == (numerics._loglog_slope(Ns[1:], errs[1:]) if len(Ns) > 2 else math.inf)
 
 
 def test_weyl_scan_harmonic_exponents():
@@ -821,7 +659,7 @@ def test_density_converges_to_minimizer():
 
 @pytest.fixture(scope="module")
 def husimi_catalog():
-    return fd_catalog_1d(lambda x: x * x, 0.05, 4.0, 1001, 21.0 * 0.05 + 0.01)
+    return dvr_catalog_1d(lambda x: x * x, 0.05, 4.0, 1001, 21.0 * 0.05 + 0.01)
 
 
 def test_husimi_resolution_identity(husimi_catalog):
@@ -842,7 +680,7 @@ def test_husimi_occupation_bounds(husimi_catalog):
 
 def test_husimi_potential_residual_shrinks_with_hbar(husimi_catalog):
     rep = coherent_identity_check_1d(husimi_catalog, 10)
-    half = fd_catalog_1d(lambda x: x * x, 0.025, 4.0, 1001, 21.0 * 0.025 + 0.01)
+    half = dvr_catalog_1d(lambda x: x * x, 0.025, 4.0, 1001, 21.0 * 0.025 + 0.01)
     rep_half = coherent_identity_check_1d(half, 10)
     assert rep.potential_identity_residual / rep_half.potential_identity_residual >= 1.3
 
@@ -930,12 +768,12 @@ def _dense_husimi_reference(catalog, fill, p_F=1.0):
         (0.1, 4.0, 10),
         (0.05, 4.0, 1),
         (0.05, 4.0, 10),
-        # 10 sigma = 6.3 exceeds the whole grid: every window is cut at both ends
-        (0.5, 3.0, 2),
+        # 10 sigma = 25.2 exceeds the whole grid: every window is cut at both ends
+        (4.0, 12.5, 2),
     ],
 )
 def test_husimi_band_matches_dense_products(hbar, halfwidth, fill):
-    cat = fd_catalog_1d(lambda x: x * x, hbar, halfwidth, 1001, hbar * (2 * fill + 1) + 0.01)
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, halfwidth, 1001, hbar * (2 * fill + 1) + 0.01)
     rep = coherent_identity_check_1d(cat, fill)
     ref = _dense_husimi_reference(cat, fill)
     for name, want in ref.items():
@@ -964,15 +802,14 @@ class _ExpShapes:
 
 
 @pytest.mark.parametrize(
-    "make_catalog, hbar, n_xm, n_band, n_p",
+    "hbar, n_xm, n_band, n_p",
     [
-        (fd_catalog_1d, 0.05, 501, 170, 237),
-        (fd_catalog_1d, 0.025, 1001, 108, 229),
-        (dvr_catalog_1d, 0.025, 1001, 108, 228),  # an even p grid: no p = 0 node
+        (0.05, 501, 170, 237),
+        (0.025, 1001, 108, 228),  # an even p grid: no p = 0 node
     ],
 )
-def test_husimi_work_budget(monkeypatch, make_catalog, hbar, n_xm, n_band, n_p):
-    cat = make_catalog(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
+def test_husimi_work_budget(monkeypatch, hbar, n_xm, n_band, n_p):
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, 1001, 21.0 * hbar + 0.01)
     h = float(cat.grid[1] - cat.grid[0])
     assert n_band == math.ceil(10.0 * hbar ** (2.0 / 3.0) / h)
     probe = _ExpShapes()
@@ -987,7 +824,7 @@ def test_husimi_work_budget(monkeypatch, make_catalog, hbar, n_xm, n_band, n_p):
 
 
 def test_husimi_grid_resolution_guard():
-    coarse = fd_catalog_1d(lambda x: x * x, 0.05, 4.0, 220, 0.4)
+    coarse = dvr_catalog_1d(lambda x: x * x, 0.05, 4.0, 220, 0.4)
     with pytest.raises(ResolutionError):
         coherent_identity_check_1d(coarse, 3)
 

@@ -274,6 +274,22 @@ def test_cutoff_gap_active_regime_decreasing(bare_solution):
     assert abs(sol.regular_mass + sol.overflow_mass - 1.0) < 1e-9
 
 
+def test_cutoff_gap_exponent_is_the_exact_slope():
+    # caps below sqrt(lambda) = 1.698 bind: the exponent is minus the
+    # least-squares slope of the (log10 p_F, log10 gap) points, and it meets
+    # that slope taken in exact rational arithmetic to rounding
+    caps = [0.5, 1.0, 1.5]
+    scan = cutoff_gap_scan(harmonic_trap(0.0), caps)
+    assert all(sol.active for sol in scan.solutions)
+    pts = [(Fraction(math.log10(p)), Fraction(math.log10(g))) for p, g in zip(caps, scan.gaps)]
+    x_bar = sum(x for x, _ in pts) / len(pts)
+    y_bar = sum(y for _, y in pts) / len(pts)
+    sxy = sum((x - x_bar) * (y - y_bar) for x, y in pts)
+    exact = -float(sxy / sum((x - x_bar) ** 2 for x, _ in pts))
+    assert abs(scan.fitted_exponent - exact) <= 2 * math.ulp(exact)
+    assert scan.fitted_exponent == pytest.approx(1.994, abs=5e-4)
+
+
 def test_cutoff_gap_scan_solutions_equal_single_solves():
     # caps up to 1.6 saturate on harmonic+1 (24^(1/6) = 1.698); 2 and 4 do not
     v = harmonic_trap(1.0)
