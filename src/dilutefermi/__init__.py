@@ -9,8 +9,8 @@ The package decomposes into small, pure submodules:
 - ``semiclassics``: phase-space counting and filling levels
 - ``spectra``: eigenvalue catalogs, Weyl scans, Husimi identities
 - ``asymptotics``: two-term energy prediction, box estimates, error budget
-- ``tables``: the one writer of the emitted CSV tables
-- ``cli``: configuration-driven command line front end
+- ``cli``: configuration-driven command line front end, the one writer of the
+  emitted CSV tables and their JSON mirrors
 """
 
 __version__ = "0.1.0"

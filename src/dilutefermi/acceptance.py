@@ -463,13 +463,12 @@ def criterion_17():
     # byte-level determinism of the emitted bundle, checked by double emission
     from . import cli
 
-    commands = (cli.cmd_tf, cli.cmd_scatter, cli.cmd_semiclass, cli.cmd_spectra,
-                cli.cmd_predict, cli.cmd_budget)
+    commands = ("tf", "scatter", "semiclass", "spectra", "predict", "budget")
 
     def emit_bundle():
         config = dict(cli.DEFAULT_CONFIG)
         with tempfile.TemporaryDirectory() as tmp:
-            paths = [Path(p) for cmd in commands for p in cmd(config, tmp)]
+            paths = [Path(p) for cmd in commands for p in cli.run_command(cmd, config, tmp)[0]]
             return {p.name: p.read_bytes() for p in paths}
 
     def run():

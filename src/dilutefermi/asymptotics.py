@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .scattering import InteractionSpec, zero_energy_solve
-from .tables import write_table
 from .thomas_fermi import C_TF, TFSolution, tf_solve
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "beta_l_window",
     "box_estimate",
     "error_budget",
-    "write_prediction_csv",
-    "write_boxes_csv",
-    "write_budget_csv",
 ]
 
 
@@ -413,32 +409,3 @@ def error_budget(N, beta) -> ErrorBudget:
         softening_term=softening,
         remainder_term=remainder,
     )
-
-
-def write_prediction_csv(path, rows, header_lines=()):
-    """Emit prediction rows (N, beta, main, correction, total)."""
-    columns = ("N", "beta", "main", "correction", "total")
-    write_table(path, header_lines, columns, ([getattr(p, c) for c in columns] for p in rows))
-
-
-def write_boxes_csv(path, est: BoxEstimate, header_lines=()):
-    """Emit per-box rows (center, M_i, contributions) plus summary comments."""
-    summary = f"l={est.l!r} gap={est.gap!r} L={est.L!r} ratio={est.ratio!r}"
-    write_table(
-        path,
-        [*header_lines, summary],
-        ("cx", "cy", "cz", "M_i", "kinetic_interaction", "potential"),
-        (
-            (c[0], c[1], c[2], int(m), k, p)
-            for c, m, k, p in zip(est.centers, est.masses, est.kin_per_box, est.pot_per_box)
-        ),
-    )
-
-
-def write_budget_csv(path, budgets, header_lines=()):
-    """Emit budget rows (N, beta, component columns, total, ratio)."""
-    columns = (
-        "N", "beta", "epsilon", "p_F", "s", "R", "bulk_term", "cutoff_term",
-        "softening_term", "remainder_term", "total", "ratio",
-    )
-    write_table(path, header_lines, columns, ([getattr(b, c) for c in columns] for b in budgets))

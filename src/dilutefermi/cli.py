@@ -3,9 +3,10 @@
 Reads a single JSON configuration file (nested key-value sections, see
 docs/config_schema.md), dispatches to the library, and emits CSV files
 with a provenance header block: tool version, the fully resolved
-configuration, and the identifiers of the formulas exercised.  Reruns
-of the same configuration byte-reproduce every output; no command uses
-randomness.
+configuration, and the identifiers of the formulas exercised.  It is
+the one writer: the library computes, and ``_emit`` writes every table
+and the JSON mirror from the same cells.  Reruns of the same
+configuration byte-reproduce every output; no command uses randomness.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
@@ -13,7 +14,6 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import dataclasses
 import json
 import math
@@ -32,7 +32,6 @@ from . import spectra as sp
 from . import thomas_fermi as tf
 from .numerics import RefinementError
 from .potentials import ConfigurationError
-from .tables import write_table
 
 COMMANDS = (
     "tf",
@@ -320,138 +319,111 @@ def _header(command, config, formulas):
     return lines
 
 
-def _mirror_csv_as_json(csv_path):
-    """Write a JSON mirror of an emitted CSV next to it."""
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    comments = [ln[1:].strip() for ln in lines if ln.startswith("#")]
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    rows = []
-    if data:
-        parsed = list(_csv.reader(data))
-        fields = parsed[0]
-        rows = [dict(zip(fields, row)) for row in parsed[1:]]
+def _emit(outdir, command, config, stem, formulas, columns, rows, notes=()):
+    """Write ``<stem>.csv``: ``# `` header lines, the comma-joined columns, then one line per row.
+
+    The header is ``_header``'s lines, then ``notes``.  A float cell, Python
+    or NumPy, prints as ``repr(float(x))``, the shortest string that reads
+    back to the same double; any other cell prints as ``str(x)``.  Returns
+    the path, the header lines, the columns and the cell strings, from which
+    ``_mirror_csv_as_json`` writes the mirror.
+    """
+    header = [*_header(command, config, formulas), *notes]
+    cells = [[repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row]
+             for row in rows]
+    path = os.path.join(outdir, f"{stem}.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in header)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in cells)
+    return path, header, columns, cells
+
+
+def _mirror_csv_as_json(csv_path, header, columns, cells):
+    """Write the JSON mirror of an emitted CSV: its header lines, and its cells keyed by column."""
     json_path = os.path.splitext(csv_path)[0] + ".json"
+    rows = [dict(zip(columns, row)) for row in cells]
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"header": comments, "rows": rows}, fh, indent=1, sort_keys=True)
+        json.dump({"header": header, "rows": rows}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return json_path
 
 
-def cmd_tf(config, outdir):
+# Each command yields its tables as (file stem, formulas, columns, rows[, notes]).
+def cmd_tf(config):
     v = resolve_potential(config)
     sol = tf.tf_solve(v)
-    path = os.path.join(outdir, "tf_solution.csv")
-    tf.write_density_csv(
-        path,
-        sol,
-        _header("tf", config, [
-            "density_inversion: rho = ((lambda - V)_+ / kappa)^(3/2)",
-            "energy: 2^(-2/3) c_tf int rho^(5/3) + int V rho",
-            f"lambda={sol.lambda_TF!r} E_TF={sol.E_TF!r}",
-        ]),
-    )
-    paths = [path]
+    r, rho = sol.rho.nodes, sol.rho.values
+    vr = v.radial_fn(r)
+    residual = np.where(rho > 0.0, np.abs(tf.KAPPA * rho ** (2.0 / 3.0) + vr - sol.lambda_TF), 0.0)
+    yield "tf_solution", [
+        "density_inversion: rho = ((lambda - V)_+ / kappa)^(3/2)",
+        "energy: 2^(-2/3) c_tf int rho^(5/3) + int V rho",
+        f"lambda={sol.lambda_TF!r} E_TF={sol.E_TF!r}",
+    ], ("r", "rho", "V", "lagrange_residual"), zip(r, rho, vr, residual)
     p_fs = config["sweeps"]["p_F"]
     if p_fs:
         scan = tf.cutoff_gap_scan(v, [float(p) for p in p_fs])
-        cut_path = os.path.join(outdir, "cutoff_scan.csv")
-        write_table(
-            cut_path,
-            _header("tf", config, [
-                "cutoff: kinetic density capped at the local Fermi momentum",
-                f"fitted_gap_exponent={scan.fitted_exponent!r}",
-            ]),
-            ("p_F", "E_TF_pF", "gap", "overflow_mass"),
-            ((s.p_F, s.E_TF_pF, gap, s.overflow_mass) for s, gap in zip(scan.solutions, scan.gaps)),
+        yield "cutoff_scan", [
+            "cutoff: kinetic density capped at the local Fermi momentum",
+            f"fitted_gap_exponent={scan.fitted_exponent!r}",
+        ], ("p_F", "E_TF_pF", "gap", "overflow_mass"), (
+            (s.p_F, s.E_TF_pF, gap, s.overflow_mass) for s, gap in zip(scan.solutions, scan.gaps)
         )
-        paths.append(cut_path)
-    return paths
 
 
-def cmd_scatter(config, outdir):
+def cmd_scatter(config):
     w = resolve_interaction(config)
     sol = sc.zero_energy_solve(w)
-    paths = []
-    path = os.path.join(outdir, "scattering_profile.csv")
-    sc.write_scattering_csv(
-        path,
-        sol,
-        _header("scatter", config, [
-            "reduced_ode: u'' = v u / 2, u(0)=0, u'(0)=1",
-            "length: a = R - u(R)/u'(R)",
-            f"a={sol.a!r} R={sol.range_!r}",
-            f"step_error_estimate={sol.step_error_estimate!r}",
-            f"fit_residual={sol.fit_residual!r}",
-        ]),
-    )
-    paths.append(path)
+    r = sol.u.nodes
+    yield "scattering_profile", [
+        "reduced_ode: u'' = v u / 2, u(0)=0, u'(0)=1",
+        "length: a = R - u(R)/u'(R)",
+        f"a={sol.a!r} R={sol.range_!r}",
+        f"step_error_estimate={sol.step_error_estimate!r}",
+        f"fit_residual={sol.fit_residual!r}",
+    ], ("r", "u", "f", "v"), zip(r, sol.u.values, sol.f.values, sol.spec(r))
     amps = config["sweeps"]["A"]
     if amps:
-        rows = sc.hardcore_limit(w, amps)
-        sweep_path = os.path.join(outdir, "hardcore_sweep.csv")
-        header = _header("scatter", config, ["hardcore_limit: a(A v) -> R as A grows"])
-        write_table(sweep_path, header, ("A", "a"), rows)
-        paths.append(sweep_path)
-    return paths
+        yield ("hardcore_sweep", ["hardcore_limit: a(A v) -> R as A grows"], ("A", "a"),
+               sc.hardcore_limit(w, amps))
 
 
-def cmd_semiclass(config, outdir):
+def cmd_semiclass(config):
     v = resolve_potential(config)
-    lambdas = config["sweeps"]["Lambda"]
-    path = os.path.join(outdir, "semiclassics.csv")
-    scl.write_counts_csv(
-        path,
-        v,
-        lambdas,
-        _header("semiclass", config, [
-            "count: (6 pi^2)^(-1) int (Lambda - V)_+^(3/2)",
-            "energy: (2 pi^2)^(-1) int [(Lambda-V)_+^(5/2)/5 + V (Lambda-V)_+^(3/2)/3]",
-        ]),
+    grid = np.asarray(config["sweeps"]["Lambda"], dtype=float)
+    counts = [scl.phase_space_counts(v, lam) for lam in grid]
+    d_n = np.gradient(np.array([c.n_cl for c in counts]), grid)
+    yield "semiclassics", [
+        "count: (6 pi^2)^(-1) int (Lambda - V)_+^(3/2)",
+        "energy: (2 pi^2)^(-1) int [(Lambda-V)_+^(5/2)/5 + V (Lambda-V)_+^(3/2)/3]",
+    ], ("Lambda", "n_cl", "e_cl", "e_tilde", "d_n_cl"), (
+        (c.Lambda, c.n_cl, c.e_cl, c.e_tilde, dn) for c, dn in zip(counts, d_n)
     )
-    return [path]
 
 
-def cmd_spectra(config, outdir):
+def cmd_spectra(config):
     spec = config["spectra"]
     offset = float(spec["offset"])
     cat = sp.harmonic_catalog(float(spec["hbar"]), float(spec["lambda_max"]), offset)
-    paths = []
-    path = os.path.join(outdir, "catalog.csv")
-    sp.write_catalog_csv(
-        path,
-        cat,
-        _header("spectra", config, ["shells: offset + hbar (2n+3) with degeneracy (n+1)(n+2)/2"]),
-    )
-    paths.append(path)
+    yield ("catalog", ["shells: offset + hbar (2n+3) with degeneracy (n+1)(n+2)/2"],
+           ("level", "degeneracy"), zip(cat.energies, cat.degeneracies))
     Ns = config["sweeps"]["N"]
     if len(Ns) >= 2:
         scan = sp.weyl_error_scan({"kind": "harmonic", "offset": offset}, Ns, _scan_lambda(spec))
-        scan_path = os.path.join(outdir, "weyl_scan.csv")
-        sp.write_scan_csv(
-            scan_path,
-            scan,
-            _header("spectra", config, [
-                "scan: |n_q - N n_cl| and |e_q - N e_cl| with hbar = N^(-1/3)",
-                f"n_exponent={scan.n_exponent!r} e_exponent={scan.e_exponent!r}",
-            ]),
+        yield "weyl_scan", [
+            "scan: |n_q - N n_cl| and |e_q - N e_cl| with hbar = N^(-1/3)",
+            f"n_exponent={scan.n_exponent!r} e_exponent={scan.e_exponent!r}",
+        ], ("N", "hbar", "n_q", "e_q", "n_err", "e_err"), zip(
+            scan.N, scan.hbar, scan.n_q, scan.e_q, scan.n_err, scan.e_err
         )
-        paths.append(scan_path)
     if spec.get("density") is not None:
         prof = sp.free_ground_state_density(*_density_args(spec))
-        dens_path = os.path.join(outdir, "free_state_density.csv")
-        sp.write_profile_csv(
-            dens_path,
-            prof,
-            _header("spectra", config, [
-                "density: radial diagonal of the rank-M free-state projector",
-            ]),
-        )
-        paths.append(dens_path)
-    return paths
+        yield ("free_state_density", ["density: radial diagonal of the rank-M free-state projector"],
+               ("r", "rho"), zip(prof.nodes, prof.values))
 
 
-def cmd_husimi(config, outdir):
+def cmd_husimi(config):
     spec = config["husimi"]
     hbar, fill = float(spec["hbar"]), int(spec["fill"])
     lam_max = float(spec.get("lambda_max", hbar * (2 * fill + 1) + 0.01))
@@ -459,25 +431,20 @@ def cmd_husimi(config, outdir):
         lambda x: x * x, hbar, float(spec["halfwidth"]), int(spec["points"]), lam_max
     )
     rep = sp.coherent_identity_check_1d(cat, fill)
-    path = os.path.join(outdir, "husimi.csv")
-    write_table(
-        path,
-        _header("husimi", config, [
-            "resolution: int m dx dp / (2 pi hbar) = tr(gamma)",
-            "kinetic: int p^2 m = tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2",
-            "catalog: sinc-DVR on solve_nodes, levels checked on the coarser grid before it",
-            f"solve_nodes={cat.solve_nodes} momentum_margin={cat.momentum_margin!r}",
-            f"boundary_mass={cat.boundary_mass!r}",
-            f"convergence_estimate={cat.convergence_estimate!r}",
-            f"husimi_grid: n_xm={rep.n_xm} band={rep.band} n_p={rep.n_p}",
-        ]),
-        ("hbar", "hbar_x", "hbar_p", "fill", "resolution_residual", "kinetic_residual",
-         "potential_residual", "lowfreq_residual", "m_min", "m_max"),
-        [(rep.hbar, rep.hbar_x, rep.hbar_p, rep.fill, rep.resolution_residual,
-          rep.kinetic_identity_residual, rep.potential_identity_residual,
-          rep.lowfreq_identity_residual, rep.m_min, rep.m_max)],
-    )
-    return [path]
+    yield "husimi", [
+        "resolution: int m dx dp / (2 pi hbar) = tr(gamma)",
+        "kinetic: int p^2 m = tr(-hbar^2 Lap gamma) + hbar_p tr(gamma) |grad f|^2",
+        "catalog: sinc-DVR on solve_nodes, levels checked on the coarser grid before it",
+        f"solve_nodes={cat.solve_nodes} momentum_margin={cat.momentum_margin!r}",
+        f"boundary_mass={cat.boundary_mass!r}",
+        f"convergence_estimate={cat.convergence_estimate!r}",
+        f"husimi_grid: n_xm={rep.n_xm} band={rep.band} n_p={rep.n_p}",
+    ], ("hbar", "hbar_x", "hbar_p", "fill", "resolution_residual", "kinetic_residual",
+        "potential_residual", "lowfreq_residual", "m_min", "m_max"), [
+        (rep.hbar, rep.hbar_x, rep.hbar_p, rep.fill, rep.resolution_residual,
+         rep.kinetic_identity_residual, rep.potential_identity_residual,
+         rep.lowfreq_identity_residual, rep.m_min, rep.m_max)
+    ]
 
 
 def _sweep_pairs(config):
@@ -485,7 +452,7 @@ def _sweep_pairs(config):
     return [(int(N), float(b)) for b in sweeps["beta"] for N in sweeps["N"]]
 
 
-def cmd_predict(config, outdir):
+def cmd_predict(config):
     v = resolve_potential(config)
     w = resolve_interaction(config)
     base = tf.tf_solve(v)
@@ -496,16 +463,12 @@ def cmd_predict(config, outdir):
         asy.predict_energy(v, dataclasses.replace(ctx, N=N, beta=beta), base)
         for N, beta in pairs
     ]
-    path = os.path.join(outdir, "prediction.csv")
-    asy.write_prediction_csv(
-        path,
-        rows,
-        _header("predict", config, ["two_term: N E_TF + 2 pi a_w N^(4/3 - beta) int rho_TF^2"]),
-    )
-    return [path]
+    columns = ("N", "beta", "main", "correction", "total")
+    yield ("prediction", ["two_term: N E_TF + 2 pi a_w N^(4/3 - beta) int rho_TF^2"], columns,
+           ([getattr(p, c) for c in columns] for p in rows))
 
 
-def cmd_boxes(config, outdir):
+def cmd_boxes(config):
     v = resolve_potential(config)
     w = resolve_interaction(config)
     pairs = _sweep_pairs(config)
@@ -519,43 +482,35 @@ def cmd_boxes(config, outdir):
         l = window.chosen_l
     base = tf.tf_solve(v)
     est = asy.box_estimate(v, ctx, float(l), base)
-    path = os.path.join(outdir, "boxes.csv")
-    asy.write_boxes_csv(
-        path,
-        est,
-        _header("boxes", config, [
-            "mass: M_i = ceil(N/2 int_cell rho)",
-            "per_box: N^(2 beta - 2/3) (2 c_tf L^-2 M^(5/3) + 8 pi a_w L^-3 M^2)",
-        ]),
-    )
-    return [path]
+    yield "boxes", [
+        "mass: M_i = ceil(N/2 int_cell rho)",
+        "per_box: N^(2 beta - 2/3) (2 c_tf L^-2 M^(5/3) + 8 pi a_w L^-3 M^2)",
+    ], ("cx", "cy", "cz", "M_i", "kinetic_interaction", "potential"), (
+        (*c, int(m), k, p)
+        for c, m, k, p in zip(est.centers, est.masses, est.kin_per_box, est.pot_per_box)
+    ), [f"l={est.l!r} gap={est.gap!r} L={est.L!r} ratio={est.ratio!r}"]
 
 
-def cmd_budget(config, outdir):
+def cmd_budget(config):
     rows = [asy.error_budget(N, beta) for N, beta in _sweep_pairs(config)]
-    path = os.path.join(outdir, "budget.csv")
-    asy.write_budget_csv(
-        path,
-        rows,
-        _header("budget", config, [
-            "f(N) = N^(5/6) + p_F^-2 N + delta^-1 N^(1/3-beta) (N^(-1/18)+N^(1/6-beta/2))"
-            " (R^-3 + (eps s^2 R)^-1) + N^(1/3-beta)/(eps s^2 R)",
-            "couplings: delta=eps, p_F^-2=eps N^(1/3-beta), s^2=eps^2 N^(1/3-beta), R=eps hbar",
-        ]),
+    columns = (
+        "N", "beta", "epsilon", "p_F", "s", "R", "bulk_term", "cutoff_term",
+        "softening_term", "remainder_term", "total", "ratio",
     )
-    return [path]
+    yield "budget", [
+        "f(N) = N^(5/6) + p_F^-2 N + delta^-1 N^(1/3-beta) (N^(-1/18)+N^(1/6-beta/2))"
+        " (R^-3 + (eps s^2 R)^-1) + N^(1/3-beta)/(eps s^2 R)",
+        "couplings: delta=eps, p_F^-2=eps N^(1/3-beta), s^2=eps^2 N^(1/3-beta), R=eps hbar",
+    ], columns, ([getattr(b, c) for c in columns] for b in rows)
 
 
-def cmd_verify_all(config, outdir):
+def cmd_verify_all(config):
     from .acceptance import run_all
 
     results = run_all(echo=True)
-    path = os.path.join(outdir, "acceptance_summary.csv")
-    header = _header("verify-all", config, ["acceptance: one row per criterion"])
-    rows = ((res.cid, res.description, "pass" if res.passed else "fail") for res in results)
-    write_table(path, header, ("criterion", "description", "status"), rows)
-    failed = [r for r in results if not r.passed]
-    return [path], len(failed)
+    rows = [(res.cid, res.description, "pass" if res.passed else "fail") for res in results]
+    yield ("acceptance_summary", ["acceptance: one row per criterion"],
+           ("criterion", "description", "status"), rows)
 
 
 _DISPATCH = {
@@ -567,7 +522,23 @@ _DISPATCH = {
     "predict": cmd_predict,
     "boxes": cmd_boxes,
     "budget": cmd_budget,
+    "verify-all": cmd_verify_all,
 }
+
+
+def run_command(command, config, outdir):
+    """Write ``command``'s tables into ``outdir``, then their JSON mirrors if configured.
+
+    Each table is written before the next is computed, so a numerical
+    failure keeps the tables before it, without mirrors.  Returns the paths
+    written, tables first, and the exit code: 1 when a verify-all row fails.
+    """
+    written = [_emit(outdir, command, config, *table) for table in _DISPATCH[command](config)]
+    paths = [path for path, *_ in written]
+    if config["output"]["json_mirror"]:
+        paths += [_mirror_csv_as_json(*table) for table in written]
+    failed = command == "verify-all" and any(row[-1] == "fail" for row in written[0][3])
+    return paths, int(failed)
 
 
 def build_parser():
@@ -595,15 +566,7 @@ def main(argv=None):
         validate(config, user, args.command)
         outdir = args.out or config["output"]["directory"]
         os.makedirs(outdir, exist_ok=True)
-        if args.command == "verify-all":
-            paths, n_failed = cmd_verify_all(config, outdir)
-            exit_code = 1 if n_failed else 0
-        else:
-            paths = _DISPATCH[args.command](config, outdir)
-            exit_code = 0
-        if config["output"]["json_mirror"]:
-            for p in list(paths):
-                paths.append(_mirror_csv_as_json(p))
+        paths, exit_code = run_command(args.command, config, outdir)
         for p in paths:
             print(p)
     except ConfigurationError as exc:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import RadialProfile, Tolerance, integrate_radial
-from .tables import write_table
 
 __all__ = [
     "InteractionSpec",
@@ -36,7 +35,6 @@ __all__ = [
     "scaled_identity_check",
     "scattering_energy",
     "dyson_parts",
-    "write_scattering_csv",
 ]
 
 
@@ -536,10 +534,3 @@ def dyson_parts(R0, R, s, p_F) -> DysonKit:
         R=float(R), s=float(s), p_F=float(p_F),
         U_R=U_R, chi_s=chi_s, Gamma=Gamma, U_integral_check=check,
     )
-
-
-def write_scattering_csv(path, sol: ScatteringSolution, header_lines=()):
-    """Emit columns r, u, f, v for a computed zero-energy profile."""
-    r = sol.u.nodes
-    rows = zip(r, sol.u.values, sol.f.values, sol.spec(r))
-    write_table(path, header_lines, ("r", "u", "f", "v"), rows)

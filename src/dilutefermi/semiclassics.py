@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tables import write_table
 from .thomas_fermi import NormalizationError, _fix_level, _level_integrals, _rays
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "phase_space_counts",
     "lambda_for_filling",
     "h2_probe",
-    "write_counts_csv",
 ]
 
 
@@ -128,13 +126,3 @@ def h2_probe(v, lambda_grid) -> H2Report:
         flagged=bool(score > H2_THRESHOLD),
         counts=counts,
     )
-
-
-def write_counts_csv(path, v, lambda_grid, header_lines=()):
-    """Emit columns Lambda, n_cl, e_cl, e_tilde, d_n_cl over a level grid."""
-    grid = np.asarray(lambda_grid, dtype=float)
-    budgets = [phase_space_counts(v, lam) for lam in grid]
-    n = np.array([b.n_cl for b in budgets])
-    d_n = np.gradient(n, grid)
-    rows = ((b.Lambda, b.n_cl, b.e_cl, b.e_tilde, dn) for b, dn in zip(budgets, d_n))
-    write_table(path, header_lines, ("Lambda", "n_cl", "e_cl", "e_tilde", "d_n_cl"), rows)

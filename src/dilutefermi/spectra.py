@@ -37,7 +37,6 @@ import numpy as np
 from .numerics import RadialProfile, _loglog_slope
 from .semiclassics import phase_space_counts
 from .potentials import harmonic_trap
-from .tables import write_table
 from .thomas_fermi import DomainError, _level_integrals, _Rays
 
 __all__ = [
@@ -57,9 +56,6 @@ __all__ = [
     "free_ground_state_density_fn",
     "coherent_identity_check_1d",
     "hermite_functions",
-    "write_catalog_csv",
-    "write_scan_csv",
-    "write_profile_csv",
 ]
 
 
@@ -426,7 +422,12 @@ def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
     change between the two; ``boundary_mass``, the largest end mass
     c_0^2 + c_{n-1}^2, is at most ``MAX_BOUNDARY_MASS``; and the
     classically allowed region fits with a 20% margin inside halfwidth.
+
+    ValueError, before any solve, unless ``points`` is in
+    [``MIN_SAMPLE_POINTS``, ``MAX_SAMPLE_POINTS``].
     """
+    if not MIN_SAMPLE_POINTS <= points <= MAX_SAMPLE_POINTS:
+        raise ValueError(f"points={points} outside [{MIN_SAMPLE_POINTS}, {MAX_SAMPLE_POINTS}]")
     w, blocks, certificates = _settled_dvr_solve(v, hbar, halfwidth, lambda_max)
     n = certificates["solve_nodes"]
     h = 2.0 * halfwidth / (n + 1)
@@ -825,20 +826,3 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
         band=int(offsets.size),
         n_p=int(n_p),
     )
-
-
-def write_catalog_csv(path, catalog: SpectralCatalog, header_lines=()):
-    """Emit columns level, degeneracy."""
-    rows = ((e, int(d)) for e, d in zip(catalog.energies, catalog.degeneracies))
-    write_table(path, header_lines, ("level", "degeneracy"), rows)
-
-
-def write_scan_csv(path, scan: WeylScan, header_lines=()):
-    """Emit columns N, hbar, n_q, e_q, n_err, e_err."""
-    rows = zip(scan.N, scan.hbar, scan.n_q, scan.e_q, scan.n_err, scan.e_err)
-    write_table(path, header_lines, ("N", "hbar", "n_q", "e_q", "n_err", "e_err"), rows)
-
-
-def write_profile_csv(path, profile: RadialProfile, header_lines=()):
-    """Emit a radial density profile with columns r, rho."""
-    write_table(path, header_lines, ("r", "rho"), zip(profile.nodes, profile.values))

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import RadialProfile, Tolerance, _gauss_rule, _loglog_slope, integrate_radial
-from .tables import write_table
 
 __all__ = [
     "C_TF",
@@ -49,7 +48,6 @@ __all__ = [
     "two_spin_minimize",
     "cutoff_tf_solve",
     "cutoff_gap_scan",
-    "write_density_csv",
 ]
 
 #: kinetic coefficient of the per-spin functional, (3/5)(6 pi^2)^(2/3)
@@ -83,7 +81,6 @@ class TFSolution:
     mass: float
     lagrange_residual: float
     rho_fn: object = field(repr=False, default=None)
-    potential: object = field(repr=False, default=None)
 
 
 @dataclass
@@ -333,7 +330,6 @@ def tf_solve(v) -> TFSolution:
         mass=mass,
         lagrange_residual=residual,
         rho_fn=rho_fn,
-        potential=v,
     )
 
 
@@ -521,16 +517,3 @@ def cutoff_gap_scan(v, p_F_list) -> CutoffScan:
     usable = [(p, gap) for p, gap in zip(p_F_list, gaps) if gap > floor]
     exponent = -_loglog_slope(*zip(*usable)) if len(usable) >= 2 else math.inf
     return CutoffScan(list(p_F_list), gaps, exponent, solutions)
-
-
-def write_density_csv(path, solution: TFSolution, header_lines=()):
-    """Emit columns r, rho, V, lagrange_residual for a solution."""
-    r = solution.rho.nodes
-    rho = solution.rho.values
-    vv = solution.potential.radial_fn(r)
-    resid = np.where(
-        rho > 0.0,
-        np.abs(KAPPA * rho ** (2.0 / 3.0) + vv - solution.lambda_TF),
-        0.0,
-    )
-    write_table(path, header_lines, ("r", "rho", "V", "lagrange_residual"), zip(r, rho, vv, resid))

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from dilutefermi.acceptance import ALL_CRITERIA, run_all
+from dilutefermi import cli
+from dilutefermi.acceptance import ALL_CRITERIA, criterion_17, run_all
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,17 @@ def test_verify_all_cli_round_trip(tmp_path):
         assert proc.stdout.count("[PASS]") == 17
         outputs.append((out / "acceptance_summary.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_criterion_17_emits_through_the_cli_writer(monkeypatch):
+    # the bytes it compares are the bytes main writes: both go through cli._emit
+    stems = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda *args: stems.append(args[3]) or emit(*args))
+    assert criterion_17().passed
+    once = ["tf_solution", "cutoff_scan", "scattering_profile", "hardcore_sweep", "semiclassics",
+            "catalog", "weyl_scan", "prediction", "budget"]
+    assert stems == once + once
 
 
 def test_criterion_15_potential_residual_is_its_closed_form(results):

@@ -16,9 +16,6 @@ from dilutefermi.asymptotics import (
     error_budget,
     make_context,
     predict_energy,
-    write_boxes_csv,
-    write_budget_csv,
-    write_prediction_csv,
 )
 from dilutefermi.potentials import harmonic_trap, power_trap
 from dilutefermi.scattering import square_barrier
@@ -320,23 +317,3 @@ def test_budget_regime_errors():
         error_budget(10**4, 0.30)
     with pytest.raises(RegimeError):
         error_budget(10**4, 0.55)
-
-
-def test_csv_emitters(tmp_path, bare):
-    ctx = make_context(10**4, 0.40, square_barrier(2.0))
-    pred = predict_energy(harmonic_trap(0.0), ctx, bare)
-    p1 = tmp_path / "pred.csv"
-    write_prediction_csv(p1, [pred], ["h"])
-    assert p1.read_text().splitlines()[1] == "N,beta,main,correction,total"
-
-    est = box_estimate(harmonic_trap(0.0), make_context(10**6, 0.40, square_barrier(2.0)),
-                       beta_l_window(0.40, 10**6).chosen_l, bare)
-    p2 = tmp_path / "boxes.csv"
-    write_boxes_csv(p2, est, ["h"])
-    lines = p2.read_text().splitlines()
-    assert lines[2] == "cx,cy,cz,M_i,kinetic_interaction,potential"
-
-    p3 = tmp_path / "budget.csv"
-    write_budget_csv(p3, [error_budget(10**4, 0.45)], ["h"])
-    header = p3.read_text().splitlines()[1]
-    assert header.startswith("N,beta,epsilon")

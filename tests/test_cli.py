@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dilutefermi
-from dilutefermi import asymptotics, thomas_fermi
+from dilutefermi import asymptotics, cli, thomas_fermi
 from dilutefermi.cli import COMMANDS, DEFAULT_CONFIG, SCHEMA, main, validate
 
 
@@ -685,3 +686,95 @@ def test_outputs_identical_across_processes(tmp_path):
     for path in sorted((tmp_path / "first").glob("*.csv")):
         _, header, _ = read_table(path)
         assert f"`{path.name}` | `{','.join(header)}` |" in doc, path.name
+
+
+# every command, verify-all included, on the defaults with the bare harmonic
+# trap, a cheap spectra.density and the JSON mirror: all 13 tables, mirrored
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    root = tmp_path_factory.mktemp("emitted")
+    cfg = write_config(root, {**_FUZZ_BASE, "potential": {"kind": "harmonic"},
+                              "output": {"directory": "out", "json_mirror": True}})
+    out = root / "out"
+    for command in COMMANDS:
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0, command
+    return out
+
+
+# (command, file stem, column line) of every table the tool writes
+TABLES = [
+    ("tf", "tf_solution", "r,rho,V,lagrange_residual"),
+    ("tf", "cutoff_scan", "p_F,E_TF_pF,gap,overflow_mass"),
+    ("scatter", "scattering_profile", "r,u,f,v"),
+    ("scatter", "hardcore_sweep", "A,a"),
+    ("semiclass", "semiclassics", "Lambda,n_cl,e_cl,e_tilde,d_n_cl"),
+    ("spectra", "catalog", "level,degeneracy"),
+    ("spectra", "weyl_scan", "N,hbar,n_q,e_q,n_err,e_err"),
+    ("spectra", "free_state_density", "r,rho"),
+    ("husimi", "husimi", "hbar,hbar_x,hbar_p,fill,resolution_residual,kinetic_residual,"
+     "potential_residual,lowfreq_residual,m_min,m_max"),
+    ("predict", "prediction", "N,beta,main,correction,total"),
+    ("boxes", "boxes", "cx,cy,cz,M_i,kinetic_interaction,potential"),
+    ("budget", "budget", "N,beta,epsilon,p_F,s,R,bulk_term,cutoff_term,softening_term,"
+     "remainder_term,total,ratio"),
+    ("verify-all", "acceptance_summary", "criterion,description,status"),
+]
+
+
+def test_every_table_is_listed(emitted):
+    stems = {stem for _, stem, _ in TABLES}
+    assert sorted(p.name for p in emitted.iterdir()) == sorted(
+        f"{stem}.{ext}" for stem in stems for ext in ("csv", "json")
+    )
+
+
+@pytest.mark.parametrize("command, stem, columns", TABLES, ids=[t[1] for t in TABLES])
+def test_table_columns_and_cells(emitted, command, stem, columns):
+    comments, header, rows = read_table(emitted / f"{stem}.csv")
+    assert f"# command: {command}" in comments
+    assert ",".join(header) == columns
+    assert rows and all(len(row) == len(header) for row in rows)
+    if stem != "acceptance_summary":
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def test_tf_solution_density_at_the_origin(emitted):
+    comments, _, rows = read_table(emitted / "tf_solution.csv")
+    lam = float(next(c for c in comments if "lambda=" in c).split("lambda=")[1].split()[0])
+    r, rho, v, _ = (float(c) for c in rows[0])
+    assert r == v == 0.0
+    assert rho == pytest.approx((lam / thomas_fermi.KAPPA) ** 1.5)
+
+
+@pytest.mark.parametrize("stem, sweep", [("semiclassics", "Lambda"), ("weyl_scan", "N"),
+                                         ("cutoff_scan", "p_F"), ("hardcore_sweep", "A")])
+def test_one_row_per_sweep_value(emitted, stem, sweep):
+    _, _, rows = read_table(emitted / f"{stem}.csv")
+    assert len(rows) == len(DEFAULT_CONFIG["sweeps"][sweep])
+
+
+def _csv_reader_mirror(csv_path):
+    """The mirror of an emitted CSV as a csv.reader parse of its lines."""
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    comments = [ln[1:].strip() for ln in lines if ln.startswith("#")]
+    fields, *rows = csv.reader(ln for ln in lines if ln and not ln.startswith("#"))
+    return {"header": comments, "rows": [dict(zip(fields, row)) for row in rows]}
+
+
+@pytest.mark.parametrize("stem", [t[1] for t in TABLES])
+def test_json_mirror_equals_a_csv_reader_parse(emitted, stem):
+    mirror = json.loads((emitted / f"{stem}.json").read_text(encoding="utf-8"))
+    assert mirror == _csv_reader_mirror(emitted / f"{stem}.csv")
+    # the writer does not quote, so no cell may need it
+    assert not any(set(cell) & set(',"\n') for row in mirror["rows"] for cell in row.values())
+
+
+def test_emit_cell_rule(tmp_path):
+    path, header, columns, cells = cli._emit(
+        str(tmp_path), "tf", DEFAULT_CONFIG, "t", ["f"], ("a", "b", "c", "d", "e"),
+        [(np.float64(0.1), np.int64(3), 3, 2.0, "pass")], ["note"],
+    )
+    lines = Path(path).read_text().splitlines()
+    assert lines == [f"# {line}" for line in header] + ["a,b,c,d,e", "0.1,3,3,2.0,pass"]
+    assert header[-2:] == ["formula: f", "note"]
+    assert cells == [["0.1", "3", "3", "2.0", "pass"]]

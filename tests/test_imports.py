@@ -188,6 +188,25 @@ def test_every_dataclass_output_is_read():
     assert unread == set(UNREAD_OUTPUTS)
 
 
+def test_only_cli_writes_files():
+    # the library computes; cli alone opens files and writes the tables
+    found = []
+    for path in SRC.glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("write_"):
+                found.append((path.name, f"def {node.name}"))
+            elif isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                found.append((path.name, f"open at line {node.lineno}"))
+            elif isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                found.append((path.name, "import csv"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append((path.name, "from csv import"))
+    assert found == []
+
+
 def _third_party_imports(paths):
     """Top-level names of the absolute imports in ``paths`` outside the standard library."""
     names = set()

@@ -17,7 +17,6 @@ from dilutefermi.scattering import (
     scaled_interaction,
     scattering_energy,
     square_barrier,
-    write_scattering_csv,
     zero_energy_solve,
 )
 
@@ -223,17 +222,6 @@ def test_dyson_geometry_error():
         dyson_parts(1.0, 1.0, 0.1, 1.0)
     with pytest.raises(GeometryError):
         dyson_parts(2.0, 1.0, 0.1, 1.0)
-
-
-def test_scattering_csv_columns(tmp_path):
-    sol = zero_energy_solve(square_barrier(2.0))
-    path = tmp_path / "scatter.csv"
-    write_scattering_csv(path, sol, header_lines=["probe"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# probe"
-    assert lines[1] == "r,u,f,v"
-    cells = np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
-    assert np.all(np.isfinite(cells))
 
 
 def test_square_barrier_has_no_step_error():

@@ -8,7 +8,6 @@ from dilutefermi.semiclassics import (
     h2_probe,
     lambda_for_filling,
     phase_space_counts,
-    write_counts_csv,
 )
 from dilutefermi.thomas_fermi import NormalizationError, tf_solve
 from vlasov import vlasov_energy
@@ -123,14 +122,3 @@ def test_vlasov_rejects_overfilled_occupations():
     p = np.linspace(0.0, 1.0, 17)
     with pytest.raises(ValueError):
         vlasov_energy(v, np.full((17, 17), 2.5), r, p)
-
-
-def test_counts_csv_columns(tmp_path):
-    path = tmp_path / "counts.csv"
-    write_counts_csv(path, harmonic_trap(0.0), np.linspace(1.0, 3.0, 9), ["hdr"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# hdr"
-    assert lines[1] == "Lambda,n_cl,e_cl,e_tilde,d_n_cl"
-    cells = np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
-    assert np.all(np.isfinite(cells))
-    assert cells.shape == (9, 5)

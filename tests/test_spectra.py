@@ -29,8 +29,6 @@ from dilutefermi.spectra import (
     hermite_functions,
     spectral_counts,
     weyl_error_scan,
-    write_catalog_csv,
-    write_scan_csv,
 )
 from dilutefermi.thomas_fermi import DomainError, tf_solve
 
@@ -829,14 +827,10 @@ def test_husimi_grid_resolution_guard():
         coherent_identity_check_1d(coarse, 3)
 
 
-def test_catalog_and_scan_csv(tmp_path):
-    cat = harmonic_catalog(1.0, 7.5)
-    p1 = tmp_path / "cat.csv"
-    write_catalog_csv(p1, cat, ["x"])
-    assert p1.read_text().splitlines()[1] == "level,degeneracy"
-    scan = weyl_error_scan({"kind": "harmonic"}, [10**3, 10**4, 10**5], 2.0)
-    p2 = tmp_path / "scan.csv"
-    write_scan_csv(p2, scan, ["y"])
-    lines = p2.read_text().splitlines()
-    assert lines[1] == "N,hbar,n_q,e_q,n_err,e_err"
-    assert len(lines) == 2 + 3
+@pytest.mark.parametrize("catalog", [dvr_catalog_1d, spectra.fd_catalog_1d])
+@pytest.mark.parametrize("points", [0, 1, 199, 4002])
+def test_catalog_refuses_sample_points_out_of_range(monkeypatch, catalog, points):
+    # refused before any solve
+    monkeypatch.setattr(spectra, "_settled_dvr_solve", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=f"points={points} outside"):
+        catalog(lambda x: x * x, 0.05, 4.0, points, 1.06)

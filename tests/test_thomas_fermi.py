@@ -20,7 +20,6 @@ from dilutefermi.thomas_fermi import (
     tf_functional,
     tf_solve,
     two_spin_minimize,
-    write_density_csv,
     _cubic_root,
 )
 from vlasov import vlasov_energy
@@ -389,19 +388,6 @@ def test_non_star_shaped_trap_is_refused():
         scl.phase_space_counts(v, 3.0)
     with pytest.raises(DomainError):
         tf_solve(v)
-
-
-def test_density_csv_columns(tmp_path, bare_solution):
-    path = tmp_path / "tf.csv"
-    write_density_csv(path, bare_solution, header_lines=["check"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# check"
-    assert lines[1] == "r,rho,V,lagrange_residual"
-    cells = np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
-    assert np.all(np.isfinite(cells))
-    assert cells[0, 1] == pytest.approx((bare_solution.lambda_TF / KAPPA) ** 1.5)
-
-
 # level integrals one level solve may take, the last one included
 _LEVEL_SOLVE_BUDGET = 12
 
