@@ -9,6 +9,8 @@ The package decomposes into small, pure submodules:
 - ``semiclassics``: phase-space counting and filling levels
 - ``spectra``: eigenvalue catalogs, Weyl scans, Husimi identities
 - ``asymptotics``: two-term energy prediction, box estimates, error budget
+- ``acceptance``: the 17 criteria of ``verify-all``, each one registered
+  check that returns ``(passed, details)``
 - ``cli``: configuration-driven command line front end, the one writer of the
   emitted CSV tables and their JSON mirrors
 """

@@ -355,7 +355,7 @@ def cmd_tf(config):
     sol = tf.tf_solve(v)
     r, rho = sol.rho.nodes, sol.rho.values
     vr = v.radial_fn(r)
-    residual = np.where(rho > 0.0, np.abs(tf.KAPPA * rho ** (2.0 / 3.0) + vr - sol.lambda_TF), 0.0)
+    residual = tf.euler_lagrange_residual(rho, vr, sol.lambda_TF)
     yield "tf_solution", [
         "density_inversion: rho = ((lambda - V)_+ / kappa)^(3/2)",
         "energy: 2^(-2/3) c_tf int rho^(5/3) + int V rho",

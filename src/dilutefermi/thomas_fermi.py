@@ -44,6 +44,7 @@ __all__ = [
     "DomainError",
     "NormalizationError",
     "tf_solve",
+    "euler_lagrange_residual",
     "tf_functional",
     "two_spin_minimize",
     "cutoff_tf_solve",
@@ -280,6 +281,15 @@ def _radial_density(v, lam, invert):
     return rho
 
 
+def euler_lagrange_residual(rho, vr, lam, kappa=KAPPA):
+    """|kappa rho^(2/3) + V - lam| at each node where rho > 0, and 0 off the support.
+
+    ``vr`` holds the potential the density sees at the nodes, the trap's
+    values, plus g times the other spin's density for one spin of a pair.
+    """
+    return np.where(rho > 0.0, np.abs(kappa * rho ** (2.0 / 3.0) + vr - lam), 0.0)
+
+
 def tf_solve(v) -> TFSolution:
     """Solve the unit-mass Thomas-Fermi problem for a confining radial trap.
 
@@ -310,18 +320,14 @@ def tf_solve(v) -> TFSolution:
     r_support = float(edges[0])
     e_tf = 2.0 ** (-2.0 / 3.0) * C_TF * kin + pot
 
-    # Euler-Lagrange residual on 2048 sample radii
-    vv = v.radial_fn(r_support * np.linspace(0.0, 1.0 - 1e-9, 2048))
-    dens = _tf_density(np.maximum(lam - vv, 0.0))
-    on = dens > 0
-    residual = float(np.max(np.abs(KAPPA * dens[on] ** (2.0 / 3.0) + vv[on] - lam), initial=0.0))
-
     rho_fn = _radial_density(v, lam, _tf_density)
     nodes = np.linspace(0.0, r_support * 1.02, 1537)
+    rho = rho_fn(nodes)
+    residual = float(np.max(euler_lagrange_residual(rho, v.radial_fn(nodes), lam)))
 
     return TFSolution(
         lambda_TF=lam,
-        rho=RadialProfile(nodes, rho_fn(nodes)),
+        rho=RadialProfile(nodes, rho),
         support_radius=r_support,
         E_TF=e_tf,
         kinetic_integral=kin,

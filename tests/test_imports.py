@@ -164,9 +164,7 @@ def _dataclass_outputs(path):
 
 
 # outputs that nothing reads as an attribute, with the reason each stays
-UNREAD_OUTPUTS = {
-    ("CriterionResult", "runtime"): "the intended source of the per-criterion run record",
-}
+UNREAD_OUTPUTS = {}
 
 
 def test_every_dataclass_output_is_read():
@@ -205,6 +203,27 @@ def test_only_cli_writes_files():
             elif isinstance(node, ast.ImportFrom) and node.module == "csv":
                 found.append((path.name, "from csv import"))
     assert found == []
+
+
+def test_every_criterion_is_registered_and_timed_by_the_registrar():
+    # one registrar times, gates, builds and lists every acceptance criterion
+    tree = ast.parse((SRC / "acceptance.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    unregistered = [
+        node.name for node in functions
+        if node.name.startswith("criterion_") and not any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_criterion"
+            for d in node.decorator_list
+        )
+    ]
+    registrars = [node for node in functions if node.name == "_criterion"]
+    inside = {id(node) for registrar in registrars for node in ast.walk(registrar)}
+    clock_reads = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and "perf_counter" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert (len(registrars), unregistered, clock_reads) == (1, [], [])
 
 
 def _third_party_imports(paths):
