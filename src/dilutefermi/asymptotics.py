@@ -213,37 +213,66 @@ class BoxEstimate:
 
 
 def _box_terms(masses, L, a_w):
-    """Per-box 2 c_tf L^-2 M_i^(5/3) + 8 pi a_w L^-3 M_i^2, before the factor N^(2 beta - 2/3)."""
-    Mf = np.asarray(masses, dtype=float)
-    return 2.0 * C_TF * Mf ** (5.0 / 3.0) / L**2 + 8.0 * math.pi * a_w * Mf**2 / L**3
+    """Per-box 2 c_tf L^-2 M_i^(5/3) + 8 pi a_w L^-3 M_i^2, before the factor
+    N^(2 beta - 2/3), on one float copy of the masses beside the result."""
+    Mf = np.array(masses, dtype=float)
+    terms = Mf ** (5.0 / 3.0)
+    terms *= 2.0 * C_TF
+    terms /= L**2
+    Mf **= 2
+    Mf *= 8.0 * math.pi * a_w
+    Mf /= L**3
+    terms += Mf
+    return terms
 
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 
 
-def _cell_masses(rho_fn, centers, pitch, chunk=8192):
-    """Per-cell integrals of the density by tensor 5-point Gauss, chunked.
+# rows of _cell_masses' (rows, 125) Gauss operand, 8 MB of nodes: the
+# gemv of each block of this many cells rounds as one matrix
+_MASS_OPERAND_ROWS = 8192
+# cells whose nodes rho_fn sees in one call, 128 kB per temporary
+_RHO_CALL_ROWS = 128
+
+
+def _cell_masses(rho_fn, centers, pitch):
+    """Per-cell integrals of the density by tensor 5-point Gauss.
 
     A node's squared radius sums its per-axis squares in x, y, z order,
     and ``rho_fn`` sees only the radii, so a cell's mass is a function of
     its orbit under the cube's 48 symmetries; ``box_estimate`` passes one
-    representative center per orbit.
+    representative center per orbit.  The densities of up to
+    ``_MASS_OPERAND_ROWS`` cells fill one reused operand, ``_RHO_CALL_ROWS``
+    cells per ``rho_fn`` call, and one gemv integrates them.
     """
     half = 0.5 * pitch
     offs = half * _GL5_X
     wts = half * _GL5_W
     ww = (wts[:, None, None] * wts[None, :, None] * wts[None, None, :]).ravel()
     out = np.empty(centers.shape[0])
-    for i in range(0, centers.shape[0], chunk):
-        sq = (centers[i : i + chunk, :, None] + offs) ** 2
-        r2 = (sq[:, 0, :, None, None] + sq[:, 1, None, :, None]) + sq[:, 2, None, None, :]
-        vals = rho_fn(np.sqrt(r2.ravel())).reshape(len(r2), -1)
-        out[i : i + chunk] = vals @ ww
+    vals = np.empty((min(_MASS_OPERAND_ROWS, centers.shape[0]), ww.size))
+    for i in range(0, centers.shape[0], _MASS_OPERAND_ROWS):
+        block = centers[i : i + _MASS_OPERAND_ROWS]
+        for j in range(0, len(block), _RHO_CALL_ROWS):
+            sq = (block[j : j + _RHO_CALL_ROWS, :, None] + offs) ** 2
+            r2 = (sq[:, 0, :, None, None] + sq[:, 1, None, :, None]) + sq[:, 2, None, None, :]
+            vals[j : j + len(sq)] = rho_fn(np.sqrt(r2.ravel())).reshape(len(sq), -1)
+        out[i : i + len(block)] = vals[: len(block)] @ ww
     return out
 
 
+def _far_corner_square(c, half_l):
+    """max((c - l/2)^2, (c + l/2)^2) along one axis, the farthest corner's square."""
+    far = (c - half_l) ** 2
+    return np.maximum(far, (c + half_l) ** 2, out=far)
+
+
 # cells of the largest lattice box_estimate builds; l0/16 at N = 10^6 is 182^3.
-# Peak RSS runs about 110-135 bytes per lattice cell, so 2^24 cells is ~2 GB
+# The estimator peaks at its 48 bytes of outputs per near cell plus one
+# 8-byte working array, and near cells are ~54% of the lattice: l0/16 (3.25e6
+# near cells) traces 174 MiB and adds 175 MiB to the process's peak RSS,
+# ~30 bytes per lattice cell, so 2^24 cells is ~0.5 GB
 MAX_BOX_CELLS = 2**24
 
 
@@ -278,47 +307,62 @@ def box_estimate(v, ctx: ScalingContext, l, tf: TFSolution = None) -> BoxEstimat
     ax = start + pitch * np.arange(n_side)
     a2 = ax * ax
     # only cells that can intersect the support ball contribute
-    near = np.sqrt((a2[:, None, None] + a2[None, :, None]) + a2[None, None, :]) <= R + pitch
-    idx = np.argwhere(near)
-    del near
+    dist = (a2[:, None, None] + a2[None, :, None]) + a2[None, None, :]
+    cells = np.flatnonzero(np.sqrt(dist, out=dist) <= R + pitch)
+    del dist
+    idx = np.empty((cells.size, 3), dtype=np.min_scalar_type(n_side))
+    for axis in (2, 1, 0):
+        cells, idx[:, axis] = np.divmod(cells, n_side)
+    del cells
     centers = ax[idx]
 
     # The lattice and rho_TF are invariant under the cube's 48 symmetries,
-    # so fold each cell's indices to the wedge 0 <= i <= j <= k <= (n-1)/2
-    # and integrate once per orbit: mirror cells share one mass exactly.
-    # Each per-cell temporary is released once used: at l0/8 they would
-    # otherwise hold most of the estimator's memory until it returns.
-    folded = np.sort(np.minimum(idx, n_side - 1 - idx), axis=1)
+    # so fold each cell's indices to the wedge 0 <= i <= j <= k < h and
+    # integrate once per orbit: mirror cells share one mass exactly.  The
+    # orbits present are marked in a dense table of the h^3 folded triples
+    # and taken in ascending order; each cell gathers its mass back from it.
+    folded = np.minimum(idx, n_side - 1 - idx)
     del idx
-    key = (folded[:, 0] * n_side + folded[:, 1]) * n_side + folded[:, 2]
-    first, cell_orbit = np.unique(key, return_index=True, return_inverse=True)[1:]
-    del key
-    masses = _cell_masses(tf.rho_fn, ax[folded[first]], pitch)[cell_orbit]
-    del folded, first, cell_orbit
-    M = np.ceil(ctx.N / 2.0 * masses).astype(np.int64)
+    folded.sort(axis=1)
+    wedge = ((n_side + 1) // 2,) * 3
+    key = np.ravel_multi_index(folded.T, wedge)
+    del folded
+    present = np.zeros(math.prod(wedge), dtype=bool)
+    present[key] = True
+    orbits = np.flatnonzero(present)
+    del present
+    table = np.empty(math.prod(wedge))
+    table[orbits] = _cell_masses(tf.rho_fn, ax[np.stack(np.unravel_index(orbits, wedge), axis=1)], pitch)
+    masses = table[key]
+    del key, table
 
-    L = float(ctx.N) ** ctx.beta * l
-    Mf = M.astype(float)
-    n_power = float(ctx.N) ** (2.0 * ctx.beta - 2.0 / 3.0)
-    terms = _box_terms(Mf, L, ctx.a_w)
-    kin_per_box = n_power * terms
-    kin_int = n_power * float(np.sum(terms))
-    del terms
-
-    # IEEE sums and sqrt are monotone, so this is the largest corner radius
-    half_l = 0.5 * l
-    far = np.maximum((centers - half_l) ** 2, (centers + half_l) ** 2)
-    sup_v = v.radial_fn(np.sqrt((far[:, 0] + far[:, 1]) + far[:, 2]))
-    del far
-    pot_per_box = 2.0 * Mf * sup_v
-    del Mf, sup_v
-    pot = float(np.sum(pot_per_box))
-
-    pred = predict_energy(v, ctx, tf)
-
+    # Every later per-cell array is an output or one working array at a time
     cell_vol = pitch**3
     riemann53 = float(np.sum((masses / cell_vol) ** (5.0 / 3.0))) * cell_vol
     riemann2 = float(np.sum((masses / cell_vol) ** 2)) * cell_vol
+    masses *= ctx.N / 2.0
+    M = np.ceil(masses, out=masses).astype(np.int64)
+    del masses
+
+    # IEEE sums and sqrt are monotone, so this is the largest corner radius;
+    # its per-axis squares are summed in x, y, z order
+    half_l = 0.5 * l
+    r2 = _far_corner_square(centers[:, 0], half_l)
+    r2 += _far_corner_square(centers[:, 1], half_l)
+    r2 += _far_corner_square(centers[:, 2], half_l)
+    sup_v = v.radial_fn(np.sqrt(r2, out=r2))
+    del r2
+    pot_per_box = 2.0 * M * sup_v
+    del sup_v
+    pot = float(np.sum(pot_per_box))
+
+    L = float(ctx.N) ** ctx.beta * l
+    n_power = float(ctx.N) ** (2.0 * ctx.beta - 2.0 / 3.0)
+    terms = _box_terms(M, L, ctx.a_w)
+    kin_int = n_power * float(np.sum(terms))
+    kin_per_box = np.multiply(terms, n_power, out=terms)
+
+    pred = predict_energy(v, ctx, tf)
 
     return BoxEstimate(
         l=float(l),

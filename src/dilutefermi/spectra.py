@@ -114,8 +114,10 @@ class SpectralCatalog:
 
 
 # points of the grid a configured one-dimensional catalog samples its
-# eigenfunctions on: the sinc interpolation builds a few points x n_c
-# arrays, n_c <= MAX_DVR_NODES = 2048, 66 MB each at the upper cap
+# eigenfunctions on: the sinc interpolation holds two points x n_c arrays
+# of doubles and one of booleans, n_c <= MAX_DVR_NODES = 2048, so 66 + 66
+# + 8 MB at the upper cap (a catalog of 4001 points and n_c = 1289 traces
+# a 86 MiB peak, 2.2 such arrays of doubles)
 MIN_SAMPLE_POINTS = 200
 MAX_SAMPLE_POINTS = 4001
 # nodes of a configured free-state density: its Hermite table holds
@@ -434,7 +436,15 @@ def dvr_catalog_1d(v, hbar, halfwidth, points, lambda_max) -> SpectralCatalog:
     x = -halfwidth + h * np.arange(1, n + 1)
     c = _unfolded_vectors(blocks, n)
     grid = np.linspace(-halfwidth, halfwidth, points + 2)[1:-1]
-    psi = np.sinc((grid[:, None] - x[None, :]) / h) @ c
+    # np.sinc's own steps, in place: y = pi (g - x) / h, eps where y is 0, sin(y) / y
+    y = grid[:, None] - x[None, :]
+    y /= h
+    y *= math.pi
+    y[y == 0] = np.finfo(float).eps
+    sinc = np.sin(y)
+    sinc /= y
+    del y
+    psi = sinc @ c
     psi /= np.sqrt((grid[1] - grid[0]) * np.sum(psi * psi, axis=0))
     return SpectralCatalog(
         hbar=float(hbar),
@@ -756,14 +766,21 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     # Gaussian windows on the band of 2 n_band + 1 grid samples around
     # each Husimi node: beyond 10 sigma a window is below e^-50, under the
     # rounding of every sum it enters.  Samples past the grid ends get a
-    # zero window.  Normalized in the same discrete norm as psi
+    # zero window.  Normalized in the same discrete norm as psi.  Each row
+    # reads its band of the grid, clipped at the ends, as a strided view
+    # of the edge-padded grid, so no index table is built
     n_band = min(int(math.ceil(10.0 * sigma / h)), n_grid - 1)
-    offsets = np.arange(-n_band, n_band + 1)
-    cols = stride * np.arange(xm.size)[:, None] + offsets[None, :]
-    inside = (cols >= 0) & (cols < n_grid)
-    cols = np.clip(cols, 0, n_grid - 1)
-    w = np.exp(-((xm[:, None] - x[cols]) ** 2) / (2.0 * hbar_x))
-    w[~inside] = 0.0
+    band = 2 * n_band + 1
+    windows = np.lib.stride_tricks.sliding_window_view
+    x_rows = windows(np.pad(x, n_band, mode="edge"), band)[::stride]
+    outside = np.pad(np.zeros(n_grid, dtype=bool), n_band, constant_values=True)
+    outside = windows(outside, band)[::stride]
+    w = np.subtract(xm[:, None], x_rows)
+    w **= 2
+    np.negative(w, out=w)
+    w /= 2.0 * hbar_x
+    np.exp(w, out=w)
+    np.copyto(w, 0.0, where=outside)
     w /= np.sqrt(h * np.sum(w * w, axis=1))[:, None]
 
     # Relative to its node x_m the band sits at offsets d h, and the phase
@@ -774,21 +791,31 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     phases = np.exp(-1j * np.outer(half_p, np.arange(1, n_band + 1) * h) / hbar) * h  # weight h
     cos_t = phases.real.T.copy()
     sin_t = phases.imag.T.copy()
+    del phases
     # each level's bands are windows of psi padded by n_band zeros at both
-    # ends, where w is 0 too
+    # ends, where w is 0 too; every level reuses the same working arrays
     padded = np.zeros((fill, n_grid + 2 * n_band))
     padded[:, n_band : n_band + n_grid] = psi.T
-    bands = np.lib.stride_tricks.sliding_window_view(padded, offsets.size, axis=1)[:, ::stride]
-    m_half = np.zeros((xm.size, half_p.size))
+    bands = windows(padded, band, axis=1)[:, ::stride]
+    windowed = np.empty_like(w)
+    folded = np.empty((xm.size, n_band))
+    re = np.empty((xm.size, half_p.size))
+    im = np.empty_like(re)
+    m_half = np.zeros_like(re)
+    lo = windowed[:, n_band - 1 :: -1]  # offsets -1, -2, ..., -n_band
+    hi = windowed[:, n_band + 1 :]  # offsets 1, 2, ..., n_band
     for j in range(fill):
-        windowed = w * bands[j]
-        lo = windowed[:, n_band - 1 :: -1]  # offsets -1, -2, ..., -n_band
-        hi = windowed[:, n_band + 1 :]  # offsets 1, 2, ..., n_band
-        re = (lo + hi) @ cos_t
+        np.multiply(w, bands[j], out=windowed)
+        np.matmul(np.add(lo, hi, out=folded), cos_t, out=re)
         re += windowed[:, n_band, None] * h
-        im = (hi - lo) @ sin_t
-        m_half += re * re + im * im
+        np.matmul(np.subtract(hi, lo, out=folded), sin_t, out=im)
+        re *= re
+        im *= im
+        re += im
+        m_half += re
+    del w, windowed, folded, re, im, lo, hi, cos_t, sin_t, padded, bands
     m = np.concatenate((m_half[:, ::-1][:, : n_p // 2], m_half), axis=1)  # m(x, -p) = m(x, p)
+    del m_half
 
     mass = float(np.sum(m)) * dx * dp / (2.0 * math.pi * hbar)
     resolution_residual = abs(mass - fill) / fill
@@ -823,6 +850,6 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
         m_min=float(np.min(m)),
         m_max=float(np.max(m)),
         n_xm=int(xm.size),
-        band=int(offsets.size),
+        band=band,
         n_p=int(n_p),
     )

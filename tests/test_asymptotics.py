@@ -159,7 +159,7 @@ def _box_cells_brute_force(v, ctx, l, tf):
     centers = np.stack([cx, cy, cz], axis=-1).reshape(-1, 3)
     centers = centers[np.sqrt(np.sum(centers**2, axis=-1)) <= R + pitch]
     # tensor 5-point Gauss on the (cells, 125, 3) node coordinates, in the
-    # 8192-row chunks of _cell_masses, whose gemv rounds by row count
+    # 8192-row blocks of _cell_masses (_MASS_OPERAND_ROWS), whose gemv rounds by row count
     offs = 0.5 * pitch * asymptotics._GL5_X
     wts = 0.5 * pitch * asymptotics._GL5_W
     nodes = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -238,12 +238,13 @@ def test_box_orbit_fold_matches_brute_force(monkeypatch):
 
 def test_box_estimate_memory_budget(bare):
     # NumPy reports its data buffers to tracemalloc, so the peak repeats to a
-    # few kB.  At l0/4 (a 55^3 lattice) a dense coordinate lattice with
-    # (cells, 9, 3) corner arrays peaks at 59.6 MiB; at l0/8 (584,472 near
-    # cells) per-cell temporaries held until the return peak at 112.7 MiB
+    # few kB.  The estimator holds its 48 bytes of outputs per near cell and
+    # one 8-byte working array: l0/4 (92,295 near cells) peaks at 6.05 MiB,
+    # l0/8 (584,472) at 31.3 MiB.  np.unique's orbit sort, int64 index
+    # arrays and whole-array corner temporaries peaked at 18.8 and 80.5 MiB
     ctx = make_context(10**6, 0.40, square_barrier(2.0))
     l0 = beta_l_window(0.40, 10**6).chosen_l
-    for divisor, budget_mib in ((4, 30), (8, 96)):
+    for divisor, budget_mib in ((4, 6.9), (8, 36)):
         tracemalloc.start()
         try:
             box_estimate(harmonic_trap(0.0), ctx, l0 / divisor, bare)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -819,6 +820,33 @@ def test_husimi_work_budget(monkeypatch, hbar, n_xm, n_band, n_p):
     # ceil(n_p / 2) momenta p >= 0 and the n_band offsets d > 0: the products
     # run on the folded band and half the p grid
     assert probe.shapes == [(False, (n_xm, 2 * n_band + 1)), (True, ((n_p + 1) // 2, n_band))]
+
+
+@pytest.mark.parametrize(
+    "hbar, points, catalog_mib, check_mib",
+    [
+        (0.025, 1001, 3.3, 8.4),  # criterion 15's second rung: 2.88 and 7.36 MiB
+        (0.0125, 2001, 9.3, 18.7),  # the next rung: 8.15 and 16.34 MiB
+    ],
+)
+def test_husimi_memory_budget(hbar, points, catalog_mib, check_mib):
+    # traced peaks (NumPy reports its data buffers to tracemalloc).  The
+    # catalog holds the sinc matrix and sin's output, the check its windows
+    # and one set of per-level buffers, then m and one product.  With
+    # np.sinc's temporaries, an index table and per-level temporaries they
+    # peaked at 5.7 and 12.0 MiB (hbar = 0.025), 16.2 and 25.9 MiB (0.0125)
+    peaks = []
+    tracemalloc.start()
+    try:
+        cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, points, 21.0 * hbar + 0.01)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        coherent_identity_check_1d(cat, 10)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= catalog_mib * 2**20 and peaks[1] <= check_mib * 2**20, peaks
 
 
 def test_husimi_grid_resolution_guard():
