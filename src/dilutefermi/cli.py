@@ -549,17 +549,11 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="path to the JSON configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="assert that the run leaves the global random state untouched",
-    )
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    rng_before = np.random.get_state()[1].copy() if args.seedless else None
     try:
         user = load_config(args.config)
         config = _merged_config(user)
@@ -575,11 +569,6 @@ def main(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.seedless:
-        rng_after = np.random.get_state()[1]
-        if not np.array_equal(rng_before, rng_after):
-            print("seedless assertion failed: global random state changed", file=sys.stderr)
-            return 1
     return exit_code
 
 

@@ -1,13 +1,17 @@
 """Shared deterministic numeric kernel.
 
 One Gauss-Legendre rule for every radial integral: ``_gauss_rule`` checks
-order n against order 2n and doubles n up to a fixed cap.  The level
-integrals of ``thomas_fermi`` run it on their support, and
-``integrate_radial`` on the panels between given breakpoints.  Also L^p
-distances between radial profiles, which vanish beyond their last node,
-and the one least-squares slope of a log-log fit, ``_loglog_slope``.
-Level multipliers are fixed elsewhere, by Newton steps from above in
-``thomas_fermi``.
+order n against order 2n and doubles n up to a fixed cap.  ``integrate_radial``
+runs it on the panels between given breakpoints, and the level rule on
+{V <= lam}: every integral and count of ``thomas_fermi``, ``semiclassics``
+and ``spectra`` is a level integral of F((lam - V)_+, V), and every trap is
+nondecreasing along its rays from its minimum, so the set is [0, R] on each
+ray.  ``_support`` finds R by a bracketing search on V <= lam around the
+secant estimate of the crossing, ``_level_integrals`` takes one panel on
+[0, R] with r = R - s^2 to resolve the edge, ``_fix_level`` fixes lam at a
+given mass by Newton steps from above, and ``_profile`` samples the density.
+Also L^p distances between radial profiles, which vanish beyond their last
+node, and the one least-squares slope of a log-log fit, ``_loglog_slope``.
 Everything here is pure: no global mutable state, no randomness,
 identical inputs give identical outputs.
 """
@@ -27,6 +31,19 @@ __all__ = [
     "integrate_radial",
     "lp_distance",
 ]
+
+
+class DomainError(ValueError):
+    """Input leaves the admissible domain: negative density samples, or a
+    trap that is not nondecreasing along a ray from the origin."""
+
+
+class NormalizationError(RuntimeError):
+    """No chemical potential bracket normalizes the density to unit mass."""
+
+
+class _Unconfined(NormalizationError):
+    """The support search found no edge: V stays <= lam on a ray as far as it reaches."""
 
 
 class RefinementError(RuntimeError):
@@ -173,6 +190,178 @@ def _gauss_rule(panel, what, per):
                 last_estimate=fine,
             )
         n, coarse = 2 * n, fine
+
+
+# relative tolerance of the level rule (see the module docstring)
+_RULE_REL = 1e-13
+# the support search: even sections per step, shared among the rays, and
+# ladder points on each side of the secant estimate
+_SECTIONS = 64
+_LADDER = 24
+
+
+class _Rays:
+    """The rays from a trap's minimum along which the level rule integrates.
+
+    ``trace(r)`` gives V at radii of shape (rays, m); ``weights`` are the
+    rays' solid angles, 4 pi for the one ray of a radial trap, or ones for
+    the two half-lines of a 1-d trap
+    (``dim`` 1, measure dr in place of r^2 dr).  Built once per solve,
+    outside its Newton loop.
+    """
+
+    __slots__ = ("weights", "trace", "vmin", "dim")
+
+    def __init__(self, weights, trace, vmin, dim=3):
+        self.weights, self.trace, self.vmin, self.dim = weights, trace, vmin, dim
+
+
+def _rays(v):
+    """The one ray, of weight 4 pi, of a radial trap."""
+    return _Rays(np.array([4.0 * np.pi]), v.radial_fn, v.min_value())
+
+
+@functools.cache
+def _search_points(sections):
+    """The points u = t * scale + shift of one support-search step, as (scale, shift).
+
+    With t in [0, 1] each u is in [0, 1] exactly: t itself, the ladder
+    t - t 2^-j and t + (1 - t) 2^-j for j = 1.._LADDER, and k / sections.
+    """
+    ladder = np.ldexp(1.0, -np.arange(_LADDER + 1))
+    evens = np.arange(sections + 1) / sections
+    scale = np.concatenate([1.0 - ladder, 1.0 - ladder[1:], np.zeros(evens.size)])
+    shift = np.concatenate([np.zeros(ladder.size), ladder[1:], evens])
+    return scale, shift
+
+
+def _support(trace, count, lam):
+    """Largest r on each of ``count`` rays with V <= lam, by a bracketing search on that predicate.
+
+    The first call tests r = 0 and the powers 1, 2, ..., 128 of two, which
+    brackets the edge on every ray unless V stays <= lam at 128; those
+    rays go on from there.  Then each step tests, on every ray at once,
+    points u of the bracket [lo, hi] mapped onto [0, 1]: the secant
+    estimate t of the crossing, the ladder t - t 2^-j and t + (1 - t) 2^-j
+    (j = 1.._LADDER) around it, and the even sections k / s, s = _SECTIONS
+    shared among the rays (at least 2), which shrink the bracket s-fold
+    whatever the estimate.  The last point inside and the first beyond
+    become the bracket, until no float lies strictly inside it on any ray.
+    For a trap nondecreasing along the ray, plateaus included, that leaves
+    the largest r with V <= lam, whichever points the steps tested.
+    """
+    lo, hi = np.zeros(count), np.ones(count)
+    powers = np.ldexp(1.0, np.arange(8))
+    for _ in range(25):  # up to 2^199, as far as 200 doublings of 1 reach
+        pts = np.concatenate([lo[:, None], hi[:, None] * powers], axis=1)
+        f = trace(pts) - lam
+        inside = f[:, -1] <= 0.0
+        if not inside.any():
+            break
+        lo, hi = np.where(inside, pts[:, -1], lo), np.where(inside, 2.0 * pts[:, -1], hi)
+    else:
+        raise _Unconfined("potential does not exceed the multiplier; not confining?")
+    scale, shift = _search_points(max(2, _SECTIONS // count))
+    while True:
+        # points inside (V - lam <= 0) come first on a nondecreasing ray, and pts[:, 0]
+        # is lo, so the last point inside is at the flat index j, the first beyond at j + 1
+        j = np.arange(count) * pts.shape[1] + (f[:, 1:] <= 0.0).argmin(axis=1)
+        lo, f_lo = pts.ravel().take(j), f.ravel().take(j)
+        hi, f_hi = pts.ravel().take(j + 1), f.ravel().take(j + 1)
+        if not np.count_nonzero(np.nextafter(lo, hi) < hi):
+            return lo
+        u = (f_lo / (f_lo - f_hi))[:, None] * scale + shift
+        u.sort(axis=1)
+        pts = lo[:, None] + (hi - lo)[:, None] * u
+        pts[:, -1] = hi
+        f = trace(pts) - lam
+
+
+def _level_integrals(rays, lam, fields, R=None):
+    """Integrals over {V <= lam} of the arrays ``fields(gap, V)`` returns, gap = lam - V.
+
+    ``rays`` is a ``_Rays``.  Every field must vanish where gap = 0.
+    Returns the integrals and the support edge R of each ray; an R passed
+    in, from an earlier call at the same lam, skips the support search.
+    Each ray is one Gauss-Legendre panel in s, with r = R - s^2; every sum
+    over the stacked fields is one reduction.  A rule node inside a ray's
+    support where V exceeds lam is a DomainError: the trap is not
+    nondecreasing along that ray, so the support is not the set the rule
+    integrates.
+    """
+    weights, trace, vmin = rays.weights, rays.trace, rays.vmin
+    if not lam > vmin:
+        return np.zeros(len(fields(np.zeros(1), np.zeros(1)))), np.zeros(weights.size)
+    if R is None:
+        R = _support(trace, weights.size, lam)
+    edge = R[:, None]
+    slack = 1e-12 * max(1.0, abs(lam))
+    # gap = lam - V carries a rounding error of order eps max(|lam|, |V|), so
+    # relative to the depth lam - min V no rule resolves the integrals better
+    rel = _RULE_REL + 64.0 * np.finfo(float).eps * max(abs(lam), abs(vmin)) / (lam - vmin)
+
+    def panel(x, w):
+        u, w = 0.5 * (1.0 + x), 0.5 * w
+        # s = sqrt(R) u, so r = R - s^2 and dr = 2 s ds
+        r = edge - edge * u * u
+        dr = 2.0 * edge * u * w
+        wr = (dr * r * r if rays.dim == 3 else dr) * weights[:, None]
+        vr = trace(r)
+        gap = lam - vr
+        if np.count_nonzero(gap < -slack):
+            raise DomainError(
+                f"V exceeds {lam!r} inside the support of a ray: the trap is not "
+                "nondecreasing along every ray from the origin"
+            )
+        F = np.array(fields(np.maximum(gap, 0.0), vr))
+        return (F * wr).sum(axis=(1, 2)), rel * (np.abs(F) * wr).sum(axis=(1, 2))
+
+    return _gauss_rule(panel, "level rule", "ray"), R
+
+
+def _fix_level(rays, fields, per, target, what, at_root=None):
+    """Level lam with mass / per = target, by Newton steps from above.
+
+    ``fields(gap, V)`` returns the density and its slope in lam, which one
+    call of the level rule integrates; the defect mass / per - target must
+    be convex and increasing in lam, as every mass and count here is.  The
+    start is vmin + 1, and its distance from vmin doubles until the defect
+    turns positive.  From above the root, each Newton step on a convex
+    increasing function stays above it, so the iterates descend onto the
+    root; the loop ends once a step no longer lowers lam, as in
+    ``thomas_fermi._cubic_root``.  Returns lam, the number of steps, lam's
+    support edges and the integrals of ``at_root`` on them, or None.
+    """
+    lam = rays.vmin + 1.0
+    for _ in range(200):
+        (mass, slope), edges = _level_integrals(rays, lam, fields)
+        if mass / per - target > 0:
+            break
+        lam = rays.vmin + 2.0 * (lam - rays.vmin)
+    else:
+        raise NormalizationError(f"could not bracket the {what}")
+    steps = 0
+    while True:
+        nxt = lam - (mass / per - target) / (slope / per)
+        if not nxt < lam:
+            break
+        lam, steps = nxt, steps + 1
+        (mass, slope), edges = _level_integrals(rays, lam, fields)
+    # the last level integral was taken at lam, so its edges are lam's
+    integrals = None if at_root is None else _level_integrals(rays, lam, at_root, edges)[0]
+    return float(lam), steps, edges, integrals
+
+
+def _profile(v, lam, invert, R):
+    """invert((lam - V)_+) on a radial trap, zero off the support: its 1537
+    nodes on [0, 1.02 R], its values there, and the density as a function."""
+
+    def rho(r):
+        gap = lam - v.radial_fn(np.asarray(r, dtype=float))
+        return np.where(gap > 0.0, invert(np.maximum(gap, 0.0)), 0.0)
+
+    nodes = np.linspace(0.0, R * 1.02, 1537)
+    return nodes, rho(nodes), rho
 
 
 def integrate_radial(f, r_max, tol=Tolerance(), breakpoints=()):

@@ -141,8 +141,8 @@ class ScatteringSolution:
 _EXP_SPLIT_KL = 64.0
 
 
-def _exact_segment(c, s, u0, du0):
-    """Closed-form solution of u'' = c u for one constant c >= 0.
+def _exact_segment(c, s):
+    """Closed-form solution of u'' = c u, u(0) = 0, u'(0) = 1, for one constant c >= 0.
 
     ``s`` holds the offsets of the nodes from the segment start, its last
     entry the segment length L.  Returns u, u' and, per node, the log2 of
@@ -153,7 +153,7 @@ def _exact_segment(c, s, u0, du0):
     where e^(-2ks) < 1e-55 cancels nothing.
     """
     if c == 0.0:
-        return u0 + du0 * s, np.full_like(s, du0), np.zeros_like(s)
+        return s.copy(), np.ones_like(s), np.zeros_like(s)
     k = math.sqrt(c)
     L = s[-1]
     ks = k * s
@@ -168,7 +168,7 @@ def _exact_segment(c, s, u0, du0):
         cosh = np.where(near, np.cosh(ks_near) * scale, 0.5 * (grow + decay))
         sinh = np.where(near, np.sinh(ks_near) * scale, 0.5 * (grow - decay))
         shift = k * L / math.log(2.0)
-    return u0 * cosh + du0 * sinh / k, u0 * k * sinh + du0 * cosh, np.full_like(s, shift)
+    return sinh / k, cosh, np.full_like(s, shift)
 
 
 def _rk4_steps(c0, ch, c1, h, u, du):
@@ -276,7 +276,7 @@ def _rk4_outward(vfun, R, steps_per_unit):
     if c >= 0.0 and np.all(c0 == c) and np.all(ch == c) and np.all(c1 == c):
         s = nodes.copy()
         s[-1] = R
-        us, dus, shifts = _exact_segment(c, s, 0.0, 1.0)
+        us, dus, shifts = _exact_segment(c, s)
         big = max(abs(us[-1]), abs(dus[-1]))
         if big > 2.5e120:
             e = math.frexp(big)[1]

@@ -4,19 +4,22 @@ The momentum integrals are eliminated analytically, so the particle
 count at level L reduces to (1/(6 pi^2)) int (L - V)_+^{3/2} and the
 energy to (1/(2 pi^2)) int [(1/5)(L - V)_+^{5/2} + (V/3)(L - V)_+^{3/2}].
 Both are level integrals over {V <= L}, evaluated together by the level
-rule of ``thomas_fermi`` (one support root on the trap's ray, a Gauss
-rule up to it).  Also houses the shifted variational energy and a
-finite-difference differentiability probe for the count.
+rule of ``numerics`` (one support root on the trap's ray, a Gauss rule up
+to it), which also fixes the filling level.  A trap whose support search
+finds no edge does not confine the level, and its counts diverge.  Also
+houses the shifted variational energy and a finite-difference
+differentiability probe for the count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thomas_fermi import NormalizationError, _fix_level, _level_integrals, _rays
+from .numerics import NormalizationError, _fix_level, _level_integrals, _rays, _Unconfined
 
 __all__ = [
     "PhaseSpaceBudget",
@@ -45,11 +48,12 @@ class PhaseSpaceBudget:
         return self.e_cl - self.Lambda * self.n_cl
 
 
-def _counts(rays, Lambda, fields):
-    """Level integrals of ``fields`` over {V <= Lambda}; a trap that does not confine diverges."""
+@contextlib.contextmanager
+def _diverges():
+    """A support search that finds no edge, as a DivergenceError: the trap does not confine."""
     try:
-        return _level_integrals(rays, Lambda, fields)[0]
-    except NormalizationError as exc:
+        yield
+    except _Unconfined as exc:
         raise DivergenceError(str(exc)) from exc
 
 
@@ -62,7 +66,8 @@ def phase_space_counts(v, Lambda) -> PhaseSpaceBudget:
         g15 = gap**1.5
         return g15, 0.2 * gap**2.5 + vr / 3.0 * g15
 
-    n_cl, e_cl = _counts(_rays(v), Lambda, fields)
+    with _diverges():
+        (n_cl, e_cl), _ = _level_integrals(_rays(v), Lambda, fields)
     return PhaseSpaceBudget(
         float(Lambda), float(n_cl) / (6.0 * math.pi**2), float(e_cl) / (2.0 * math.pi**2)
     )
@@ -77,13 +82,11 @@ def lambda_for_filling(v, target):
     if not target > 0:
         raise NormalizationError("filling target must be positive (bracket degenerates)")
 
-    rays = _rays(v)
+    def fields(gap, vr):
+        return gap**1.5, 1.5 * gap**0.5
 
-    def level(lam):
-        n, slope = _counts(rays, lam, lambda gap, vr: (gap**1.5, 1.5 * gap**0.5))
-        return float(n) / (6.0 * math.pi**2) - target, float(slope) / (6.0 * math.pi**2)
-
-    return _fix_level(level, rays.vmin, "filling level")[0]
+    with _diverges():
+        return _fix_level(_rays(v), fields, 6.0 * math.pi**2, target, "filling level")[0]
 
 
 @dataclass

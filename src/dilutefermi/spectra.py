@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RadialProfile, _loglog_slope
+from .numerics import DomainError, RadialProfile, _level_integrals, _loglog_slope, _Rays
 from .semiclassics import phase_space_counts
 from .potentials import harmonic_trap
-from .thomas_fermi import DomainError, _level_integrals, _Rays
 
 __all__ = [
     "SpectralCatalog",
@@ -505,7 +504,7 @@ def _counts_cl_1d(v, Lambda, halfwidth):
 
     v's minimum is taken on a 4097-point grid of [-halfwidth, halfwidth],
     where v must be nonincreasing to its left and nondecreasing to its
-    right (a DomainError otherwise).  The level rule of ``thomas_fermi``
+    right (a DomainError otherwise).  The level rule of ``numerics``
     then integrates along the two half-lines from it, with the same
     support search and edge-resolved Gauss rule as the 3-d counts.
     """

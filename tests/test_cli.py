@@ -510,9 +510,21 @@ def test_budget_command_deterministic_rerun(tmp_path):
     outs = []
     for name in ("b1", "b2"):
         out = tmp_path / name
-        assert run_cli(["budget", "--config", cfg, "--out", str(out), "--seedless"]) == 0
+        assert run_cli(["budget", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "budget.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_commands_leave_the_global_random_state_alone(tmp_path):
+    # no command draws from, or seeds, NumPy's global generator
+    before = np.random.get_state()
+    for command in COMMANDS:
+        out = tmp_path / command
+        out.mkdir()
+        cli.run_command(command, copy.deepcopy(_FUZZ_BASE), str(out))
+        after = np.random.get_state()
+        assert after[0] == before[0] and after[2:] == before[2:], command
+        assert np.array_equal(after[1], before[1]), command
 
 
 def test_boxes_command(tmp_path):

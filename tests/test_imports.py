@@ -205,6 +205,19 @@ def test_only_cli_writes_files():
     assert found == []
 
 
+def test_private_names_come_only_from_the_shared_kernel():
+    # a module imports a sibling's single-underscore names only from numerics
+    found = [
+        (path.stem, node.module, alias.name)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "numerics"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert found == []
+
+
 def test_every_criterion_is_registered_and_timed_by_the_registrar():
     # one registrar times, gates, builds and lists every acceptance criterion
     tree = ast.parse((SRC / "acceptance.py").read_text())

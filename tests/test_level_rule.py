@@ -8,15 +8,16 @@ pins how many level integrals and support-search trace calls a solve takes.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from dilutefermi import semiclassics as scl
-from dilutefermi import spectra, thomas_fermi
+from dilutefermi import numerics, spectra
 from dilutefermi.numerics import RadialProfile
 from dilutefermi.potentials import Potential, harmonic_trap, power_trap
-from dilutefermi.thomas_fermi import tf_solve, two_spin_minimize
+from dilutefermi.thomas_fermi import cutoff_gap_scan, tf_solve, two_spin_minimize
 
 
 def _support_reference(trace, rays, lam, sections_total=64):
@@ -35,7 +36,7 @@ def _support_reference(trace, rays, lam, sections_total=64):
         lo = np.where(inside, hi, lo)
         hi = np.where(inside, 2.0 * hi, hi)
     else:
-        raise thomas_fermi.NormalizationError("potential does not exceed the multiplier; not confining?")
+        raise numerics.NormalizationError("potential does not exceed the multiplier; not confining?")
     sections = max(2, sections_total // rays)
     steps = np.arange(1, sections) / sections
     rows = np.arange(rays)
@@ -77,12 +78,12 @@ def _levels(vmin, count, seed):
 
 @pytest.mark.parametrize("name", list(RADIAL_TRAPS))
 def test_support_search_matches_the_reference_on_radial_traps(name):
-    rays = thomas_fermi._rays(RADIAL_TRAPS[name])
+    rays = numerics._rays(RADIAL_TRAPS[name])
     assert rays.weights.size == 1
     levels = _levels(rays.vmin, 2000, seed=len(name))
     if name.startswith("custom"):
         levels = np.append(levels, 2.0)  # the plateau's own level: R is its far end
-    got = np.array([thomas_fermi._support(rays.trace, 1, lam)[0] for lam in levels])
+    got = np.array([numerics._support(rays.trace, 1, lam)[0] for lam in levels])
     # the reference, one level per row; V - lam <= 0 exactly when V <= lam
     want = _support_reference(lambda r: rays.trace(r) - levels[:, None], levels.size, 0.0, 64 * levels.size)
     assert np.array_equal(got, want), np.flatnonzero(got != want)[:5]
@@ -95,18 +96,18 @@ def test_support_search_matches_the_reference_on_the_1152_ray_trap():
     # levels stacked as rays, one per ray and call, through V - lam <= 0
     n = 1152
     for seed, name in ((2, "harmonic"), (3, "power s=3.0")):
-        rays = thomas_fermi._rays(RADIAL_TRAPS[name])
+        rays = numerics._rays(RADIAL_TRAPS[name])
         levels = _levels(rays.vmin, n, seed)
 
         def trace(r, levels=levels):
             return rays.trace(r) - levels[:, None]
 
-        assert np.array_equal(thomas_fermi._support(trace, n, 0.0), _support_reference(trace, n, 0.0))
+        assert np.array_equal(numerics._support(trace, n, 0.0), _support_reference(trace, n, 0.0))
 
 
 def test_support_search_takes_few_trace_calls():
     # a lone ray: at most 6 calls on a level far from the trap's rounding floor
-    rays = thomas_fermi._rays(harmonic_trap(1.0))
+    rays = numerics._rays(harmonic_trap(1.0))
     calls = []
 
     def trace(r):
@@ -116,9 +117,26 @@ def test_support_search_takes_few_trace_calls():
     counts = []
     for lam in np.linspace(1.5, 25.0, 48):
         calls.clear()
-        thomas_fermi._support(trace, 1, lam)
+        numerics._support(trace, 1, lam)
         counts.append(len(calls))
     assert max(counts) <= 6, counts
+
+
+def test_level_solves_raise_the_error_of_their_failure():
+    # V = 2 - 1/(1 + r^2) stays below 2, so no level from 2 up has a support
+    # edge: the classical counts diverge, and no density has unit mass
+    v = Potential(growth=0.0, radial_fn=lambda r: 2.0 - 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2))
+    with pytest.raises(scl.DivergenceError):
+        scl.phase_space_counts(v, 3.0)
+    with pytest.raises(scl.DivergenceError):
+        scl.lambda_for_filling(v, 10.0)
+    for solve in (tf_solve, lambda v: two_spin_minimize(v, 0.1), lambda v: cutoff_gap_scan(v, [1.0])):
+        with pytest.raises(numerics.NormalizationError, match="not confining"):
+            solve(v)
+    # a target no doubling of the level reaches fails the bracket, on a trap that confines
+    for target in (math.inf, 1e300):
+        with pytest.raises(numerics.NormalizationError, match="could not bracket the filling level"):
+            scl.lambda_for_filling(harmonic_trap(1.0), target)
 
 
 def _fields_digest(state):
@@ -207,7 +225,7 @@ def test_tf_solve_work_budget(monkeypatch):
     # the last Newton step's edges) and the searches' trace calls; the
     # benchmark's tracer does not see these, so this pins them
     counts = {"level": 0, "search": 0, "trace": 0}
-    level_integrals, support = thomas_fermi._level_integrals, thomas_fermi._support
+    level_integrals, support = numerics._level_integrals, numerics._support
 
     def counting_level_integrals(*args):
         counts["level"] += 1
@@ -222,8 +240,8 @@ def test_tf_solve_work_budget(monkeypatch):
 
         return support(counting_trace, count, lam)
 
-    monkeypatch.setattr(thomas_fermi, "_level_integrals", counting_level_integrals)
-    monkeypatch.setattr(thomas_fermi, "_support", counting_support)
+    monkeypatch.setattr(numerics, "_level_integrals", counting_level_integrals)
+    monkeypatch.setattr(numerics, "_support", counting_support)
     got = {}
     for name, v in SWEEP_TRAPS.items():
         counts.update(level=0, search=0, trace=0)

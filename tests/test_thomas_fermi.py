@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dilutefermi import semiclassics as scl
-from dilutefermi import numerics, thomas_fermi
+from dilutefermi import numerics
 from dilutefermi.numerics import RadialProfile, RefinementError, lp_distance
 from dilutefermi.potentials import Potential, harmonic_trap, power_trap
 from dilutefermi.thomas_fermi import (
@@ -289,6 +289,26 @@ def test_cutoff_gap_exponent_is_the_exact_slope():
     assert scan.fitted_exponent == pytest.approx(1.994, abs=5e-4)
 
 
+def test_saturated_caps_meet_their_closed_forms():
+    # on V = r^2 a cap p_F below 24^(1/6) = 1.698 saturates the level at
+    # q = p_F^2: each spin holds ((q - r^2) / kappa_s)^(3/2), the two carry
+    # p_F^6 / 24 together, the spike takes the rest at energy q, and the gap
+    # below E_TF = (3/4) 24^(1/3) is (3/4) 24^(1/3) - q + q^4 / 96
+    import mpmath
+
+    caps = [0.5, 1.0, 1.2, 1.4, 1.5, 1.55]
+    scan = cutoff_gap_scan(harmonic_trap(0.0), caps)
+    assert all(sol.active for sol in scan.solutions)
+    with mpmath.workdps(30):
+        for p, gap, sol in zip(caps, scan.gaps, scan.solutions):
+            q = mpmath.mpf(p) ** 2
+            want = 0.75 * mpmath.cbrt(24) - q + q**4 / 96
+            assert abs(gap - want) <= 1e-13 * abs(want), p
+            mass = Fraction(p) ** 6 / 24
+            ulps = abs(Fraction(sol.regular_mass) - mass) / Fraction(math.ulp(float(mass)))
+            assert ulps <= 4, (p, float(ulps))
+
+
 def test_cutoff_gap_scan_solutions_equal_single_solves():
     # caps up to 1.6 saturate on harmonic+1 (24^(1/6) = 1.698); 2 and 4 do not
     v = harmonic_trap(1.0)
@@ -394,14 +414,13 @@ _LEVEL_SOLVE_BUDGET = 12
 
 def _count_level_integrals(monkeypatch):
     calls = []
-    level_integrals = thomas_fermi._level_integrals
+    level_integrals = numerics._level_integrals
 
     def counting(*args):
         calls.append(args)
         return level_integrals(*args)
 
-    monkeypatch.setattr(thomas_fermi, "_level_integrals", counting)
-    monkeypatch.setattr(scl, "_level_integrals", counting)
+    monkeypatch.setattr(numerics, "_level_integrals", counting)
     return calls
 
 
