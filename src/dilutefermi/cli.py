@@ -340,12 +340,32 @@ def _emit(outdir, command, config, stem, formulas, columns, rows, notes=()):
 
 
 def _mirror_csv_as_json(csv_path, header, columns, cells):
-    """Write the JSON mirror of an emitted CSV: its header lines, and its cells keyed by column."""
+    """Write the JSON mirror of an emitted CSV: its header lines, and its cells keyed by column.
+
+    The file holds the bytes of ``json.dump({"header": header, "rows":
+    [dict(zip(columns, row)) for row in cells]}, indent=1, sort_keys=True)``
+    and a newline.  Every row fills one template of the sorted columns
+    with its ASCII-escaped cells, so no row dict is built, and the rows
+    go through the file's buffer one at a time, so their text is never
+    all held at once (the 6001-row ``scattering_profile`` mirror is 0.6 MB).
+    """
+    quote = json.encoder.encode_basestring_ascii
+    last = {c: i for i, c in enumerate(columns)}  # a repeated column keeps its last cell
+    fields = ",\n".join(
+        f"   {quote(c).replace('{', '{{').replace('}', '}}')}: {{{last[c]}}}" for c in sorted(last)
+    )
+    row = "  {{\n" + fields + "\n  }}" if fields else "  {{}}"
+    lines = ",\n".join(f"  {quote(line)}" for line in header)
+    head = '{\n "header": [\n' + lines + "\n ],\n" if header else '{\n "header": [],\n'
     json_path = os.path.splitext(csv_path)[0] + ".json"
-    rows = [dict(zip(columns, row)) for row in cells]
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"header": header, "rows": rows}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        if cells:
+            fh.write(head + ' "rows": [\n' + row.format(*map(quote, cells[0])))
+            rest = ",\n" + row
+            fh.writelines(rest.format(*map(quote, cells_row)) for cells_row in cells[1:])
+            fh.write("\n ]\n}\n")
+        else:
+            fh.write(head + ' "rows": []\n}\n')
     return json_path
 
 

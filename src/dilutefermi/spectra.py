@@ -116,7 +116,12 @@ class SpectralCatalog:
 # eigenfunctions on: the sinc interpolation holds two points x n_c arrays
 # of doubles and one of booleans, n_c <= MAX_DVR_NODES = 2048, so 66 + 66
 # + 8 MB at the upper cap (a catalog of 4001 points and n_c = 1289 traces
-# a 86 MiB peak, 2.2 such arrays of doubles)
+# a 86 MiB peak, 2.2 such arrays of doubles).  The interpolation stays
+# whole: its sinc @ c product has one column per level, so row tiles of
+# it small enough to save memory take under 10^6 multiply-adds, and
+# 64-row tiles moved 10366 of the 11011 vector elements at hbar = 0.05.
+# The Husimi check on a catalog of 4001 points holds its table twice and
+# one row tile: a 3.85 MiB peak at hbar = 0.05
 MIN_SAMPLE_POINTS = 200
 MAX_SAMPLE_POINTS = 4001
 # nodes of a configured free-state density: its Hermite table holds
@@ -691,6 +696,27 @@ class HusimiReport:
 
 # Fermi momentum of the low-frequency weight 1 - Gamma(p) = min(1, (p_F / p)^2)
 HUSIMI_P_F = 1.0
+# Row tiles of the Husimi check.  Each tile's (rows x n_band) .
+# (n_band x ceil(n_p / 2)) products take at least _HUSIMI_TILE_MACS
+# multiply-adds, and its edges fall on multiples of _HUSIMI_TILE_STEP rows
+# (the last tile ends with the table; a smaller table is one tile).  At
+# one BLAS thread OpenBLAS then rounds every element of a tile's product
+# as it rounds the whole table's (tests/test_kernel_bits.py).  Tiles of
+# at most 10^6 multiply-adds, which OpenBLAS runs through its small-matrix
+# kernel, rounded some shapes differently, and so did tiles of products
+# wider than 240 columns whose edges were off a multiple of 12 rows.  A tile of
+# the least height holds about 2^23 (5 / ceil(n_p / 2) + 2 / n_band) bytes
+# of buffers; the tallest tile at the CLI's hbar = 0.05, 72 rows, 0.63 MB
+_HUSIMI_TILE_MACS = 2**20
+_HUSIMI_TILE_STEP = 12
+
+
+def _row_tiles(n_rows, row_macs):
+    """Edges 0, ..., n_rows of the row tiles of a product of ``row_macs`` multiply-adds per row."""
+    step = _HUSIMI_TILE_STEP
+    least = step * math.ceil(_HUSIMI_TILE_MACS / (step * row_macs))
+    n_tiles = max(1, n_rows // least)
+    return [step * (i * n_rows // (step * n_tiles)) for i in range(n_tiles)] + [n_rows]
 
 
 def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
@@ -715,6 +741,16 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     (cos is even in d, sin odd), and m(x, -p) = m(x, p) is computed on
     the ceil(n_p / 2) momenta p >= 0 and mirrored: each filled level
     costs two real (n_xm x K) . (K x ceil(n_p / 2)) products.
+
+    Those products run in row tiles of the Husimi nodes (``_row_tiles``).
+    A tile builds its windows, folded bands and products in buffers that
+    every tile reuses, and adds into the p >= 0 half of the one
+    (n_xm x n_p) table m, whose p < 0 half is then mirrored in place; the
+    weighted sums multiply into one reused buffer.  So the working set is
+    one tile, m and that buffer: traced peaks of 2.20 MiB at hbar = 0.05,
+    3.75 MiB at 0.025 (1001 points) and 7.25 MiB at 0.0125 (2001 points).
+    At one BLAS thread every element of m has the bits that untiled
+    products give (see ``_HUSIMI_TILE_MACS``).
     """
     if catalog.vectors is None or catalog.grid is None:
         raise ValueError("catalog must carry grid and eigenvectors (a one-dimensional catalog)")
@@ -749,6 +785,7 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     psi_hat = np.fft.fft(psi, axis=0) * h / math.sqrt(2.0 * math.pi)
     dk = 2.0 * math.pi / (n_grid * h)
     t_spec = np.sum(np.abs(psi_hat) ** 2, axis=1) * dk  # integrates to ~fill over dp
+    del psi_hat
 
     kinetic_spec = float(np.sum(p_spec**2 * t_spec))
     with np.errstate(divide="ignore", over="ignore"):
@@ -774,13 +811,6 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     x_rows = windows(np.pad(x, n_band, mode="edge"), band)[::stride]
     outside = np.pad(np.zeros(n_grid, dtype=bool), n_band, constant_values=True)
     outside = windows(outside, band)[::stride]
-    w = np.subtract(xm[:, None], x_rows)
-    w **= 2
-    np.negative(w, out=w)
-    w /= 2.0 * hbar_x
-    np.exp(w, out=w)
-    np.copyto(w, 0.0, where=outside)
-    w /= np.sqrt(h * np.sum(w * w, axis=1))[:, None]
 
     # Relative to its node x_m the band sits at offsets d h, and the phase
     # exp(-i p x_m / hbar) common to a row drops out of |overlap|^2, so one
@@ -792,46 +822,71 @@ def coherent_identity_check_1d(catalog: SpectralCatalog, fill) -> HusimiReport:
     sin_t = phases.imag.T.copy()
     del phases
     # each level's bands are windows of psi padded by n_band zeros at both
-    # ends, where w is 0 too; every level reuses the same working arrays
+    # ends, where w is 0 too
     padded = np.zeros((fill, n_grid + 2 * n_band))
     padded[:, n_band : n_band + n_grid] = psi.T
     bands = windows(padded, band, axis=1)[:, ::stride]
-    windowed = np.empty_like(w)
-    folded = np.empty((xm.size, n_band))
-    re = np.empty((xm.size, half_p.size))
-    im = np.empty_like(re)
-    m_half = np.zeros_like(re)
-    lo = windowed[:, n_band - 1 :: -1]  # offsets -1, -2, ..., -n_band
-    hi = windowed[:, n_band + 1 :]  # offsets 1, 2, ..., n_band
-    for j in range(fill):
-        np.multiply(w, bands[j], out=windowed)
-        np.matmul(np.add(lo, hi, out=folded), cos_t, out=re)
-        re += windowed[:, n_band, None] * h
-        np.matmul(np.subtract(hi, lo, out=folded), sin_t, out=im)
-        re *= re
-        im *= im
-        re += im
-        m_half += re
-    del w, windowed, folded, re, im, lo, hi, cos_t, sin_t, padded, bands
-    m = np.concatenate((m_half[:, ::-1][:, : n_p // 2], m_half), axis=1)  # m(x, -p) = m(x, p)
-    del m_half
+    # one Husimi table; the levels add into its p >= 0 half one row tile
+    # at a time (see _HUSIMI_TILE_MACS), and every tile reuses the same
+    # window and per-level buffers
+    m = np.zeros((xm.size, n_p))
+    m_pos = m[:, n_p // 2 :]
+    edges = _row_tiles(xm.size, n_band * half_p.size)
+    tile = max(b - a for a, b in zip(edges, edges[1:]))
+    w_buf = np.empty((tile, band))
+    windowed_buf = np.empty_like(w_buf)
+    folded_buf = np.empty((tile, n_band))
+    re_buf = np.empty((tile, half_p.size))
+    im_buf = np.empty_like(re_buf)
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        n = stop - start
+        w, windowed, folded = w_buf[:n], windowed_buf[:n], folded_buf[:n]
+        re, im = re_buf[:n], im_buf[:n]
+        np.subtract(xm[rows, None], x_rows[rows], out=w)
+        w **= 2
+        np.negative(w, out=w)
+        w /= 2.0 * hbar_x
+        np.exp(w, out=w)
+        np.copyto(w, 0.0, where=outside[rows])
+        w /= np.sqrt(h * np.sum(np.multiply(w, w, out=windowed), axis=1))[:, None]
+        lo = windowed[:, n_band - 1 :: -1]  # offsets -1, -2, ..., -n_band
+        hi = windowed[:, n_band + 1 :]  # offsets 1, 2, ..., n_band
+        for j in range(fill):
+            np.multiply(w, bands[j, rows], out=windowed)
+            np.matmul(np.add(lo, hi, out=folded), cos_t, out=re)
+            re += windowed[:, n_band, None] * h
+            np.matmul(np.subtract(hi, lo, out=folded), sin_t, out=im)
+            re *= re
+            im *= im
+            re += im
+            m_pos[rows] += re
+    del w_buf, windowed_buf, folded_buf, re_buf, im_buf, w, windowed, folded, re, im, lo, hi
+    del cos_t, sin_t, padded, bands
+    m[:, : n_p // 2] = m_pos[:, ::-1][:, : n_p // 2]  # m(x, -p) = m(x, p)
 
     mass = float(np.sum(m)) * dx * dp / (2.0 * math.pi * hbar)
     resolution_residual = abs(mass - fill) / fill
 
-    kin_husimi = float(np.sum(m * p[None, :] ** 2)) * dx * dp / (2.0 * math.pi * hbar)
+    # the weighted sums multiply into one reused buffer
+    prod = np.empty_like(m)
+    kin_husimi = float(np.sum(np.multiply(m, p[None, :] ** 2, out=prod))) * dx * dp / (
+        2.0 * math.pi * hbar
+    )
     kin_expected = kinetic_spec + hbar_p * fill * 0.5  # the unit Gaussian has |grad f|^2 = 1/2
     kinetic_residual = abs(kin_husimi - kin_expected)
 
     vv = np.asarray(catalog.potential_1d(x), dtype=float)
     pot_trace = float(np.sum(vv[:, None] * psi**2)) * h
     vm = np.asarray(catalog.potential_1d(xm), dtype=float)
-    pot_husimi = float(np.sum(m * vm[:, None])) * dx * dp / (2.0 * math.pi * hbar)
+    pot_husimi = float(np.sum(np.multiply(m, vm[:, None], out=prod))) * dx * dp / (
+        2.0 * math.pi * hbar
+    )
     potential_residual = abs(pot_husimi - pot_trace)
 
     with np.errstate(divide="ignore", over="ignore"):
         lf_weight = np.minimum(1.0, (HUSIMI_P_F / np.maximum(np.abs(p), 1e-300)) ** 2)
-    lf_husimi = float(np.sum(m * (p**2 * lf_weight)[None, :])) * dx * dp / (
+    lf_husimi = float(np.sum(np.multiply(m, (p**2 * lf_weight)[None, :], out=prod))) * dx * dp / (
         2.0 * math.pi * hbar
     )
     lowfreq_residual = abs(lf_husimi - lowfreq_spec)

@@ -586,6 +586,30 @@ def test_json_mirror(tmp_path):
     assert set(mirror["rows"][0]) == {"r", "rho", "V", "lagrange_residual"}
 
 
+@pytest.mark.parametrize(
+    "header, columns, cells",
+    [
+        ([], ["rho", "r"], []),  # no rows, no header lines
+        (["one line"], ["z", "a", "m"], [["1.0", "2.5", "-3e-300"], ["inf", "nan", "7"]]),
+        (
+            ['a "quoted" word', "a back\\slash", "non-ASCII: \u0127 \u03bb \u03c1\u00b2", "{0} {braces}"],
+            ['q"', "x{0}", "\u00e9", "a\\b"],
+            [['"', "{1}", "\u0127", "\\"]],
+        ),
+        (["a column twice"], ["a", "b", "a"], [["1", "2", "3"]]),  # dict(zip()) keeps the last "a"
+        ([], [], [[], []]),
+    ],
+)
+def test_json_mirror_writes_the_bytes_of_json_dump(tmp_path, header, columns, cells):
+    path = cli._mirror_csv_as_json(str(tmp_path / "t.csv"), header, columns, cells)
+    with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+        json.dump({"header": header, "rows": [dict(zip(columns, row)) for row in cells]},
+                  fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert path == str(tmp_path / "t.json")
+    assert Path(path).read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 def test_headers_carry_version_and_config(tmp_path):
     cfg = write_config(tmp_path, {"potential": {"kind": "harmonic"}})
     out = tmp_path / "out"

@@ -773,8 +773,10 @@ def _dense_husimi_reference(catalog, fill, p_F=1.0):
 )
 def test_husimi_band_matches_dense_products(hbar, halfwidth, fill):
     cat = dvr_catalog_1d(lambda x: x * x, hbar, halfwidth, 1001, hbar * (2 * fill + 1) + 0.01)
-    rep = coherent_identity_check_1d(cat, fill)
-    ref = _dense_husimi_reference(cat, fill)
+    _assert_matches_dense(coherent_identity_check_1d(cat, fill), _dense_husimi_reference(cat, fill))
+
+
+def _assert_matches_dense(rep, ref):
     for name, want in ref.items():
         got = getattr(rep, name)
         if name in ("resolution_residual", "kinetic_identity_residual", "m_min"):
@@ -782,6 +784,15 @@ def test_husimi_band_matches_dense_products(hbar, halfwidth, fill):
             assert abs(got - want) <= 1e-12, (name, got, want)
         else:
             assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), hbar=st.floats(0.02, 0.3), fill=st.integers(1, 4))
+def test_husimi_tiles_match_dense_products(data, hbar, fill):
+    # the fewest points the check accepts: h = 8 / (points + 1) <= hbar^(2/3) / 8
+    points = data.draw(st.integers(max(200, math.ceil(64.0 / hbar ** (2.0 / 3.0))), 1200), "points")
+    cat = dvr_catalog_1d(lambda x: x * x, hbar, 4.0, points, hbar * (2 * fill + 1) + 0.01)
+    _assert_matches_dense(coherent_identity_check_1d(cat, fill), _dense_husimi_reference(cat, fill))
 
 
 class _ExpShapes:
@@ -800,6 +811,10 @@ class _ExpShapes:
         return out
 
 
+# row tiles of the two checks below: how many, and the tallest
+_HUSIMI_TILES = {0.05: (8, 72), 0.025: (10, 108)}
+
+
 @pytest.mark.parametrize(
     "hbar, n_xm, n_band, n_p",
     [
@@ -816,24 +831,33 @@ def test_husimi_work_budget(monkeypatch, hbar, n_xm, n_band, n_p):
     rep = coherent_identity_check_1d(cat, 10)
     monkeypatch.undo()
     assert (rep.n_xm, rep.band, rep.n_p) == (n_xm, 2 * n_band + 1, n_p)
-    # the real windows on the full band, and one complex phase table on the
-    # ceil(n_p / 2) momenta p >= 0 and the n_band offsets d > 0: the products
-    # run on the folded band and half the p grid
-    assert probe.shapes == [(False, (n_xm, 2 * n_band + 1)), (True, ((n_p + 1) // 2, n_band))]
+    # the real windows on the full band, built one row tile at a time: the
+    # tiles together exponentiate each of the n_xm x band window elements
+    # once, and none is taller than tile_rows
+    tiles, tile_rows = _HUSIMI_TILES[hbar]
+    windows = [shape for cplx, shape in probe.shapes if not cplx]
+    assert len(windows) == tiles and {cols for _, cols in windows} == {2 * n_band + 1}
+    assert sum(rows for rows, _ in windows) == n_xm and max(rows for rows, _ in windows) == tile_rows
+    # one complex phase table on the ceil(n_p / 2) momenta p >= 0 and the
+    # n_band offsets d > 0: the products run on the folded band and half the p grid
+    assert [shape for cplx, shape in probe.shapes if cplx] == [((n_p + 1) // 2, n_band)]
 
 
 @pytest.mark.parametrize(
     "hbar, points, catalog_mib, check_mib",
     [
-        (0.025, 1001, 3.3, 8.4),  # criterion 15's second rung: 2.88 and 7.36 MiB
-        (0.0125, 2001, 9.3, 18.7),  # the next rung: 8.15 and 16.34 MiB
+        (0.05, 1001, 2.3, 2.5),  # the CLI's rung: 2.04 and 2.20 MiB
+        (0.025, 1001, 3.3, 4.3),  # criterion 15's second rung: 2.88 and 3.75 MiB
+        (0.0125, 2001, 9.3, 8.3),  # the next rung: 8.15 and 7.25 MiB
     ],
 )
 def test_husimi_memory_budget(hbar, points, catalog_mib, check_mib):
     # traced peaks (NumPy reports its data buffers to tracemalloc).  The
-    # catalog holds the sinc matrix and sin's output, the check its windows
-    # and one set of per-level buffers, then m and one product.  With
-    # np.sinc's temporaries, an index table and per-level temporaries they
+    # catalog holds the sinc matrix and sin's output; the check holds the
+    # one Husimi table m with one row tile's windows and per-level buffers,
+    # then m and one product.  With whole-table windows and products the
+    # check peaked at 5.47, 7.36 and 16.34 MiB; before that, with np.sinc's
+    # temporaries, an index table and per-level temporaries, the two
     # peaked at 5.7 and 12.0 MiB (hbar = 0.025), 16.2 and 25.9 MiB (0.0125)
     peaks = []
     tracemalloc.start()
